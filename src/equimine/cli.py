@@ -1,374 +1,148 @@
-"""Command line front end. Reads CSV/JSON inputs, writes report files.
+"""Command line front end: parse flags, call the pipeline's stages, write reports.
 
-Every subcommand writes deterministic artifacts into --out and prints a one
-line summary; `report` chains all stages from a single run config. On a
-pipeline failure a machine-readable error JSON goes to stdout and the exit
-code is nonzero. Set EQUIMINE_LOG to control log verbosity.
+Each subcommand writes exactly the reports `report` writes for its stage
+(`topsis` also writes topsis.csv). Failures print the error JSON and exit 1.
 """
 
 import json
 import logging
 import os
 import sys
-from dataclasses import replace
-from pathlib import Path
+from contextlib import contextmanager
 
 import click
-import numpy as np
 
-from . import allocation as alloc_mod
-from . import equity as equity_mod
-from . import io, mcda, mining, pipeline, sensnet
-from . import stats as stats_mod
-from . import topsis as topsis_mod
-from .errors import EquimineError, PipelineError
-
-log = logging.getLogger("equimine")
+from . import io, pipeline
+from .allocation import ALLOC_MODES
+from .errors import PipelineError
+from .mining import INCOME_MODES
 
 
-def _setup_logging():
+@click.group()
+def main():
+    """Decision-analysis toolkit: weighting, ranking, equity, mining revenue, allocation,
+    correlation and sensitivity over CSV inputs. EQUIMINE_LOG sets the log level."""
     level = os.environ.get("EQUIMINE_LOG", "WARNING").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING),
                         format="%(levelname)s %(name)s: %(message)s")
 
 
-def _fail(stage: str, exc: EquimineError):
-    detail = exc.detail if isinstance(exc, PipelineError) else {}
-    message = exc.message if isinstance(exc, PipelineError) else str(exc)
-    stage = exc.stage if isinstance(exc, PipelineError) else stage
-    payload = {"error": {"stage": stage, "message": message, **detail}}
-    click.echo(json.dumps(payload, indent=2))
-    sys.exit(1)
+@contextmanager
+def _errors_as_json(stage):
+    """Print any toolkit error raised inside as the error JSON and exit 1."""
+    try:
+        with pipeline._stage(stage):
+            yield
+    except PipelineError as exc:
+        click.echo(json.dumps({"error": {"stage": exc.stage, "message": exc.message,
+                                         **exc.detail}}, indent=2))
+        sys.exit(1)
 
 
-def _out_dir(out) -> Path:
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+def _input(*decls, help, required=True):
+    return click.option(*decls, required=required, type=click.Path(exists=True), help=help)
 
 
-@click.group()
-def main():
-    """Decision-analysis toolkit: weighting, ranking, equity, mining revenue,
-    allocation, correlation and sensitivity over CSV inputs."""
-    _setup_logging()
+OUT = click.option("--out", required=True, type=click.Path(), help="Output directory.")
+MATRIX = _input("--pairwise", help="Pairwise comparison matrix CSV.")
+PAIRWISE = _input("--pairwise", required=False,
+                  help="Optional comparison matrix; its mean AHP weights replace the defaults.")
+INDICATORS = _input("--indicators", help="Indicator CSV (country, year, ei..sa).")
+DECISION = _input("--decision", help="Decision matrix CSV with kind-annotated headers.")
+SCENARIO = _input("--scenario", help="Mining scenario JSON.")
+GDP = _input("--gdp", help="GDP CSV (country, gdp).")
+TRAIN = _input("--train", "train_path",
+               help="Training config JSON (learning_rate, epochs, seed, layer_sizes).")
+INCOME_MODE = click.option("--income-mode", type=click.Choice(INCOME_MODES), default=None,
+                           help="Override the run config's and the scenario's income mode.")
+BOTTOM_COUNT = click.option("--bottom-count", type=int, default=20, show_default=True,
+                            help="Size of the poverty group by ascending GDP.")
+ALLOC_MODE = click.option("--alloc-mode", type=click.Choice(ALLOC_MODES), default="conserve")
+MULTIPLIER = click.option("--multiplier", type=float, default=1.2, show_default=True)
+ALPHA = click.option("--alpha", type=float, default=0.05, show_default=True)
+SEED = click.option("--seed", type=int, default=None, help="Override the training seed.")
 
 
-@main.command()
-@click.option("--pairwise", required=True, type=click.Path(exists=True),
-              help="Pairwise comparison matrix CSV.")
-@click.option("--out", required=True, type=click.Path(), help="Output directory.")
-def weights(pairwise, out):
+def _stage_command(stage, *options):
+    """Register body as a subcommand taking `options` and --out. The body runs under
+    `stage`'s error handling; its reports are written under a digest of its flags."""
+    def register(body):
+        def command(out, **flags):
+            with _errors_as_json(stage):
+                reports = body(**flags)
+            written = pipeline.write_reports(out, io.config_digest(flags), reports)
+            click.echo("wrote " + ", ".join(str(p) for p in written.values()))
+        for option in reversed((*options, OUT)):
+            command = option(command)
+        return main.command(name=body.__name__, help=body.__doc__)(command)
+    return register
+
+
+@_stage_command("weights", MATRIX)
+def weights(pairwise):
     """Derive criterion weights by all three methods."""
-    try:
-        matrix = io.load_pairwise_csv(pairwise)
-        by_method = {m: mcda.derive_weights(matrix, m).weights for m in mcda.METHODS}
-    except EquimineError as exc:
-        _fail("weights", exc)
-    mean_weights = np.mean(list(by_method.values()), axis=0)
-    digest = io.config_digest({"pairwise": str(pairwise)})
-    path = _out_dir(out) / "weights.json"
-    io.write_json_report(path, {
-        "config_digest": digest,
-        "labels": matrix.labels,
-        "methods": {m: [io.fmt6(w) for w in by_method[m]] for m in mcda.METHODS},
-        "mean": [io.fmt6(w) for w in mean_weights],
-    })
-    click.echo(f"wrote {path}")
+    return pipeline.weights_stage(io.load_pairwise_csv(pairwise))[0]
 
 
-@main.command()
-@click.option("--pairwise", required=True, type=click.Path(exists=True),
-              help="Pairwise comparison matrix CSV.")
-@click.option("--out", required=True, type=click.Path(), help="Output directory.")
-def consistency(pairwise, out):
+@_stage_command("consistency", MATRIX)
+def consistency(pairwise):
     """Check a comparison matrix for consistency (CR < 0.1)."""
-    try:
-        matrix = io.load_pairwise_csv(pairwise)
-        report = mcda.consistency(matrix)
-    except EquimineError as exc:
-        _fail("consistency", exc)
-    path = _out_dir(out) / "consistency.json"
-    io.write_json_report(path, {
-        "config_digest": io.config_digest({"pairwise": str(pairwise)}),
-        "labels": matrix.labels,
-        "lambda_max": io.fmt6(report.lambda_max),
-        "ci": io.fmt6(report.ci),
-        "ri": io.fmt6(report.ri),
-        "cr": io.fmt6(report.cr),
-        "passes": report.passes,
-    })
-    click.echo(f"wrote {path} (cr={report.cr:.4f}, passes={report.passes})")
+    return pipeline.consistency_stage(io.load_pairwise_csv(pairwise))[0]
 
 
-@main.command()
-@click.option("--decision", required=True, type=click.Path(exists=True),
-              help="Decision matrix CSV with kind-annotated headers.")
-@click.option("--pairwise", type=click.Path(exists=True), default=None,
-              help="Optional comparison matrix; its mean weights weight the indicators.")
-@click.option("--out", required=True, type=click.Path(), help="Output directory.")
-def topsis(decision, pairwise, out):
+@_stage_command("topsis", DECISION, PAIRWISE)
+def topsis(decision, pairwise):
     """Rank alternatives by closeness to the ideal solution."""
-    try:
-        matrix = io.load_decision_csv(decision)
-        weights_vec = None
-        if pairwise is not None:
-            pm = io.load_pairwise_csv(pairwise)
-            by_method = [mcda.derive_weights(pm, m).weights for m in mcda.METHODS]
-            weights_vec = np.mean(by_method, axis=0)
-        ranked = topsis_mod.rank_alternatives(matrix, weights=weights_vec)
-    except EquimineError as exc:
-        _fail("topsis", exc)
-    digest = io.config_digest({"decision": str(decision),
-                               "pairwise": None if pairwise is None else str(pairwise)})
-    out_dir = _out_dir(out)
-    order = {i: pos + 1 for pos, i in enumerate(ranked.ranking)}
-    rows = [
-        (matrix.alternative_labels[i], float(ranked.d_plus[i]), float(ranked.d_minus[i]),
-         float(ranked.s[i]), float(ranked.s_normalized[i]), order[i])
-        for i in range(len(matrix.alternative_labels))
-    ]
-    csv_path = out_dir / "topsis.csv"
-    io.write_csv(csv_path, ("label", "d_plus", "d_minus", "s", "s_normalized", "rank"), rows)
-    json_path = out_dir / "topsis.json"
-    io.write_json_report(json_path, {
-        "config_digest": digest,
-        "indicators": matrix.indicator_labels,
-        "alternatives": [
-            {"label": r[0], "d_plus": io.fmt6(r[1]), "d_minus": io.fmt6(r[2]),
-             "s": io.fmt6(r[3]), "s_normalized": io.fmt6(r[4]), "rank": r[5]}
-            for r in rows
-        ],
-        "ranking": [matrix.alternative_labels[i] for i in ranked.ranking],
-    })
-    click.echo(f"wrote {json_path} and {csv_path}")
+    weights = pipeline.matrix_weights(pairwise, default=None)  # equal weights without a matrix
+    reports, rows = pipeline.topsis_stage(io.load_decision_csv(decision), weights)
+    return {**reports, "topsis.csv": (pipeline.TOPSIS_COLUMNS, rows)}
 
 
-@main.command()
-@click.option("--indicators", required=True, type=click.Path(exists=True),
-              help="Indicator CSV (country, year, ei..sa).")
-@click.option("--pairwise", type=click.Path(exists=True), default=None,
-              help="Optional comparison matrix; mean method weights replace the defaults.")
-@click.option("--out", required=True, type=click.Path(), help="Output directory.")
-def equity(indicators, pairwise, out):
+@_stage_command("equity", INDICATORS, PAIRWISE)
+def equity(indicators, pairwise):
     """Per-country development scores and the global equity index."""
-    try:
-        table = io.load_indicator_table(indicators)
-        countries, years = table.require_complete_panel()
-        if pairwise is None:
-            weights_vec = np.array(equity_mod.DEFAULT_SCORE_WEIGHTS)
-        else:
-            pm = io.load_pairwise_csv(pairwise)
-            weights_vec = np.mean([mcda.derive_weights(pm, m).weights for m in mcda.METHODS],
-                                  axis=0)
-        scores = {
-            (c, y): equity_mod.country_score(table.records[(c, y)], weights_vec)
-            for c in countries for y in years
-        }
-        grid = np.array([[scores[(c, y)] for c in countries] for y in years])
-        ge = equity_mod.global_equity_index(grid, countries=countries, years=years)
-    except EquimineError as exc:
-        _fail("equity", exc)
-    path = _out_dir(out) / "equity.json"
-    io.write_json_report(path, {
-        "config_digest": io.config_digest({"indicators": str(indicators),
-                                           "pairwise": None if pairwise is None else str(pairwise)}),
-        "countries": countries,
-        "years": years,
-        "scores": [
-            {"country": c,
-             "series": [{"year": y, "score": io.fmt6(scores[(c, y)])} for y in years]}
-            for c in countries
-        ],
-        "global_equity_index": io.fmt6(ge),
-    })
-    click.echo(f"wrote {path} (GE={ge:.6g})")
+    return pipeline.equity_stage(pipeline.load_panel(indicators, pairwise))
 
 
-@main.command()
-@click.option("--scenario", required=True, type=click.Path(exists=True),
-              help="Mining scenario JSON.")
-@click.option("--income-mode", type=click.Choice(mining.INCOME_MODES), default=None,
-              help="Override the scenario's income mode.")
-@click.option("--out", required=True, type=click.Path(), help="Output directory.")
-def simulate(scenario, income_mode, out):
+@_stage_command("mining", SCENARIO, INCOME_MODE)
+def simulate(scenario, income_mode):
     """Income and profit for a mining scenario, both income modes side by side."""
-    try:
-        params, window, scenario_mode, metadata = io.load_scenario(scenario)
-        selected = income_mode or scenario_mode
-        incomes = {m: mining.income(window, params, m) for m in mining.INCOME_MODES}
-        profits = {m: mining.profit(incomes[m], window.cost) for m in mining.INCOME_MODES}
-    except EquimineError as exc:
-        _fail("mining", exc)
-    path = _out_dir(out) / "mining.json"
-    io.write_json_report(path, {
-        "config_digest": io.config_digest({"scenario": str(scenario), "income_mode": selected}),
-        "scenario": metadata.get("name"),
-        "dof": io.fmt6(params.dof),
-        "location": io.fmt6(params.location),
-        "scale": io.fmt6(params.scale),
-        "total_value": io.fmt6(params.total_value),
-        "positive_mass": io.fmt6(params.positive_mass),
-        "window": {"t1": io.fmt6(window.t1), "t2": io.fmt6(window.t2),
-                   "cost": io.fmt6(window.cost)},
-        "income": {m: io.fmt6(incomes[m]) for m in mining.INCOME_MODES},
-        "profit": {m: io.fmt6(profits[m]) for m in mining.INCOME_MODES},
-        "selected_mode": selected,
-    })
-    click.echo(f"wrote {path}")
+    return pipeline.mining_stage(io.load_scenario(scenario), income_mode)[0]
 
 
-@main.command()
-@click.option("--indicators", required=True, type=click.Path(exists=True))
-@click.option("--gdp", required=True, type=click.Path(exists=True))
-@click.option("--scenario", required=True, type=click.Path(exists=True))
-@click.option("--alloc-mode", type=click.Choice(alloc_mod.ALLOC_MODES), default="conserve")
-@click.option("--income-mode", type=click.Choice(mining.INCOME_MODES), default="cumulative")
-@click.option("--bottom-count", type=int, default=20, show_default=True,
-              help="Size of the poverty group by ascending GDP.")
-@click.option("--multiplier", type=float, default=1.2, show_default=True)
-@click.option("--out", required=True, type=click.Path())
-def allocate(indicators, gdp, scenario, alloc_mode, income_mode, bottom_count, multiplier, out):
+@_stage_command("allocation", INDICATORS, GDP, SCENARIO, PAIRWISE, ALLOC_MODE, INCOME_MODE,
+                BOTTOM_COUNT, MULTIPLIER)
+def allocate(indicators, gdp, scenario, pairwise, income_mode, **policy):
     """Split scenario profit across countries by development score."""
-    try:
-        table = io.load_indicator_table(indicators)
-        countries, years = table.require_complete_panel()
-        gdp_map = io.load_gdp_csv(gdp)
-        params, window, _, _ = io.load_scenario(scenario)
-        total_profit = mining.profit(mining.income(window, params, income_mode), window.cost)
-        scores = {
-            c: equity_mod.country_score(table.records[(c, years[-1])])
-            for c in countries
-        }
-        policy = alloc_mod.PovertyPolicy(bottom_count=bottom_count, multiplier=multiplier)
-        gammas = alloc_mod.poverty_multipliers(gdp_map, policy)
-        if set(gammas) != set(scores):
-            raise EquimineError("GDP table countries do not match the indicator table")
-        result = alloc_mod.allocate(total_profit, scores, gammas, mode=alloc_mode)
-    except EquimineError as exc:
-        _fail("allocation", exc)
-    path = _out_dir(out) / "allocation.json"
-    io.write_json_report(path, {
-        "config_digest": io.config_digest({
-            "indicators": str(indicators), "gdp": str(gdp), "scenario": str(scenario),
-            "alloc_mode": alloc_mode, "income_mode": income_mode,
-            "bottom_count": bottom_count, "multiplier": multiplier,
-        }),
-        "basis": "equity",
-        "mode": alloc_mode,
-        "total_profit": io.fmt6(result.total_profit),
-        "over_allocation": io.fmt6(result.over_allocation),
-        "shares": [
-            {"country": s.label, "gamma": io.fmt6(s.gamma),
-             "raw_share": io.fmt6(s.raw_share),
-             "conserved_share": io.fmt6(s.conserved_share)}
-            for s in result.shares
-        ],
-    })
-    click.echo(f"wrote {path}")
+    basis_scores = pipeline.load_panel(indicators, pairwise).latest_scores()
+    _, total_profit = pipeline.mining_stage(io.load_scenario(scenario), income_mode)
+    return pipeline.allocation_stage(basis_scores, io.load_gdp_csv(gdp), total_profit, **policy)
 
 
-@main.command()
-@click.option("--indicators", required=True, type=click.Path(exists=True))
-@click.option("--alpha", type=float, default=0.05, show_default=True)
-@click.option("--out", required=True, type=click.Path())
-def correlate(indicators, alpha, out):
+@_stage_command("correlation", INDICATORS, PAIRWISE, ALPHA)
+def correlate(indicators, pairwise, alpha):
     """Correlate each indicator with the development score across all records."""
-    try:
-        table = io.load_indicator_table(indicators)
-        keys = sorted(table.records)
-        score_series = np.array([
-            equity_mod.country_score(table.records[k]) for k in keys
-        ])
-        per_indicator = []
-        for j, name in enumerate(io.INDICATOR_COLUMNS):
-            values = np.array([table.records[k].as_array()[j] for k in keys])
-            result = stats_mod.t_test(stats_mod.pearson(values, score_series),
-                                      len(keys), alpha=alpha)
-            per_indicator.append({
-                "indicator": name,
-                "r": io.fmt6(result.r),
-                "t_stat": io.fmt6(result.t_stat),
-                "critical_value": io.fmt6(result.critical_value),
-                "significant": result.significant,
-                "strength": result.strength,
-                "direction": "positive" if result.r > 0 else ("negative" if result.r < 0 else "zero"),
-            })
-    except EquimineError as exc:
-        _fail("correlation", exc)
-    path = _out_dir(out) / "correlation.json"
-    io.write_json_report(path, {
-        "config_digest": io.config_digest({"indicators": str(indicators), "alpha": alpha}),
-        "alpha": alpha,
-        "n": len(keys),
-        "indicators": per_indicator,
-    })
-    click.echo(f"wrote {path}")
+    return pipeline.correlation_stage(pipeline.load_panel(indicators, pairwise), alpha)
 
 
-@main.command()
-@click.option("--indicators", required=True, type=click.Path(exists=True))
-@click.option("--train", "train_path", required=True, type=click.Path(exists=True),
-              help="Training config JSON (learning_rate, epochs, seed, layer_sizes).")
-@click.option("--seed", type=int, default=None, help="Override the training seed.")
-@click.option("--out", required=True, type=click.Path())
-def sensitivity(indicators, train_path, seed, out):
+@_stage_command("sensitivity", INDICATORS, TRAIN, PAIRWISE, SEED)
+def sensitivity(indicators, train_path, pairwise, seed):
     """Train the sensitivity network and sweep trained weights."""
-    try:
-        table = io.load_indicator_table(indicators)
-        keys = sorted(table.records)
-        x = np.array([table.records[k].as_array() for k in keys])
-        scores = np.array([equity_mod.country_score(table.records[k]) for k in keys])
-        spec, config = io.load_train_config(train_path)
-        if seed is not None:
-            config = replace(config, seed=seed)
-        targets = pipeline.scale_targets(scores)
-        sweep = sensnet.sensitivity_sweep(x, targets, spec, config,
-                                          indicator_names=list(io.INDICATOR_COLUMNS))
-    except EquimineError as exc:
-        _fail("sensitivity", exc)
-    out_dir = _out_dir(out)
-    io.write_csv(out_dir / "sensitivity.csv", ("indicator", "value"),
-                 [(n, float(v)) for n, v in zip(sweep.indicator_names, sweep.sensitivities)])
-    io.write_csv(out_dir / "perturbation.csv", ("weight_id", "w", "output"),
-                 sweep.perturbation_rows)
-    io.write_json_report(out_dir / "sensitivity.json", {
-        "config_digest": io.config_digest({"indicators": str(indicators),
-                                           "train": str(train_path), "seed": config.seed}),
-        "seed": config.seed,
-        "epochs": config.epochs,
-        "learning_rate": io.fmt6(config.learning_rate),
-        "layer_sizes": list(spec.sizes),
-        "final_loss": io.fmt6(sweep.final_loss),
-        "sensitivities": [
-            {"indicator": n, "value": io.fmt6(v)}
-            for n, v in zip(sweep.indicator_names, sweep.sensitivities)
-        ],
-        "max_output_variation": io.fmt6(sweep.max_variation),
-        "variation_band": pipeline.VARIATION_BAND,
-        "within_band": bool(sweep.max_variation <= pipeline.VARIATION_BAND),
-    })
-    click.echo(f"wrote {out_dir / 'sensitivity.json'}")
+    panel = pipeline.load_panel(indicators, pairwise)
+    return pipeline.sensitivity_stage(panel, io.load_train_config(train_path), seed)
 
 
 @main.command()
-@click.option("--config", "config_path", required=True, type=click.Path(exists=True),
-              help="Run config JSON naming every input file.")
-@click.option("--out", required=True, type=click.Path(), help="Output directory.")
-@click.option("--income-mode", type=click.Choice(mining.INCOME_MODES), default=None)
-@click.option("--alloc-mode", type=click.Choice(alloc_mod.ALLOC_MODES), default=None)
-@click.option("--alloc-basis", type=click.Choice(("equity", "topsis")), default=None)
-@click.option("--seed", type=int, default=None, help="Override the training seed.")
-def report(config_path, out, income_mode, alloc_mode, alloc_basis, seed):
+@_input("--config", "config_path", help="Run config JSON naming every input file.")
+@OUT
+@INCOME_MODE
+@click.option("--alloc-mode", type=click.Choice(ALLOC_MODES), default=None)
+@click.option("--alloc-basis", type=click.Choice(pipeline.ALLOC_BASES), default=None)
+@SEED
+def report(config_path, out, **overrides):
     """Run the full pipeline and write every report artifact."""
-    try:
-        config = pipeline.load_run_config(
-            config_path, income_mode=income_mode, alloc_mode=alloc_mode,
-            alloc_basis=alloc_basis, seed=seed,
-        )
-        written = pipeline.run_pipeline(config, out)
-    except EquimineError as exc:
-        _fail("config", exc)
+    with _errors_as_json("config"):
+        written = pipeline.run_pipeline(pipeline.load_run_config(config_path, **overrides), out)
     click.echo(f"wrote {len(written)} artifacts to {out}")
 
 

@@ -15,7 +15,7 @@ import numpy as np
 from .equity import IndicatorVector
 from .errors import ParseError, ValidationError
 from .mcda import PairwiseMatrix
-from .mining import MiningCurveParams, RevenueWindow
+from .mining import INCOME_MODES, MiningCurveParams, RevenueWindow
 from .sensnet import DEFAULT_LAYER_SIZES, LayerSpec, TrainConfig
 from .topsis import DecisionMatrix, IndicatorKind
 
@@ -160,25 +160,49 @@ def load_gdp_csv(path) -> dict:
     return gdp
 
 
+def read_json_object(path, what: str) -> dict:
+    """Parse a JSON file that must hold one object; anything else is a ParseError."""
+    try:
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ParseError(f"{what} is not valid JSON: {exc}") from None
+    if not isinstance(raw, dict):
+        raise ParseError(f"{what} file must hold a JSON object")
+    return raw
+
+
+def json_field(raw: dict, what: str, key: str, default, convert):
+    """raw[key] (or default) passed through convert; a failure is a ParseError."""
+    value = raw.get(key, default)
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        raise ParseError(f"{what} field {key!r} has a bad value {value!r}") from None
+
+
 def load_scenario(path):
     """Read a mining scenario JSON file.
 
     Returns (MiningCurveParams, RevenueWindow, mode, metadata). Missing fields
     fall back to the module defaults; t2 may be the string "inf".
     """
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(raw, dict):
-        raise ParseError("scenario file must hold a JSON object")
+    raw = read_json_object(path, "scenario")
+
+    def number(key, default):
+        return json_field(raw, "scenario", key, default, float)
+
     params = MiningCurveParams(
-        dof=float(raw.get("dof", 5.0)),
-        location=float(raw.get("location", 15.0)),
-        scale=float(raw.get("scale", 5.0)),
-        total_value=float(raw.get("total_value", 70e12)),
+        dof=number("dof", 5.0),
+        location=number("location", 15.0),
+        scale=number("scale", 5.0),
+        total_value=number("total_value", 70e12),
     )
     t2 = raw.get("t2", "inf")
-    t2 = math.inf if t2 in ("inf", None) else float(t2)
-    window = RevenueWindow(t1=float(raw.get("t1", 0.0)), t2=t2, cost=float(raw.get("cost", 0.0)))
+    t2 = math.inf if t2 in ("inf", None) else number("t2", None)
+    window = RevenueWindow(t1=number("t1", 0.0), t2=t2, cost=number("cost", 0.0))
     mode = raw.get("mode", "cumulative")
+    if mode not in INCOME_MODES:
+        raise ParseError(f"scenario mode must be one of {', '.join(INCOME_MODES)}, got {mode!r}")
     metadata = {k: v for k, v in raw.items()
                 if k not in ("dof", "location", "scale", "total_value", "t1", "t2", "cost", "mode")}
     return params, window, mode, metadata
@@ -186,12 +210,16 @@ def load_scenario(path):
 
 def load_train_config(path):
     """Read training settings; returns (LayerSpec, TrainConfig)."""
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    spec = LayerSpec(tuple(raw.get("layer_sizes", DEFAULT_LAYER_SIZES)))
+    raw = read_json_object(path, "train config")
+
+    def field(key, default, convert):
+        return json_field(raw, "train config", key, default, convert)
+
+    spec = LayerSpec(field("layer_sizes", DEFAULT_LAYER_SIZES, lambda v: tuple(int(s) for s in v)))
     config = TrainConfig(
-        learning_rate=float(raw.get("learning_rate", 0.1)),
-        epochs=int(raw.get("epochs", 5000)),
-        seed=int(raw.get("seed", 0)),
+        learning_rate=field("learning_rate", 0.1, float),
+        epochs=field("epochs", 5000, int),
+        seed=field("seed", 0, int),
     )
     return spec, config
 

@@ -11,8 +11,6 @@ METHODS = ("arithmetic-mean", "geometric-mean", "eigenvalue")
 # Random consistency index by matrix order n = 1..10.
 DEFAULT_RI_TABLE = (0.00, 0.00, 0.58, 0.90, 1.12, 1.24, 1.32, 1.41, 1.45, 1.49)
 
-INDICATOR_NAMES = ("EI", "IDG", "CEA", "MA", "HR", "ER", "SA")
-
 # Published per-method weights for the seven development indicators. These are
 # the shipped defaults when no comparison matrix is supplied; they do not sum
 # to 1 exactly because they are printed at 4 decimals.

@@ -1,14 +1,31 @@
-"""Batch pipeline: load inputs, run every stage, write deterministic reports."""
+"""Batch pipeline: one function per stage, chained by `run_pipeline`.
 
-import json
+Each stage function takes loaded inputs and returns its reports, keyed by file
+name, plus any values later stages need. A JSON report is a dict; a CSV report
+is a (header, rows) pair. `run_pipeline` (the `report` command) chains the
+stage functions, and every CLI subcommand calls the same function for its
+stage, so both write the same payloads.
+
+Shared policies:
+
+* Weights: the mean of a comparison matrix's AHP weights when a matrix is
+  given, the shipped defaults otherwise (`matrix_weights`).
+* Record order: panel order, i.e. countries in file order x sorted years
+  (`Panel`).
+* Income mode: an explicit mode (the --income-mode flag, else the run
+  config's `income_mode`), else the scenario's `mode`, which defaults to
+  cumulative (`mining_stage`).
+"""
+
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from . import allocation, equity, io, mcda, mining, sensnet, stats, topsis
-from .errors import EquimineError, PipelineError, ValidationError
+from .errors import EquimineError, ParseError, PipelineError, ValidationError
 
 VARIATION_BAND = 0.07  # advertised robustness band for the perturbation sweep
 
@@ -23,6 +40,11 @@ REPORT_FILES = (
     "sensitivity.csv",
 )
 
+ALLOC_BASES = ("equity", "topsis")
+
+# Columns of topsis.csv, and the keys of each alternative in topsis.json.
+TOPSIS_COLUMNS = ("label", "d_plus", "d_minus", "s", "s_normalized", "rank")
+
 
 @dataclass
 class RunConfig:
@@ -32,7 +54,7 @@ class RunConfig:
     scenario: Path
     train: Path
     decision: Path = None
-    income_mode: str = "cumulative"
+    income_mode: str = None  # None: the scenario's mode decides
     alloc_mode: str = "conserve"
     alloc_basis: str = "equity"
     bottom_count: int = 20
@@ -40,11 +62,11 @@ class RunConfig:
     seed: int = None
 
     def __post_init__(self):
-        if self.income_mode not in mining.INCOME_MODES:
+        if self.income_mode not in (None, *mining.INCOME_MODES):
             raise ValidationError(f"unknown income mode {self.income_mode!r}")
         if self.alloc_mode not in allocation.ALLOC_MODES:
             raise ValidationError(f"unknown allocation mode {self.alloc_mode!r}")
-        if self.alloc_basis not in ("equity", "topsis"):
+        if self.alloc_basis not in ALLOC_BASES:
             raise ValidationError(f"unknown allocation basis {self.alloc_basis!r}")
 
     def digest(self) -> str:
@@ -69,10 +91,11 @@ def load_run_config(path, **overrides) -> RunConfig:
     """Read a JSON run config; relative paths resolve against the file's dir.
 
     Keyword overrides (income_mode, alloc_mode, alloc_basis, seed, ...) win
-    over file values when not None.
+    over file values when not None. Malformed JSON or field values raise
+    ParseError.
     """
     path = Path(path)
-    raw = json.loads(path.read_text(encoding="utf-8"))
+    raw = io.read_json_object(path, "run config")
     base = path.parent
 
     def resolve(key, required=True):
@@ -81,10 +104,14 @@ def load_run_config(path, **overrides) -> RunConfig:
             if required:
                 raise ValidationError(f"run config is missing {key!r}")
             return None
+        if not isinstance(value, str):
+            raise ParseError(f"run config field {key!r} must be a path, got {value!r}")
         p = Path(value)
         return p if p.is_absolute() else base / p
 
     poverty = raw.get("poverty", {})
+    if not isinstance(poverty, dict):
+        raise ParseError(f"run config field 'poverty' must be an object, got {poverty!r}")
     config = RunConfig(
         indicators=resolve("indicators"),
         pairwise=resolve("pairwise"),
@@ -92,11 +119,11 @@ def load_run_config(path, **overrides) -> RunConfig:
         scenario=resolve("scenario"),
         train=resolve("train"),
         decision=resolve("decision", required=False),
-        income_mode=raw.get("income_mode", "cumulative"),
+        income_mode=raw.get("income_mode"),
         alloc_mode=raw.get("alloc_mode", "conserve"),
         alloc_basis=raw.get("alloc_basis", "equity"),
-        bottom_count=int(poverty.get("bottom_count", 20)),
-        multiplier=float(poverty.get("multiplier", 1.2)),
+        bottom_count=io.json_field(poverty, "run config poverty", "bottom_count", 20, int),
+        multiplier=io.json_field(poverty, "run config poverty", "multiplier", 1.2, float),
         seed=raw.get("seed"),
     )
     updates = {k: v for k, v in overrides.items() if v is not None}
@@ -111,6 +138,7 @@ def load_run_config(path, **overrides) -> RunConfig:
 
 @contextmanager
 def _stage(name):
+    """Report any toolkit error raised inside as a PipelineError of stage `name`."""
     try:
         yield
     except PipelineError:
@@ -119,30 +147,249 @@ def _stage(name):
         raise PipelineError(name, str(exc)) from exc
 
 
+def write_reports(out_dir, digest: str, reports: dict) -> dict:
+    """Write each report into out_dir; JSON reports lead with the config digest.
+
+    Returns {file name: Path}.
+    """
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    written = {}
+    for name, content in reports.items():
+        path = written[name] = out / name
+        if isinstance(content, dict):
+            io.write_json_report(path, {"config_digest": digest, **content})
+        else:
+            io.write_csv(path, *content)
+    return written
+
+
+def consistency_stage(matrix):
+    """CI/CR consistency check. Returns (reports, ConsistencyReport)."""
+    report = mcda.consistency(matrix)
+    return {"consistency.json": {
+        "labels": matrix.labels,
+        "lambda_max": io.fmt6(report.lambda_max),
+        "ci": io.fmt6(report.ci),
+        "ri": io.fmt6(report.ri),
+        "cr": io.fmt6(report.cr),
+        "passes": report.passes,
+    }}, report
+
+
+def weights_stage(matrix):
+    """Weights by every AHP method. Returns (reports, mean weight vector)."""
+    by_method = {m: mcda.derive_weights(matrix, m).weights for m in mcda.METHODS}
+    mean_weights = np.mean(list(by_method.values()), axis=0)
+    return {"weights.json": {
+        "labels": matrix.labels,
+        "methods": {m: [io.fmt6(w) for w in by_method[m]] for m in mcda.METHODS},
+        "mean": [io.fmt6(w) for w in mean_weights],
+    }}, mean_weights
+
+
+def matrix_weights(pairwise_path, default=equity.DEFAULT_SCORE_WEIGHTS):
+    """The weights policy: the mean AHP weights of the comparison matrix at
+    pairwise_path, or `default` when no matrix is given."""
+    if pairwise_path is None:
+        return default
+    return weights_stage(io.load_pairwise_csv(pairwise_path))[1]
+
+
+@dataclass
+class Panel:
+    """A complete indicator panel scored under one weight vector.
+
+    `scores` maps (country, year) to the development score, in panel order:
+    countries in file order, then sorted years.
+    """
+
+    table: io.IndicatorTable
+    countries: list
+    years: list
+    scores: dict
+
+    def latest_scores(self) -> dict:
+        """Each country's score in the panel's latest year."""
+        return {c: self.scores[(c, self.years[-1])] for c in self.countries}
+
+    @cached_property
+    def arrays(self):
+        """(indicator rows, score series) of every record, in panel order."""
+        x = np.array([self.table.records[k].as_array() for k in self.scores])
+        return x, np.array(list(self.scores.values()))
+
+
+def score_panel(table, weights) -> Panel:
+    """Score every record of a complete panel with the given weights."""
+    countries, years = table.require_complete_panel()
+    if len(weights) != 7:
+        raise ValidationError(f"equity scoring needs a 7-criterion matrix, got {len(weights)}")
+    scores = {
+        (c, y): equity.country_score(table.records[(c, y)], weights)
+        for c in countries for y in years
+    }
+    return Panel(table, countries, years, scores)
+
+
+def load_panel(indicators_path, pairwise_path=None) -> Panel:
+    """Load an indicator table and score it under the weights policy."""
+    table = io.load_indicator_table(indicators_path)
+    return score_panel(table, matrix_weights(pairwise_path))
+
+
+def equity_stage(panel):
+    """Per-country score series and the global equity index. Returns reports."""
+    countries, years, scores = panel.countries, panel.years, panel.scores
+    score_grid = np.array([[scores[(c, y)] for c in countries] for y in years])
+    ge = equity.global_equity_index(score_grid, countries=countries, years=years)
+    return {"equity.json": {
+        "countries": countries,
+        "years": years,
+        "scores": [
+            {"country": c,
+             "series": [{"year": y, "score": io.fmt6(scores[(c, y)])} for y in years]}
+            for c in countries
+        ],
+        "global_equity_index": io.fmt6(ge),
+    }}
+
+
+def topsis_stage(decision, weights=None):
+    """Rank alternatives by closeness to the ideal solution.
+
+    Returns (reports, rows): one full-precision row per alternative, in input
+    order, with the fields of TOPSIS_COLUMNS.
+    """
+    ranked = topsis.rank_alternatives(decision, weights=weights)
+    order = {i: pos + 1 for pos, i in enumerate(ranked.ranking)}
+    rows = [
+        (label, float(ranked.d_plus[i]), float(ranked.d_minus[i]), float(ranked.s[i]),
+         float(ranked.s_normalized[i]), order[i])
+        for i, label in enumerate(decision.alternative_labels)
+    ]
+    return {"topsis.json": {
+        "indicators": decision.indicator_labels,
+        "alternatives": [
+            dict(zip(TOPSIS_COLUMNS, (r[0], *map(io.fmt6, r[1:5]), r[5]))) for r in rows
+        ],
+        "ranking": [decision.alternative_labels[i] for i in ranked.ranking],
+    }}, rows
+
+
+def mining_stage(scenario, income_mode=None):
+    """Income and profit in both income modes for a loaded scenario.
+
+    The selected mode is `income_mode` when given, else the scenario's own
+    mode. Returns (reports, profit in the selected mode).
+    """
+    params, window, scenario_mode, metadata = scenario
+    selected = income_mode or scenario_mode
+    incomes = {m: mining.income(window, params, m) for m in mining.INCOME_MODES}
+    profits = {m: mining.profit(incomes[m], window.cost) for m in mining.INCOME_MODES}
+    return {"mining.json": {
+        "scenario": metadata.get("name"),
+        "dof": io.fmt6(params.dof),
+        "location": io.fmt6(params.location),
+        "scale": io.fmt6(params.scale),
+        "total_value": io.fmt6(params.total_value),
+        "positive_mass": io.fmt6(params.positive_mass),
+        "window": {"t1": io.fmt6(window.t1), "t2": io.fmt6(window.t2),
+                   "cost": io.fmt6(window.cost)},
+        "income": {m: io.fmt6(incomes[m]) for m in mining.INCOME_MODES},
+        "profit": {m: io.fmt6(profits[m]) for m in mining.INCOME_MODES},
+        "selected_mode": selected,
+    }}, profits[selected]
+
+
+def allocation_stage(basis_scores, gdp, total_profit, alloc_mode, bottom_count, multiplier,
+                     basis="equity"):
+    """Split total_profit by basis score with the poverty boost. Returns reports."""
+    if set(gdp) != set(basis_scores):
+        raise ValidationError("GDP table countries do not match the indicator table")
+    policy = allocation.PovertyPolicy(bottom_count=bottom_count, multiplier=multiplier)
+    gammas = allocation.poverty_multipliers(gdp, policy)
+    result = allocation.allocate(total_profit, basis_scores, gammas, mode=alloc_mode)
+    return {"allocation.json": {
+        "basis": basis,
+        "mode": alloc_mode,
+        "total_profit": io.fmt6(result.total_profit),
+        "over_allocation": io.fmt6(result.over_allocation),
+        "shares": [
+            {"country": s.label, "gamma": io.fmt6(s.gamma),
+             "raw_share": io.fmt6(s.raw_share),
+             "conserved_share": io.fmt6(s.conserved_share)}
+            for s in result.shares
+        ],
+    }}
+
+
+def correlation_stage(panel, alpha=0.05):
+    """Pearson r and t test of each indicator against the scores. Returns reports."""
+    x, series = panel.arrays
+    per_indicator = []
+    for j, name in enumerate(io.INDICATOR_COLUMNS):
+        result = stats.t_test(stats.pearson(np.array(x[:, j]), series), len(series), alpha=alpha)
+        per_indicator.append({
+            "indicator": name,
+            "r": io.fmt6(result.r),
+            "t_stat": io.fmt6(result.t_stat),
+            "critical_value": io.fmt6(result.critical_value),
+            "significant": result.significant,
+            "strength": result.strength,
+            "direction": "positive" if result.r > 0 else ("negative" if result.r < 0 else "zero"),
+        })
+    return {"correlation.json": {"alpha": alpha, "n": len(series), "indicators": per_indicator}}
+
+
+def sensitivity_stage(panel, train, seed=None):
+    """Train the sensitivity network on (indicators -> scaled scores) and sweep
+    its weights.
+
+    `train` is the (LayerSpec, TrainConfig) pair of a train config; `seed`
+    overrides its seed. Returns reports.
+    """
+    x, series = panel.arrays
+    spec, train_config = train
+    if seed is not None:
+        train_config = replace(train_config, seed=seed)
+    sweep = sensnet.sensitivity_sweep(
+        x, scale_targets(series), spec, train_config, indicator_names=list(io.INDICATOR_COLUMNS)
+    )
+    named = list(zip(sweep.indicator_names, sweep.sensitivities))
+    return {
+        "sensitivity.csv": (("indicator", "value"), [(n, float(v)) for n, v in named]),
+        "perturbation.csv": (("weight_id", "w", "output"), sweep.perturbation_rows),
+        "sensitivity.json": {
+            "seed": train_config.seed,
+            "epochs": train_config.epochs,
+            "learning_rate": io.fmt6(train_config.learning_rate),
+            "layer_sizes": list(spec.sizes),
+            "final_loss": io.fmt6(sweep.final_loss),
+            "sensitivities": [{"indicator": n, "value": io.fmt6(v)} for n, v in named],
+            "max_output_variation": io.fmt6(sweep.max_variation),
+            "variation_band": VARIATION_BAND,
+            "within_band": bool(sweep.max_variation <= VARIATION_BAND),
+        },
+    }
+
+
 def run_pipeline(config: RunConfig, out_dir) -> dict:
     """Run every stage and write the eight report artifacts into out_dir.
 
     Returns {artifact name: Path}. Raises PipelineError carrying the failing
     stage's name; reports written before the failure are left in place.
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     digest = config.digest()
     written = {}
 
-    # Consistency gate plus per-method weights.
+    def write(reports):
+        written.update(write_reports(out_dir, digest, reports))
+
     with _stage("consistency"):
         matrix = io.load_pairwise_csv(config.pairwise)
-        report = mcda.consistency(matrix)
-        written["consistency.json"] = _write(out, "consistency.json", {
-            "config_digest": digest,
-            "labels": matrix.labels,
-            "lambda_max": io.fmt6(report.lambda_max),
-            "ci": io.fmt6(report.ci),
-            "ri": io.fmt6(report.ri),
-            "cr": io.fmt6(report.cr),
-            "passes": report.passes,
-        })
+        reports, report = consistency_stage(matrix)
+        write(reports)
         if not report.passes:
             raise PipelineError(
                 "consistency",
@@ -151,181 +398,50 @@ def run_pipeline(config: RunConfig, out_dir) -> dict:
             )
 
     with _stage("weights"):
-        by_method = {m: mcda.derive_weights(matrix, m).weights for m in mcda.METHODS}
-        mean_weights = np.mean(list(by_method.values()), axis=0)
-        written["weights.json"] = _write(out, "weights.json", {
-            "config_digest": digest,
-            "labels": matrix.labels,
-            "methods": {m: [io.fmt6(w) for w in by_method[m]] for m in mcda.METHODS},
-            "mean": [io.fmt6(w) for w in mean_weights],
-        })
+        reports, mean_weights = weights_stage(matrix)
+        write(reports)
 
     with _stage("equity"):
-        table = io.load_indicator_table(config.indicators)
-        countries, years = table.require_complete_panel()
-        if len(mean_weights) != 7:
-            raise ValidationError(
-                f"equity scoring needs a 7-criterion matrix, got {len(mean_weights)}"
-            )
-        scores = {
-            (c, y): equity.country_score(table.records[(c, y)], mean_weights)
-            for c in countries for y in years
-        }
-        score_grid = np.array([[scores[(c, y)] for c in countries] for y in years])
-        ge = equity.global_equity_index(score_grid, countries=countries, years=years)
-        written["equity.json"] = _write(out, "equity.json", {
-            "config_digest": digest,
-            "countries": countries,
-            "years": years,
-            "scores": [
-                {"country": c,
-                 "series": [{"year": y, "score": io.fmt6(scores[(c, y)])} for y in years]}
-                for c in countries
-            ],
-            "global_equity_index": io.fmt6(ge),
-        })
+        panel = score_panel(io.load_indicator_table(config.indicators), mean_weights)
+        write(equity_stage(panel))
 
     with _stage("topsis"):
         if config.decision is not None:
-            decision = io.load_decision_csv(config.decision)
-            topsis_weights = None
+            reports, rows = topsis_stage(io.load_decision_csv(config.decision))
         else:
             # Rank countries on their latest-year indicators, AHP-weighted.
-            latest = years[-1]
             decision = topsis.DecisionMatrix(
-                values=table.matrix(countries, latest),
-                alternative_labels=countries,
+                values=panel.table.matrix(panel.countries, panel.years[-1]),
+                alternative_labels=panel.countries,
                 indicator_kinds=[topsis.IndicatorKind.benefit()] * 7,
                 indicator_labels=list(io.INDICATOR_COLUMNS),
             )
-            topsis_weights = mean_weights
-        ranked = topsis.rank_alternatives(decision, weights=topsis_weights)
-        order = {i: pos + 1 for pos, i in enumerate(ranked.ranking)}
-        written["topsis.json"] = _write(out, "topsis.json", {
-            "config_digest": digest,
-            "indicators": decision.indicator_labels,
-            "alternatives": [
-                {
-                    "label": decision.alternative_labels[i],
-                    "d_plus": io.fmt6(ranked.d_plus[i]),
-                    "d_minus": io.fmt6(ranked.d_minus[i]),
-                    "s": io.fmt6(ranked.s[i]),
-                    "s_normalized": io.fmt6(ranked.s_normalized[i]),
-                    "rank": order[i],
-                }
-                for i in range(len(decision.alternative_labels))
-            ],
-            "ranking": [decision.alternative_labels[i] for i in ranked.ranking],
-        })
+            reports, rows = topsis_stage(decision, mean_weights)
+        write(reports)
 
     with _stage("mining"):
-        params, window, scenario_mode, metadata = io.load_scenario(config.scenario)
-        incomes = {m: mining.income(window, params, m) for m in mining.INCOME_MODES}
-        profits = {m: mining.profit(incomes[m], window.cost) for m in mining.INCOME_MODES}
-        written["mining.json"] = _write(out, "mining.json", {
-            "config_digest": digest,
-            "scenario": metadata.get("name"),
-            "dof": io.fmt6(params.dof),
-            "location": io.fmt6(params.location),
-            "scale": io.fmt6(params.scale),
-            "total_value": io.fmt6(params.total_value),
-            "positive_mass": io.fmt6(params.positive_mass),
-            "window": {"t1": io.fmt6(window.t1), "t2": io.fmt6(window.t2),
-                       "cost": io.fmt6(window.cost)},
-            "income": {m: io.fmt6(incomes[m]) for m in mining.INCOME_MODES},
-            "profit": {m: io.fmt6(profits[m]) for m in mining.INCOME_MODES},
-            "selected_mode": config.income_mode,
-        })
-        total_profit = profits[config.income_mode]
+        reports, total_profit = mining_stage(io.load_scenario(config.scenario),
+                                             config.income_mode)
+        write(reports)
 
     with _stage("allocation"):
         gdp = io.load_gdp_csv(config.gdp)
-        if set(gdp) != set(countries):
-            raise ValidationError("GDP table countries do not match the indicator table")
         if config.alloc_basis == "equity":
-            basis_scores = {c: scores[(c, years[-1])] for c in countries}
+            basis_scores = panel.latest_scores()
         else:
-            labels = decision.alternative_labels
-            if set(labels) != set(countries):
+            basis_scores = {row[0]: row[4] for row in rows}
+            if set(basis_scores) != set(panel.countries):
                 raise ValidationError(
                     "allocation basis 'topsis' needs the ranking to cover the same countries"
                 )
-            basis_scores = {
-                label: float(ranked.s_normalized[i]) for i, label in enumerate(labels)
-            }
-        policy = allocation.PovertyPolicy(bottom_count=config.bottom_count,
-                                          multiplier=config.multiplier)
-        gammas = allocation.poverty_multipliers(gdp, policy)
-        result = allocation.allocate(total_profit, basis_scores, gammas,
-                                     mode=config.alloc_mode)
-        written["allocation.json"] = _write(out, "allocation.json", {
-            "config_digest": digest,
-            "basis": config.alloc_basis,
-            "mode": config.alloc_mode,
-            "total_profit": io.fmt6(result.total_profit),
-            "over_allocation": io.fmt6(result.over_allocation),
-            "shares": [
-                {"country": s.label, "gamma": io.fmt6(s.gamma),
-                 "raw_share": io.fmt6(s.raw_share),
-                 "conserved_share": io.fmt6(s.conserved_share)}
-                for s in result.shares
-            ],
-        })
+        write(allocation_stage(basis_scores, gdp, total_profit, config.alloc_mode,
+                               config.bottom_count, config.multiplier, config.alloc_basis))
 
     with _stage("correlation"):
-        record_keys = [(c, y) for c in countries for y in years]
-        score_series = np.array([scores[k] for k in record_keys])
-        per_indicator = []
-        for j, name in enumerate(io.INDICATOR_COLUMNS):
-            values = np.array([table.records[k].as_array()[j] for k in record_keys])
-            result = stats.t_test(stats.pearson(values, score_series), len(record_keys))
-            per_indicator.append({
-                "indicator": name,
-                "r": io.fmt6(result.r),
-                "t_stat": io.fmt6(result.t_stat),
-                "critical_value": io.fmt6(result.critical_value),
-                "significant": result.significant,
-                "strength": result.strength,
-                "direction": "positive" if result.r > 0 else ("negative" if result.r < 0 else "zero"),
-            })
-        written["correlation.json"] = _write(out, "correlation.json", {
-            "config_digest": digest,
-            "alpha": 0.05,
-            "n": len(record_keys),
-            "indicators": per_indicator,
-        })
+        write(correlation_stage(panel))
 
     with _stage("sensitivity"):
-        spec, train_config = io.load_train_config(config.train)
-        if config.seed is not None:
-            train_config = replace(train_config, seed=config.seed)
-        x = np.array([table.records[k].as_array() for k in record_keys])
-        targets = scale_targets(score_series)
-        sweep = sensnet.sensitivity_sweep(
-            x, targets, spec, train_config, indicator_names=list(io.INDICATOR_COLUMNS)
-        )
-        sens_path = out / "sensitivity.csv"
-        io.write_csv(sens_path, ("indicator", "value"),
-                     [(n, float(v)) for n, v in zip(sweep.indicator_names, sweep.sensitivities)])
-        written["sensitivity.csv"] = sens_path
-        pert_path = out / "perturbation.csv"
-        io.write_csv(pert_path, ("weight_id", "w", "output"), sweep.perturbation_rows)
-        written["perturbation.csv"] = pert_path
-        written["sensitivity.json"] = _write(out, "sensitivity.json", {
-            "config_digest": digest,
-            "seed": train_config.seed,
-            "epochs": train_config.epochs,
-            "learning_rate": io.fmt6(train_config.learning_rate),
-            "layer_sizes": list(spec.sizes),
-            "final_loss": io.fmt6(sweep.final_loss),
-            "sensitivities": [
-                {"indicator": n, "value": io.fmt6(v)}
-                for n, v in zip(sweep.indicator_names, sweep.sensitivities)
-            ],
-            "max_output_variation": io.fmt6(sweep.max_variation),
-            "variation_band": VARIATION_BAND,
-            "within_band": bool(sweep.max_variation <= VARIATION_BAND),
-        })
+        write(sensitivity_stage(panel, io.load_train_config(config.train), config.seed))
 
     return written
 
@@ -337,9 +453,3 @@ def scale_targets(y: np.ndarray) -> np.ndarray:
     if hi == lo:
         return np.full_like(y, 0.5)
     return 0.2 + 0.6 * (y - lo) / (hi - lo)
-
-
-def _write(out_dir: Path, name: str, payload: dict) -> Path:
-    path = out_dir / name
-    io.write_json_report(path, payload)
-    return path

@@ -1,5 +1,6 @@
 import json
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -195,3 +196,126 @@ def test_missing_input_fails_cleanly(runner, tmp_path):
     assert result.exit_code == 1
     payload = json.loads(result.output)
     assert "not found" in payload["error"]["message"]
+
+
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "sample"
+PAIRWISE = str(sample_path("pairwise.csv"))
+INDICATORS = str(sample_path("indicators.csv"))
+SCENARIO = str(sample_path("scenario.json"))
+
+
+@pytest.fixture(scope="module")
+def sample_report(tmp_path_factory):
+    out = tmp_path_factory.mktemp("report")
+    result = CliRunner().invoke(main, ["report", "--config", str(sample_path("config.json")),
+                                       "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    return out
+
+
+def _same_report(actual, expected):
+    """JSON reports compare as parsed objects minus config_digest; CSVs byte for byte."""
+    if expected.suffix == ".json":
+        a, b = json.loads(actual.read_text()), json.loads(expected.read_text())
+        a.pop("config_digest")
+        b.pop("config_digest")
+        return a == b
+    return actual.read_bytes() == expected.read_bytes()
+
+
+def test_report_matches_seed_reference(sample_report):
+    names = sorted(p.name for p in REFERENCE.iterdir())
+    assert len(names) == 10
+    for name in names:
+        assert _same_report(sample_report / name, REFERENCE / name), name
+
+
+@pytest.mark.parametrize("args, files", [
+    (["weights", "--pairwise", PAIRWISE], ["weights.json"]),
+    (["consistency", "--pairwise", PAIRWISE], ["consistency.json"]),
+    (["equity", "--indicators", INDICATORS, "--pairwise", PAIRWISE], ["equity.json"]),
+    (["simulate", "--scenario", SCENARIO], ["mining.json"]),
+    (["allocate", "--indicators", INDICATORS, "--gdp", str(sample_path("gdp.csv")),
+      "--scenario", SCENARIO, "--pairwise", PAIRWISE, "--bottom-count", "2"],
+     ["allocation.json"]),
+    (["correlate", "--indicators", INDICATORS, "--pairwise", PAIRWISE], ["correlation.json"]),
+    (["sensitivity", "--indicators", INDICATORS, "--train", str(sample_path("train.json")),
+      "--pairwise", PAIRWISE], ["perturbation.csv", "sensitivity.csv", "sensitivity.json"]),
+], ids=["weights", "consistency", "equity", "simulate", "allocate", "correlate", "sensitivity"])
+def test_subcommand_writes_the_report_payload(runner, tmp_path, sample_report, args, files):
+    result = runner.invoke(main, args + ["--out", str(tmp_path)])
+    assert result.exit_code == 0, result.output
+    assert sorted(p.name for p in tmp_path.iterdir()) == files
+    for name in files:
+        assert _same_report(tmp_path / name, sample_report / name), name
+
+
+def _sample_config(**changes):
+    """The bundled run config with absolute paths, updated with changes."""
+    sample = sample_dir()
+    config = json.loads((sample / "config.json").read_text())
+    for key in ("indicators", "pairwise", "gdp", "scenario", "train"):
+        config[key] = str(sample / config[key])
+    return {**config, **changes}
+
+
+def test_income_mode_precedence(runner, tmp_path):
+    """The --income-mode flag, then the run config's income_mode, then the scenario's mode."""
+    scenario = json.loads(sample_path("scenario.json").read_text())
+    # up to the peak, so the paper-literal rate difference gives a positive profit
+    scenario.update(t2=15.0, cost=0.0, mode="paper-literal")
+    scenario_path = tmp_path / "scenario.json"
+    scenario_path.write_text(json.dumps(scenario))
+    scenario_mode = _sample_config(scenario=str(scenario_path))
+    del scenario_mode["income_mode"]
+    (tmp_path / "no-mode.json").write_text(json.dumps(scenario_mode))
+    (tmp_path / "cumulative.json").write_text(json.dumps({**scenario_mode,
+                                                          "income_mode": "cumulative"}))
+    runs = {
+        "scenario": ["report", "--config", str(tmp_path / "no-mode.json")],
+        "config": ["report", "--config", str(tmp_path / "cumulative.json")],
+        "flag": ["report", "--config", str(tmp_path / "cumulative.json"),
+                 "--income-mode", "paper-literal"],
+        "allocate": ["allocate", "--indicators", INDICATORS, "--gdp", str(sample_path("gdp.csv")),
+                     "--scenario", str(scenario_path), "--pairwise", PAIRWISE,
+                     "--bottom-count", "2"],
+    }
+    profits = {}
+    for name, args in runs.items():
+        result = runner.invoke(main, args + ["--out", str(tmp_path / name)])
+        assert result.exit_code == 0, result.output
+        allocation_report = json.loads((tmp_path / name / "allocation.json").read_text())
+        profits[name] = allocation_report["total_profit"]
+    mining_report = json.loads((tmp_path / "scenario" / "mining.json").read_text())
+    assert mining_report["selected_mode"] == "paper-literal"
+    literal, cumulative = (mining_report["profit"][m] for m in ("paper-literal", "cumulative"))
+    assert literal != cumulative
+    assert profits == {"scenario": literal, "config": cumulative, "flag": literal,
+                       "allocate": literal}
+
+
+def test_topsis_subcommand_matches_report_with_decision(runner, tmp_path):
+    decision = str(sample_path("asteroids.csv"))
+    (tmp_path / "config.json").write_text(json.dumps(_sample_config(decision=decision)))
+    for args in (["report", "--config", str(tmp_path / "config.json")],
+                 ["topsis", "--decision", decision]):
+        result = runner.invoke(main, args + ["--out", str(tmp_path / args[0])])
+        assert result.exit_code == 0, result.output
+    assert _same_report(tmp_path / "topsis" / "topsis.json", tmp_path / "report" / "topsis.json")
+    assert sorted(p.name for p in (tmp_path / "topsis").iterdir()) == ["topsis.csv", "topsis.json"]
+
+
+@pytest.mark.parametrize("args, text, stage", [
+    (["simulate", "--scenario"], '{"t2":"soon"}', "mining"),
+    (["sensitivity", "--indicators", INDICATORS, "--train"], '{"layer_sizes": [7,"x",1]}',
+     "sensitivity"),
+    (["report", "--config"], '{"indicators": "a.csv",', "config"),
+], ids=["scenario", "train-config", "run-config"])
+def test_malformed_json_input_prints_error_json(runner, tmp_path, args, text, stage):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    result = runner.invoke(main, args + [str(bad), "--out", str(tmp_path / "out")])
+    assert result.exit_code == 1
+    assert not isinstance(result.exception, ValueError)
+    error = json.loads(result.output)["error"]
+    assert error["stage"] == stage

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from equimine import io
+from equimine import io, pipeline
 from equimine.data import sample_dir, sample_path
 from equimine.errors import ParseError, ValidationError
 
@@ -157,6 +157,30 @@ class TestTrainConfigFile:
         assert config.learning_rate == 0.1
         assert config.epochs == 5000
         assert config.seed == 0
+
+
+PATHS = '"indicators": "a", "pairwise": "a", "gdp": "a", "scenario": "a", "train": "a"'
+
+
+@pytest.mark.parametrize("loader, text", [
+    (io.load_scenario, '{"t2": "soon"}'),
+    (io.load_scenario, '{"dof": [5]}'),
+    (io.load_scenario, '{"mode": "fast"}'),
+    (io.load_scenario, '[1, 2]'),
+    (io.load_train_config, '{"layer_sizes": [7, "x", 1]}'),
+    (io.load_train_config, '{"epochs": "many"}'),
+    (io.load_train_config, '"text"'),
+    (pipeline.load_run_config, '{"indicators": "a.csv",'),
+    (pipeline.load_run_config, '[]'),
+    (pipeline.load_run_config, '{' + PATHS + ', "poverty": {"bottom_count": "two"}}'),
+    (pipeline.load_run_config, '{' + PATHS + ', "poverty": [2]}'),
+    (pipeline.load_run_config, '{' + PATHS.replace('"a"', '7', 1) + '}'),
+])
+def test_malformed_json_input_is_parse_error(tmp_path, loader, text):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    with pytest.raises(ParseError):
+        loader(path)
 
 
 class TestWriters:
