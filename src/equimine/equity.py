@@ -73,8 +73,8 @@ def global_equity_index(scores_by_year, countries=None, years=None,
     For each year, every country's score is divided by the mean score of the
     other countries; the squared deviations of those ratios from their
     within-year mean are summed. The total is divided by (number of years *
-    number of countries). Identical countries therefore give exactly 0, and
-    rescaling all scores within a year changes nothing.
+    number of countries). Identical countries therefore give 0 up to
+    rounding, and rescaling all scores within a year changes nothing.
 
     Parameters
     ----------

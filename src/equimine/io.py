@@ -37,6 +37,9 @@ def load_pairwise_csv(path) -> PairwiseMatrix:
         raise ParseError("pairwise matrix file needs a header and body", line=1)
     labels = [c.strip() for c in rows[0][1:]]
     n = len(labels)
+    if len(rows) - 1 != n:
+        raise ParseError(f"header has {n} labels but the file has {len(rows) - 1} body rows",
+                         line=1)
     entries = np.empty((n, n))
     for i, row in enumerate(rows[1:], start=2):
         if len(row) != n + 1:
@@ -225,8 +228,15 @@ def load_train_config(path):
 
 
 def _read_rows(path) -> list:
+    """Non-blank rows of a CSV file; undecodable bytes and CSV errors are ParseErrors."""
     with open(path, newline="", encoding="utf-8") as handle:
-        return [row for row in csv.reader(handle) if row and any(c.strip() for c in row)]
+        reader = csv.reader(handle)
+        try:
+            return [row for row in reader if row and any(c.strip() for c in row)]
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"file is not valid UTF-8: {exc.reason}") from None
+        except csv.Error as exc:
+            raise ParseError(str(exc), line=reader.line_num) from None
 
 
 def fmt6(x):

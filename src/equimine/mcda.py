@@ -150,7 +150,9 @@ def consistency_from_lambda(lam: float, n: int, ri_table=DEFAULT_RI_TABLE) -> Co
 
     CI = (lambda - n)/(n - 1), CR = CI/RI. For n = 1 CI is defined as 0, and
     whenever RI = 0 (n <= 2 in the default table) CR is defined as 0 since
-    such matrices are consistent by construction.
+    such matrices are consistent by construction. lambda >= n holds for every
+    positive reciprocal matrix, so a negative CI is rounding and is clamped
+    to 0.
     """
     if n < 1:
         raise ValidationError("matrix order must be >= 1")
@@ -159,7 +161,7 @@ def consistency_from_lambda(lam: float, n: int, ri_table=DEFAULT_RI_TABLE) -> Co
             f"no RI value for n = {n}; supply a longer ri_table (default covers 1..{len(DEFAULT_RI_TABLE)})"
         )
     ri = float(ri_table[n - 1])
-    ci = 0.0 if n == 1 else (lam - n) / (n - 1)
+    ci = 0.0 if n == 1 else max((lam - n) / (n - 1), 0.0)
     cr = ci / ri if ri > 0 else 0.0
     return ConsistencyReport(lambda_max=lam, ci=ci, ri=ri, cr=cr, passes=cr < 0.1)
 

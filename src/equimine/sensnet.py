@@ -23,11 +23,6 @@ def sigmoid(x):
         return 1.0 / (1.0 + np.exp(-x))
 
 
-def sigmoid_prime(z):
-    s = sigmoid(z)
-    return s * (1.0 - s)
-
-
 @dataclass
 class LayerSpec:
     sizes: tuple = DEFAULT_LAYER_SIZES
@@ -38,10 +33,6 @@ class LayerSpec:
             raise ValidationError("need at least an input and an output layer")
         if any(s < 1 for s in self.sizes):
             raise ValidationError("layer widths must be >= 1")
-
-    @property
-    def depth(self) -> int:
-        return len(self.sizes) - 1
 
 
 @dataclass
@@ -71,10 +62,6 @@ class NetworkParams:
             biases.append(rng.uniform(-INIT_HALF_RANGE, INIT_HALF_RANGE, size=n_out))
         return cls(weights=weights, biases=biases, seed=seed)
 
-    @property
-    def layer_sizes(self) -> tuple:
-        return (self.weights[0].shape[1],) + tuple(w.shape[0] for w in self.weights)
-
 
 @dataclass
 class ForwardTrace:
@@ -84,21 +71,23 @@ class ForwardTrace:
 
 @dataclass
 class BackwardTrace:
-    deltas: list  # delta^1 .. delta^L (also the bias gradients)
-    weight_grads: list
-    input_delta: np.ndarray  # loss gradient propagated to the input layer
-    loss: float
+    deltas: list  # delta^1 .. delta^L, batch means (also the bias gradients)
+    weight_grads: list  # batch means
+    input_delta: np.ndarray  # loss gradient propagated to the input layer, per sample
+    loss: float  # batch mean
 
 
 def forward(x, params: NetworkParams) -> ForwardTrace:
-    """Run the network on one input vector, recording z and a per layer."""
+    """Run the network on one input vector (n_in,) or a batch of rows
+    (samples, n_in), recording z and a per layer."""
     a = np.asarray(x, dtype=float)
     n_in = params.weights[0].shape[1]
-    if a.shape != (n_in,):
-        raise ValidationError(f"expected input of shape ({n_in},), got {a.shape}")
+    if a.ndim not in (1, 2) or a.shape[-1] != n_in:
+        raise ValidationError(
+            f"expected input of shape ({n_in},) or (samples, {n_in}), got {a.shape}")
     zs, activations = [], [a]
     for w, b in zip(params.weights, params.biases):
-        z = w @ a + b
+        z = a @ w.T + b
         a = sigmoid(z)
         zs.append(z)
         activations.append(a)
@@ -109,7 +98,9 @@ def backward(trace: ForwardTrace, target, params: NetworkParams) -> BackwardTrac
     """Backpropagate the quadratic loss C = 0.5 * ||a_out - target||^2.
 
     Output layer: delta = (a - y) * sigma'(z). Hidden layers: delta =
-    (W_next^T delta_next) * sigma'(z). Weight gradient: outer(delta, a_prev).
+    (delta_next @ W_next) * sigma'(z), with sigma'(z) = a * (1 - a). Weight
+    gradient: delta^T a_prev. For a batch, gradients and loss are means over
+    the rows; for one vector they are that sample's.
     """
     y = np.asarray(target, dtype=float)
     out = trace.activations[-1]
@@ -119,28 +110,35 @@ def backward(trace: ForwardTrace, target, params: NetworkParams) -> BackwardTrac
         raise ValidationError("trace depth does not match params")
 
     depth = len(params.weights)
+    samples = out.size // out.shape[-1]  # 1 for one vector
     deltas = [None] * depth
     weight_grads = [None] * depth
 
-    delta = (out - y) * sigmoid_prime(trace.pre_activations[-1])
+    err = out - y
+    delta = err * (out * (1.0 - out))
     for l in range(depth - 1, -1, -1):
-        deltas[l] = delta
-        weight_grads[l] = np.outer(delta, trace.activations[l])
-        back = params.weights[l].T @ delta
+        a = trace.activations[l]
+        delta_rows = np.atleast_2d(delta)
+        deltas[l] = delta_rows.mean(axis=0)
+        weight_grads[l] = delta_rows.T @ np.atleast_2d(a) / samples
+        back = delta @ params.weights[l]
         if l > 0:
-            delta = back * sigmoid_prime(trace.pre_activations[l - 1])
-    loss = 0.5 * float(((out - y) ** 2).sum())
+            delta = back * (a * (1.0 - a))
+    loss = 0.5 * float((err * err).sum()) / samples
     return BackwardTrace(deltas=deltas, weight_grads=weight_grads, input_delta=back, loss=loss)
 
 
 def output_input_gradient(trace: ForwardTrace, params: NetworkParams) -> np.ndarray:
-    """Gradient of the scalar output activation with respect to the input."""
+    """Gradient of the scalar output activation with respect to the input,
+    one row per sample for a batch trace."""
     if params.weights[-1].shape[0] != 1:
         raise ValidationError("output-input gradient is defined for a single output neuron")
-    d = sigmoid_prime(trace.pre_activations[-1])
+    out = trace.activations[-1]
+    d = out * (1.0 - out)
     for l in range(len(params.weights) - 1, 0, -1):
-        d = (params.weights[l].T @ d) * sigmoid_prime(trace.pre_activations[l - 1])
-    return params.weights[0].T @ d
+        a = trace.activations[l]
+        d = (d @ params.weights[l]) * (a * (1.0 - a))
+    return d @ params.weights[0]
 
 
 @dataclass
@@ -154,18 +152,6 @@ class TrainConfig:
             raise ValidationError("learning_rate must be positive")
         if self.epochs < 1:
             raise ValidationError("epochs must be >= 1")
-
-
-def _forward_batch(x, params):
-    # x: (samples, n_in); returns per-layer Z and A lists with A[0] = x
-    a = x
-    zs, activations = [], [x]
-    for w, b in zip(params.weights, params.biases):
-        z = a @ w.T + b
-        a = sigmoid(z)
-        zs.append(z)
-        activations.append(a)
-    return zs, activations
 
 
 def train(inputs, targets, spec: LayerSpec, config: TrainConfig):
@@ -183,22 +169,13 @@ def train(inputs, targets, spec: LayerSpec, config: TrainConfig):
         raise ValidationError("data shapes do not match the layer spec")
 
     params = NetworkParams.initialize(spec, seed=config.seed)
-    depth = spec.depth
     losses = []
     for epoch in range(config.epochs):
-        zs, activations = _forward_batch(x, params)
-        err = activations[-1] - y
-        loss = 0.5 * float((err * err).sum()) / n_samples
-        if not np.isfinite(loss):
+        grads = backward(forward(x, params), y, params)
+        if not np.isfinite(grads.loss):
             raise TrainingError("training loss diverged", epoch)
-        losses.append(loss)
-
-        delta = err * sigmoid_prime(zs[-1])
-        for l in range(depth - 1, -1, -1):
-            w_grad = delta.T @ activations[l] / n_samples
-            b_grad = delta.mean(axis=0)
-            if l > 0:
-                delta = (delta @ params.weights[l]) * sigmoid_prime(zs[l - 1])
+        losses.append(grads.loss)
+        for l, (w_grad, b_grad) in enumerate(zip(grads.weight_grads, grads.deltas)):
             params.weights[l] = params.weights[l] - config.learning_rate * w_grad
             params.biases[l] = params.biases[l] - config.learning_rate * b_grad
     return params, losses
@@ -217,10 +194,7 @@ def input_sensitivities(inputs, params: NetworkParams) -> np.ndarray:
 class SweepResult:
     indicator_names: list
     sensitivities: np.ndarray  # per indicator, standardized-input space
-    params: NetworkParams
     final_loss: float
-    input_means: np.ndarray
-    input_stds: np.ndarray
     perturbation_rows: list  # (weight_id, weight_value, mean_output)
     variations: dict  # weight_id -> relative output variation over its sweep
     max_variation: float = field(init=False)
@@ -243,11 +217,11 @@ def perturbation_sweep(params: NetworkParams, inputs, span: float = 0.1, points:
 
     For each weight the mean network output over `inputs` is recorded at each
     grid point; the per-weight variation is (max - min) / baseline output.
-    Weights exactly at zero sweep the absolute band [-span, span].
+    Weights exactly at zero sweep the absolute band [-span, span]. Returns
+    (rows, variations).
     """
     x = np.asarray(inputs, dtype=float)
-    _, activations = _forward_batch(x, params)
-    baseline = float(activations[-1].mean())
+    baseline = float(forward(x, params).activations[-1].mean())
     rows, variations = [], {}
     for l, w in enumerate(params.weights):
         for j in range(w.shape[0]):
@@ -258,13 +232,12 @@ def perturbation_sweep(params: NetworkParams, inputs, span: float = 0.1, points:
                 outputs = []
                 for value in np.linspace(center - half, center + half, points):
                     w[j, k] = value
-                    _, acts = _forward_batch(x, params)
-                    out = float(acts[-1].mean())
+                    out = float(forward(x, params).activations[-1].mean())
                     outputs.append(out)
                     rows.append((weight_id, float(value), out))
                 w[j, k] = center
                 variations[weight_id] = (max(outputs) - min(outputs)) / abs(baseline)
-    return rows, variations, baseline
+    return rows, variations
 
 
 def sensitivity_sweep(inputs, targets, spec: LayerSpec = None, config: TrainConfig = None,
@@ -284,17 +257,14 @@ def sensitivity_sweep(inputs, targets, spec: LayerSpec = None, config: TrainConf
     if indicator_names is None:
         indicator_names = [f"x{j + 1}" for j in range(x.shape[1])]
 
-    x_std, means, stds = standardize_columns(x)
+    x_std, _, _ = standardize_columns(x)
     params, losses = train(x_std, targets, spec, config)
     sens = input_sensitivities(x_std, params)
-    rows, variations, _ = perturbation_sweep(params, x_std, span=span, points=points)
+    rows, variations = perturbation_sweep(params, x_std, span=span, points=points)
     return SweepResult(
         indicator_names=list(indicator_names),
         sensitivities=sens,
-        params=params,
         final_loss=losses[-1],
-        input_means=means,
-        input_stds=stds,
         perturbation_rows=rows,
         variations=variations,
     )

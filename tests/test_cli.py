@@ -319,3 +319,18 @@ def test_malformed_json_input_prints_error_json(runner, tmp_path, args, text, st
     assert not isinstance(result.exception, ValueError)
     error = json.loads(result.output)["error"]
     assert error["stage"] == stage
+
+
+@pytest.mark.parametrize("args, content, stage", [
+    (["weights", "--pairwise"], b",A,B\nA,1,2\nB,1/2,1\nC,1,1\n", "weights"),
+    (["equity", "--indicators"],
+     b"country,year,ei,idg,cea,ma,hr,er,sa\nA\xffland,2020,1,1,1,1,1,1,1\n", "equity"),
+    (["topsis", "--decision"], b"name,x:benefit\nA," + b"9" * (128 * 1024 + 1) + b"\n", "topsis"),
+], ids=["pairwise-row-count", "not-utf8", "oversized-cell"])
+def test_malformed_csv_input_prints_error_json(runner, tmp_path, args, content, stage):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(content)
+    result = runner.invoke(main, args + [str(bad), "--out", str(tmp_path / "out")])
+    assert result.exit_code == 1
+    error = json.loads(result.output)["error"]
+    assert error["stage"] == stage

@@ -183,6 +183,20 @@ def test_malformed_json_input_is_parse_error(tmp_path, loader, text):
         loader(path)
 
 
+@pytest.mark.parametrize("loader, content", [
+    (io.load_pairwise_csv, b",A,B\nA,1,2\nB,1/2,1\nC,1,1\n"),
+    (io.load_pairwise_csv, b",A,B,C\nA,1,2,1\nB,1/2,1,1\n"),
+    (io.load_indicator_table,
+     b"country,year,ei,idg,cea,ma,hr,er,sa\nA\xffland,2020,1,1,1,1,1,1,1\n"),
+    (io.load_gdp_csv, b"country,gdp\nA," + b"9" * (128 * 1024 + 1) + b"\n"),
+], ids=["pairwise-extra-row", "pairwise-missing-row", "not-utf8", "oversized-cell"])
+def test_malformed_csv_input_is_parse_error(tmp_path, loader, content):
+    path = tmp_path / "input.csv"
+    path.write_bytes(content)
+    with pytest.raises(ParseError):
+        loader(path)
+
+
 class TestWriters:
     def test_fmt6(self):
         assert io.fmt6(0.0909090909) == 0.0909091

@@ -118,6 +118,14 @@ class TestConsistency:
             report = mcda.consistency(mcda.PairwiseMatrix(a))
             assert report.lambda_max >= 5 - 1e-7
 
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_all_ones_matrix_has_zero_cr(self, n):
+        # "all criteria equal": lambda_max rounds just below n for some n
+        report = mcda.consistency(mcda.PairwiseMatrix(np.ones((n, n))))
+        assert report.ci == 0.0
+        assert report.cr == 0.0
+        assert report.passes
+
     def test_n2_defined_consistent(self):
         m = mcda.PairwiseMatrix(np.array([[1.0, 5.0], [0.2, 1.0]]))
         report = mcda.consistency(m)

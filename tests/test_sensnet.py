@@ -260,3 +260,49 @@ class TestSensitivitySweep:
         assert len(sweep.perturbation_rows) == n_weights * 5
         assert sweep.max_variation == max(sweep.variations.values())
         assert all(v >= 0 for v in sweep.variations.values())
+
+
+class TestOneNetworkPath:
+    SHAPES = [(7, 16, 1), (3, 4, 2), (5, 8, 6, 1)]
+
+    def test_one_vector_is_bit_equal_to_column_form(self, rng):
+        # input_sensitivities runs one vector at a time, so its bytes rely on
+        # the row form z = a @ W.T + b matching the column form W @ a + b
+        for sizes in self.SHAPES:
+            for seed in range(5):
+                params = NetworkParams.initialize(LayerSpec(sizes), seed=seed)
+                x = rng.uniform(-2, 2, sizes[0])
+                trace = forward(x, params)
+                a = x
+                for l, (w, b) in enumerate(zip(params.weights, params.biases)):
+                    z = w @ a + b
+                    a = sensnet.sigmoid(z)
+                    assert np.array_equal(trace.pre_activations[l], z)
+                    assert np.array_equal(trace.activations[l + 1], a)
+                batch = rng.uniform(-2, 2, (9, sizes[0]))
+                batch_trace = forward(batch, params)
+                for i, row in enumerate(batch):
+                    for got, want in zip(batch_trace.activations, forward(row, params).activations):
+                        assert np.allclose(got[i], want, rtol=1e-12, atol=0)
+                if sizes[-1] == 1:
+                    per_sample = [output_input_gradient(forward(row, params), params)
+                                  for row in batch]
+                    assert np.allclose(output_input_gradient(batch_trace, params), per_sample,
+                                       rtol=1e-12, atol=1e-15)
+
+    def test_batch_backward_is_mean_of_per_sample(self, rng):
+        for sizes in self.SHAPES:
+            params = NetworkParams.initialize(LayerSpec(sizes), seed=3)
+            x = rng.uniform(-1, 1, (12, sizes[0]))
+            y = rng.uniform(0.1, 0.9, (12, sizes[-1]))
+            batch = backward(forward(x, params), y, params)
+            singles = [backward(forward(xi, params), yi, params) for xi, yi in zip(x, y)]
+            assert batch.loss == pytest.approx(np.mean([s.loss for s in singles]),
+                                               rel=1e-12, abs=1e-12)
+            for l in range(len(sizes) - 1):
+                for got, parts in ((batch.weight_grads[l], [s.weight_grads[l] for s in singles]),
+                                   (batch.deltas[l], [s.deltas[l] for s in singles])):
+                    assert got.shape == parts[0].shape
+                    assert np.allclose(got, np.mean(parts, axis=0), rtol=1e-12, atol=1e-12)
+            assert np.allclose(batch.input_delta, [s.input_delta for s in singles],
+                               rtol=1e-12, atol=1e-15)
