@@ -55,10 +55,11 @@ class QuadratureError(EquimineError, RuntimeError):
 
 
 class TrainingError(EquimineError, RuntimeError):
-    """Training diverged. Carries the epoch at which it happened."""
+    """Training diverged or left an unusable network. Carries the epoch at
+    which training diverged, or None when the trained network is the fault."""
 
-    def __init__(self, message, epoch):
-        super().__init__(f"{message} (epoch {epoch})")
+    def __init__(self, message, epoch=None):
+        super().__init__(message if epoch is None else f"{message} (epoch {epoch})")
         self.epoch = epoch
 
 

@@ -17,10 +17,19 @@ DEFAULT_LAYER_SIZES = (7, 16, 1)
 INIT_HALF_RANGE = 0.5  # weights and biases start uniform in [-0.5, 0.5]
 
 
-def sigmoid(x):
-    # exp may overflow for very negative x; the result saturates to 0 cleanly
-    with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-x))
+def sigmoid(x, out=None):
+    """1 / (1 + exp(-x)) elementwise, written into `out` when it is given.
+
+    exp(-x) overflows for x below about -709 and the result saturates to 0
+    cleanly; callers that expect such inputs enter np.errstate(over="ignore")
+    to silence numpy's warning, as `forward` does once per pass.
+    """
+    if out is None:
+        out = np.empty(np.shape(x))
+    np.negative(x, out=out)
+    np.exp(out, out=out)
+    out += 1.0
+    return np.divide(1.0, out, out=out)
 
 
 @dataclass
@@ -75,57 +84,87 @@ class BackwardTrace:
     weight_grads: list  # batch means
     input_delta: np.ndarray  # loss gradient propagated to the input layer, per sample
     loss: float  # batch mean
+    # per-sample arrays backward(out=...) writes into: delta^1 .. delta^L,
+    # the loss gradients at a^0 .. a^(L-1) (the first is input_delta), and
+    # the output error
+    work: list = field(default_factory=list, repr=False)
 
 
-def forward(x, params: NetworkParams) -> ForwardTrace:
+def forward(x, params: NetworkParams, out: ForwardTrace = None) -> ForwardTrace:
     """Run the network on one input vector (n_in,) or a batch of rows
-    (samples, n_in), recording z and a per layer."""
+    (samples, n_in), recording z and a per layer.
+
+    A trace passed as `out` from a call on input of the same shape is
+    overwritten and returned, so a loop can run without allocating; a trace
+    of any other shape is left untouched and fresh arrays are returned.
+    """
     a = np.asarray(x, dtype=float)
     n_in = params.weights[0].shape[1]
     if a.ndim not in (1, 2) or a.shape[-1] != n_in:
         raise ValidationError(
             f"expected input of shape ({n_in},) or (samples, {n_in}), got {a.shape}")
-    zs, activations = [], [a]
-    for w, b in zip(params.weights, params.biases):
-        z = a @ w.T + b
-        a = sigmoid(z)
-        zs.append(z)
-        activations.append(a)
-    return ForwardTrace(pre_activations=zs, activations=activations)
+    shapes = [a.shape[:-1] + (w.shape[0],) for w in params.weights]
+    if out is None or [z.shape for z in out.pre_activations] != shapes:
+        out = ForwardTrace(pre_activations=[np.empty(s) for s in shapes],
+                           activations=[a] + [np.empty(s) for s in shapes])
+    out.activations[0] = a
+    with np.errstate(over="ignore"):
+        for w, b, z, a_next in zip(params.weights, params.biases, out.pre_activations,
+                                   out.activations[1:]):
+            np.matmul(a, w.T, out=z)
+            z += b
+            a = sigmoid(z, out=a_next)
+    return out
 
 
-def backward(trace: ForwardTrace, target, params: NetworkParams) -> BackwardTrace:
+def backward(trace: ForwardTrace, target, params: NetworkParams,
+             out: BackwardTrace = None) -> BackwardTrace:
     """Backpropagate the quadratic loss C = 0.5 * ||a_out - target||^2.
 
     Output layer: delta = (a - y) * sigma'(z). Hidden layers: delta =
     (delta_next @ W_next) * sigma'(z), with sigma'(z) = a * (1 - a). Weight
     gradient: delta^T a_prev. For a batch, gradients and loss are means over
     the rows; for one vector they are that sample's.
+
+    A result passed as `out` from a call on a trace of the same shape is
+    overwritten and returned; one of any other shape is left untouched.
     """
     y = np.asarray(target, dtype=float)
-    out = trace.activations[-1]
-    if y.shape != out.shape:
-        raise ValidationError(f"target shape {y.shape} does not match output {out.shape}")
+    a_out = trace.activations[-1]
+    if y.shape != a_out.shape:
+        raise ValidationError(f"target shape {y.shape} does not match output {a_out.shape}")
     if len(trace.pre_activations) != len(params.weights):
         raise ValidationError("trace depth does not match params")
 
     depth = len(params.weights)
-    samples = out.size // out.shape[-1]  # 1 for one vector
-    deltas = [None] * depth
-    weight_grads = [None] * depth
+    samples = a_out.size // a_out.shape[-1]  # 1 for one vector
+    shapes = ([z.shape for z in trace.pre_activations]
+              + [a.shape for a in trace.activations[:-1]] + [a_out.shape])
+    if out is None or [b.shape for b in out.work] != shapes:
+        out = BackwardTrace(deltas=[np.empty(w.shape[0]) for w in params.weights],
+                            weight_grads=[np.empty(w.shape) for w in params.weights],
+                            input_delta=None, loss=None, work=[np.empty(s) for s in shapes])
+    sample_deltas, backs, err = out.work[:depth], out.work[depth:-1], out.work[-1]
 
-    err = out - y
-    delta = err * (out * (1.0 - out))
+    np.subtract(a_out, y, out=err)
+    delta = np.subtract(1.0, a_out, out=sample_deltas[-1])
+    delta *= a_out
+    delta *= err
+    np.multiply(err, err, out=err)
+    out.loss = 0.5 * float(err.sum()) / samples
     for l in range(depth - 1, -1, -1):
         a = trace.activations[l]
         delta_rows = np.atleast_2d(delta)
-        deltas[l] = delta_rows.mean(axis=0)
-        weight_grads[l] = delta_rows.T @ np.atleast_2d(a) / samples
-        back = delta @ params.weights[l]
+        delta_rows.mean(axis=0, out=out.deltas[l])
+        np.matmul(delta_rows.T, np.atleast_2d(a), out=out.weight_grads[l])
+        out.weight_grads[l] /= samples
+        np.matmul(delta, params.weights[l], out=backs[l])
         if l > 0:
-            delta = back * (a * (1.0 - a))
-    loss = 0.5 * float((err * err).sum()) / samples
-    return BackwardTrace(deltas=deltas, weight_grads=weight_grads, input_delta=back, loss=loss)
+            delta = np.subtract(1.0, a, out=sample_deltas[l - 1])
+            delta *= a
+            delta *= backs[l]
+    out.input_delta = backs[0]
+    return out
 
 
 def output_input_gradient(trace: ForwardTrace, params: NetworkParams) -> np.ndarray:
@@ -152,6 +191,8 @@ class TrainConfig:
             raise ValidationError("learning_rate must be positive")
         if self.epochs < 1:
             raise ValidationError("epochs must be >= 1")
+        if self.seed < 0:
+            raise ValidationError("seed must be >= 0")
 
 
 def train(inputs, targets, spec: LayerSpec, config: TrainConfig):
@@ -170,8 +211,10 @@ def train(inputs, targets, spec: LayerSpec, config: TrainConfig):
 
     params = NetworkParams.initialize(spec, seed=config.seed)
     losses = []
+    trace = grads = None
     for epoch in range(config.epochs):
-        grads = backward(forward(x, params), y, params)
+        trace = forward(x, params, out=trace)
+        grads = backward(trace, y, params, out=grads)
         if not np.isfinite(grads.loss):
             raise TrainingError("training loss diverged", epoch)
         losses.append(grads.loss)
@@ -185,8 +228,10 @@ def input_sensitivities(inputs, params: NetworkParams) -> np.ndarray:
     """Mean absolute output gradient per input component, over all samples."""
     x = np.asarray(inputs, dtype=float)
     grads = np.empty_like(x)
+    trace = None
     for i in range(x.shape[0]):
-        grads[i] = output_input_gradient(forward(x[i], params), params)
+        trace = forward(x[i], params, out=trace)
+        grads[i] = output_input_gradient(trace, params)
     return np.abs(grads).mean(axis=0)
 
 
@@ -218,10 +263,14 @@ def perturbation_sweep(params: NetworkParams, inputs, span: float = 0.1, points:
     For each weight the mean network output over `inputs` is recorded at each
     grid point; the per-weight variation is (max - min) / baseline output.
     Weights exactly at zero sweep the absolute band [-span, span]. Returns
-    (rows, variations).
+    (rows, variations). Raises TrainingError when the baseline output is 0.
     """
     x = np.asarray(inputs, dtype=float)
-    baseline = float(forward(x, params).activations[-1].mean())
+    trace = forward(x, params)
+    baseline = float(trace.activations[-1].mean())
+    if baseline == 0:
+        raise TrainingError("trained network output is saturated at 0; relative weight "
+                            "variation is undefined")
     rows, variations = [], {}
     for l, w in enumerate(params.weights):
         for j in range(w.shape[0]):
@@ -232,7 +281,8 @@ def perturbation_sweep(params: NetworkParams, inputs, span: float = 0.1, points:
                 outputs = []
                 for value in np.linspace(center - half, center + half, points):
                     w[j, k] = value
-                    out = float(forward(x, params).activations[-1].mean())
+                    trace = forward(x, params, out=trace)
+                    out = float(trace.activations[-1].mean())
                     outputs.append(out)
                     rows.append((weight_id, float(value), out))
                 w[j, k] = center

@@ -1,5 +1,6 @@
 """Pearson correlation with t-significance testing and strength labels."""
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -49,12 +50,14 @@ def _t_density(x: float, df: float) -> float:
     return math.exp(log_coef - ((df + 1) / 2) * math.log1p(x * x / df))
 
 
+@functools.lru_cache(maxsize=256)
 def t_upper_critical(df: float, tail: float) -> float:
     """Value t >= 0 whose upper-tail probability under Student-t(df) equals `tail`.
 
     The tail probability is computed by adaptive quadrature of the density
     (tolerance 1e-10) and inverted by bracketed root finding, so no quantile
-    table is involved.
+    table is involved. Results are memoized per (df, tail), since a report
+    tests many correlations with the same df.
     """
     if df < 1:
         raise ValidationError("df must be >= 1")

@@ -310,7 +310,10 @@ def test_topsis_subcommand_matches_report_with_decision(runner, tmp_path):
     (["sensitivity", "--indicators", INDICATORS, "--train"], '{"layer_sizes": [7,"x",1]}',
      "sensitivity"),
     (["report", "--config"], '{"indicators": "a.csv",', "config"),
-], ids=["scenario", "train-config", "run-config"])
+    (["sensitivity", "--indicators", INDICATORS, "--train"], '{"seed": -1}', "sensitivity"),
+    (["sensitivity", "--indicators", INDICATORS, "--train"],
+     '{"learning_rate": 1e308, "epochs": 3}', "sensitivity"),
+], ids=["scenario", "train-config", "run-config", "negative-seed", "saturated-network"])
 def test_malformed_json_input_prints_error_json(runner, tmp_path, args, text, stage):
     bad = tmp_path / "bad.json"
     bad.write_text(text)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from equimine.sensnet import (
     forward,
     input_sensitivities,
     output_input_gradient,
+    perturbation_sweep,
     sensitivity_sweep,
     train,
 )
@@ -212,6 +215,10 @@ class TestTrain:
             train(rng.uniform(size=(10, 3)), np.zeros(10), LayerSpec((4, 2, 1)),
                   TrainConfig(epochs=1))
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValidationError):
+            TrainConfig(seed=-1)
+
 
 class TestSensitivitySweep:
     def test_single_factor_data_ranks_that_factor_first(self):
@@ -249,6 +256,13 @@ class TestSensitivitySweep:
         out, means, stds = sensnet.standardize_columns(x)
         assert stds[1] == 1.0
         assert np.all(out[:, 1] == 0.0)
+
+    @pytest.mark.filterwarnings("error")  # forward silences the exp overflow
+    def test_saturated_network_is_training_error(self, rng):
+        params = NetworkParams(weights=[np.zeros((4, 3)), np.zeros((1, 4))],
+                               biases=[np.zeros(4), np.array([-1000.0])])
+        with pytest.raises(TrainingError):
+            perturbation_sweep(params, rng.uniform(0, 1, (12, 3)), points=3)
 
     def test_perturbation_rows_cover_every_weight(self, rng):
         x = rng.uniform(0, 1, (12, 3))
@@ -306,3 +320,113 @@ class TestOneNetworkPath:
                     assert np.allclose(got, np.mean(parts, axis=0), rtol=1e-12, atol=1e-12)
             assert np.allclose(batch.input_delta, [s.input_delta for s in singles],
                                rtol=1e-12, atol=1e-15)
+
+
+def allocating_train(x, y, spec, config):
+    """The training loop as it was before out= reuse: every epoch allocates a
+    fresh trace and fresh gradients. Kept as the oracle for `train`."""
+    params = NetworkParams.initialize(spec, seed=config.seed)
+    losses = []
+    for _ in range(config.epochs):
+        zs, acts = [], [x]
+        for w, b in zip(params.weights, params.biases):
+            zs.append(acts[-1] @ w.T + b)
+            with np.errstate(over="ignore"):
+                acts.append(1.0 / (1.0 + np.exp(-zs[-1])))
+        out = acts[-1]
+        err = out - y
+        delta = err * (out * (1.0 - out))
+        deltas, weight_grads = [None] * len(zs), [None] * len(zs)
+        for l in range(len(zs) - 1, -1, -1):
+            deltas[l] = delta.mean(axis=0)
+            weight_grads[l] = delta.T @ acts[l] / x.shape[0]
+            back = delta @ params.weights[l]
+            if l > 0:
+                delta = back * (acts[l] * (1.0 - acts[l]))
+        losses.append(0.5 * float((err * err).sum()) / x.shape[0])
+        for l in range(len(zs)):
+            params.weights[l] = params.weights[l] - config.learning_rate * weight_grads[l]
+            params.biases[l] = params.biases[l] - config.learning_rate * deltas[l]
+    return params, losses
+
+
+class TestOutReuse:
+    SHAPES = TestOneNetworkPath.SHAPES
+
+    @staticmethod
+    def assert_traces_equal(got, want):
+        for g, w in zip(got.pre_activations + got.activations,
+                        want.pre_activations + want.activations):
+            assert np.array_equal(g, w)
+
+    @staticmethod
+    def assert_grads_equal(got, want):
+        assert got.loss == want.loss
+        assert np.array_equal(got.input_delta, want.input_delta)
+        for g, w in zip(got.deltas + got.weight_grads, want.deltas + want.weight_grads):
+            assert np.array_equal(g, w)
+
+    def test_reused_results_are_bit_equal_to_fresh(self, rng):
+        for sizes in self.SHAPES:
+            params = NetworkParams.initialize(LayerSpec(sizes), seed=6)
+            for shape in [(sizes[0],), (9, sizes[0])]:
+                x = rng.uniform(-2, 2, shape)
+                y = rng.uniform(0.1, 0.9, shape[:-1] + (sizes[-1],))
+                prev = forward(rng.uniform(-2, 2, shape), params)
+                prev_grads = backward(prev, y, params)
+                reused = forward(x, params, out=prev)
+                assert reused is prev
+                fresh = forward(x, params)
+                self.assert_traces_equal(reused, fresh)
+                grads = backward(reused, y, params, out=prev_grads)
+                assert grads is prev_grads
+                self.assert_grads_equal(grads, backward(fresh, y, params))
+
+    def test_trace_of_another_shape_is_left_untouched(self, rng):
+        params = NetworkParams.initialize(LayerSpec((7, 16, 1)), seed=2)
+        batch = rng.uniform(-2, 2, (9, 7))
+        other = forward(batch, params)
+        other_grads = backward(other, rng.uniform(0.1, 0.9, (9, 1)), params)
+        kept = [a.copy() for a in other.pre_activations + other.activations[1:]]
+        kept_grads = [a.copy() for a in other_grads.work + other_grads.weight_grads]
+        x = rng.uniform(-2, 2, 7)
+        trace = forward(x, params, out=other)
+        grads = backward(trace, np.array([0.4]), params, out=other_grads)
+        assert trace is not other and grads is not other_grads
+        self.assert_traces_equal(trace, forward(x, params))
+        self.assert_grads_equal(grads, backward(forward(x, params), np.array([0.4]), params))
+        for a, b in zip(other.pre_activations + other.activations[1:], kept):
+            assert np.array_equal(a, b)
+        for a, b in zip(other_grads.work + other_grads.weight_grads, kept_grads):
+            assert np.array_equal(a, b)
+
+    def test_train_is_bit_equal_to_allocating_loop(self):
+        rng = np.random.default_rng(77)
+        x = rng.uniform(-1, 1, (500, 7))
+        y = rng.uniform(0.1, 0.9, (500, 1))
+        spec, config = LayerSpec((7, 16, 1)), TrainConfig(learning_rate=0.5, epochs=300, seed=4)
+        params, losses = train(x, y, spec, config)
+        want_params, want_losses = allocating_train(x, y, spec, config)
+        assert losses == want_losses
+        for got, want in zip(params.weights + params.biases,
+                             want_params.weights + want_params.biases):
+            assert np.array_equal(got, want)
+
+    def test_reused_epochs_allocate_no_per_sample_array(self):
+        rng = np.random.default_rng(3)
+        samples = 2000
+        x = rng.uniform(-1, 1, (samples, 7))
+        y = rng.uniform(0.1, 0.9, (samples, 1))
+        params = NetworkParams.initialize(LayerSpec((7, 16, 1)), seed=0)
+        trace = forward(x, params)
+        grads = backward(trace, y, params)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            for _ in range(3):
+                trace = forward(x, params, out=trace)
+                grads = backward(trace, y, params, out=grads)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - start < samples * 16 * 8

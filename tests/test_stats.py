@@ -92,6 +92,17 @@ class TestCriticalValues:
         with pytest.raises(ValidationError):
             stats.t_upper_critical(0.5, 0.05)
 
+    def test_memoized_per_df_and_tail(self):
+        stats.t_upper_critical.cache_clear()
+        first = stats.t_upper_critical(17, 0.025)
+        assert stats.t_upper_critical(17, 0.025) is first
+        assert stats.t_upper_critical.cache_info().hits == 1
+        assert stats.t_upper_critical.__wrapped__(17, 0.025) == first
+        for df, tail in [(5, 0.8), (0.5, 0.05)]:
+            for _ in range(2):  # a rejected input is not cached
+                with pytest.raises(ValidationError):
+                    stats.t_upper_critical(df, tail)
+
 
 class TestTTest:
     def test_reference_statistic(self):
