@@ -5,15 +5,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
-from .errors import ValidationError
+from .errors import ConvergenceError, ValidationError
+from .mining import t_density
+from .quadrature import integrate
 
 # |r| bins for the strength label; conventional, carried as shipped defaults.
 STRENGTH_THRESHOLDS = ((0.8, "strong"), (0.5, "moderate"), (0.3, "weak"))
 
 _CDF_QUAD_TOL = 1e-10
+_ROOT_XTOL, _ROOT_RTOL, _ROOT_MAXITER = 1e-10, 1e-12, 100  # brentq's stop rule and cap
 
 
 @dataclass
@@ -45,35 +46,42 @@ def pearson(x, y) -> float:
     return float((dx * dy).sum()) / (math.sqrt(sxx) * math.sqrt(syy))
 
 
-def _t_density(x: float, df: float) -> float:
-    log_coef = math.lgamma((df + 1) / 2) - math.lgamma(df / 2) - 0.5 * math.log(df * math.pi)
-    return math.exp(log_coef - ((df + 1) / 2) * math.log1p(x * x / df))
-
-
 @functools.lru_cache(maxsize=256)
 def t_upper_critical(df: float, tail: float) -> float:
     """Value t >= 0 whose upper-tail probability under Student-t(df) equals `tail`.
 
     The tail probability is computed by adaptive quadrature of the density
-    (tolerance 1e-10) and inverted by bracketed root finding, so no quantile
-    table is involved. Results are memoized per (df, tail), since a report
-    tests many correlations with the same df.
+    (tolerance 1e-10) and inverted by Newton steps, whose derivative is minus
+    the density, inside a shrinking bracket; a step that would leave the
+    bracket is replaced by bisection. No quantile table is involved. Results
+    are memoized per (df, tail), since a report tests many correlations with
+    the same df.
     """
     if df < 1:
         raise ValidationError("df must be >= 1")
     if not 0 < tail <= 0.5:
         raise ValidationError("tail probability must be in (0, 0.5]")
 
-    def upper_tail(t: float) -> float:
-        body, _ = quad(_t_density, 0.0, t, args=(df,), epsabs=_CDF_QUAD_TOL, epsrel=1e-12)
-        return 0.5 - body
+    def excess(t: float) -> float:
+        body, _ = integrate(lambda y: t_density(y, df), 0.0, t, _CDF_QUAD_TOL, 1e-12)
+        return 0.5 - body - tail
 
-    hi = 1.0
-    while upper_tail(hi) > tail:
-        hi *= 2.0
+    lo, hi = 0.0, 1.0
+    while excess(hi) > 0:
+        lo, hi = hi, 2.0 * hi
         if hi > 1e8:
             raise ValidationError(f"no critical value found for tail {tail}")
-    return float(brentq(lambda t: upper_tail(t) - tail, 0.0, hi, xtol=1e-10, rtol=1e-12))
+    t, g = lo, excess(lo)
+    for _ in range(_ROOT_MAXITER):
+        step = g / t_density(t, df)
+        if not lo <= t + step <= hi:
+            step = 0.5 * (lo + hi) - t
+        t += step
+        if abs(step) <= _ROOT_XTOL + _ROOT_RTOL * t:
+            return t
+        g = excess(t)
+        lo, hi = (t, hi) if g > 0 else (lo, t)
+    raise ConvergenceError(f"t critical value for df {df}, tail {tail}", _ROOT_MAXITER)
 
 
 def t_test(r: float, n: int, alpha: float = 0.05) -> CorrelationResult:

@@ -1,5 +1,8 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -73,6 +76,31 @@ def test_simulate_asteroid_scenario_full_horizon(runner, tmp_path):
     assert payload["income"]["cumulative"] == pytest.approx(5.57e12, rel=1e-6)
     assert payload["profit"]["cumulative"] == pytest.approx(1.25e12, rel=1e-5)
     assert payload["window"]["t2"] is None  # infinite horizon renders as null
+
+
+@pytest.mark.parametrize("scenario", [
+    {"dof": 10, "location": 60, "scale": 0.1, "t1": 0, "t2": 100},
+    {"location": 100, "scale": 0.1},
+], ids=["peak-at-60", "peak-at-100"])
+def test_simulate_narrow_peak_far_from_zero(runner, tmp_path, scenario):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    result = runner.invoke(main, ["simulate", "--scenario", str(path), "--out", str(tmp_path)])
+    assert result.exit_code == 0, result.output
+    payload = json.loads((tmp_path / "mining.json").read_text())
+    assert payload["positive_mass"] == 1.0
+    assert payload["income"]["cumulative"] == 7e13
+
+
+def test_cli_import_loads_no_scipy():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    probe = ("import sys, equimine.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                            check=True)
+    assert result.stdout.strip() == "[]"
 
 
 def test_allocate_command(runner, tmp_path):
@@ -313,7 +341,9 @@ def test_topsis_subcommand_matches_report_with_decision(runner, tmp_path):
     (["sensitivity", "--indicators", INDICATORS, "--train"], '{"seed": -1}', "sensitivity"),
     (["sensitivity", "--indicators", INDICATORS, "--train"],
      '{"learning_rate": 1e308, "epochs": 3}', "sensitivity"),
-], ids=["scenario", "train-config", "run-config", "negative-seed", "saturated-network"])
+    (["simulate", "--scenario"], '{"dof": 1e308}', "mining"),
+], ids=["scenario", "train-config", "run-config", "negative-seed", "saturated-network",
+        "huge-dof"])
 def test_malformed_json_input_prints_error_json(runner, tmp_path, args, text, stage):
     bad = tmp_path / "bad.json"
     bad.write_text(text)

@@ -39,6 +39,26 @@ class TestCurveParams:
         with pytest.raises(ValidationError):
             MiningCurveParams(positive_mass=1.5)
 
+    def test_dof_overflowing_the_normalising_constant_rejected(self):
+        with pytest.raises(ValidationError, match="normalising constant"):
+            MiningCurveParams(dof=1e308)
+
+
+class TestNarrowPeakFarFromZero:
+    """A peak of width 0.1 at t = 60 or 100 lies between the quadrature's
+    first nodes; splitting the range at the peak finds it."""
+
+    def test_peak_at_60_holds_all_value_in_window(self):
+        p = MiningCurveParams(dof=10.0, location=60.0, scale=0.1, total_value=7e13)
+        assert p.positive_mass == pytest.approx(1.0, abs=1e-12)
+        assert income(RevenueWindow(0.0, 100.0), p) == pytest.approx(7e13, rel=1e-9)
+
+    def test_peak_at_100_is_accepted(self):
+        p = MiningCurveParams(dof=5.0, location=100.0, scale=0.1, total_value=7e13)
+        assert p.positive_mass == pytest.approx(1.0, abs=1e-12)
+        assert income(RevenueWindow(0.0, math.inf), p) == pytest.approx(7e13, rel=1e-9)
+        assert income(RevenueWindow(0.0, 100.0), p) == pytest.approx(3.5e13, rel=1e-9)
+
 
 class TestExtractionRate:
     def test_cauchy_renormalized_peak(self):
