@@ -19,6 +19,9 @@ DEFAULT_DOF = 5.0
 DEFAULT_LOCATION = 15.0  # years until peak extraction
 DEFAULT_SCALE = 5.0
 DEFAULT_TOTAL_VALUE = 70e12
+# Below this the tail keeps so much mass past the largest float (a share of
+# about t**-dof beyond t) that the tail quadrature's map t(u) overflows.
+MIN_DOF = 0.05
 
 INCOME_MODES = ("cumulative", "paper-literal")
 
@@ -46,7 +49,8 @@ class MiningCurveParams:
 
     positive_mass caches the curve's mass on t in [0, inf) before
     renormalization; it is computed by quadrature split at the peak when not
-    supplied. A dof whose density normalising constant overflows is rejected.
+    supplied. A dof below MIN_DOF, or one whose density normalising constant
+    overflows, is rejected.
     """
 
     dof: float = DEFAULT_DOF
@@ -56,8 +60,8 @@ class MiningCurveParams:
     positive_mass: float = None
 
     def __post_init__(self):
-        if not (self.dof > 0 and math.isfinite(self.dof)):
-            raise ValidationError("dof must be a positive real")
+        if not (self.dof >= MIN_DOF and math.isfinite(self.dof)):
+            raise ValidationError(f"dof must be a real >= {MIN_DOF}, got {self.dof}")
         if not math.isfinite(_log_norm(self.dof)):
             raise ValidationError(f"dof {self.dof} overflows the t density's normalising constant")
         if not (self.scale > 0 and math.isfinite(self.scale)):
@@ -68,8 +72,8 @@ class MiningCurveParams:
             raise ValidationError("total_value must be >= 0")
         if self.positive_mass is None:
             density = lambda t: t_density((t - self.location) / self.scale, self.dof) / self.scale
-            self.positive_mass, _ = integrate(density, 0.0, math.inf, epsabs=1e-12,
-                                              epsrel=1e-12, points=(self.location,))
+            self.positive_mass = integrate(density, 0.0, math.inf, epsabs=1e-12, epsrel=1e-12,
+                                           points=(self.location,), tail_decay=self.dof + 1)
         if not (0.0 < self.positive_mass <= 1.0 + 1e-12):
             raise ValidationError(f"positive_mass must be in (0, 1], got {self.positive_mass}")
 
@@ -121,8 +125,9 @@ def income(window: RevenueWindow, params: MiningCurveParams, mode: str = "cumula
         )
     if mode != "cumulative":
         raise ValidationError(f"unknown income mode {mode!r}")
-    frac, _ = integrate(lambda t: extraction_rate(t, params), window.t1, window.t2,
-                        epsabs=_RATE_QUAD_ABSTOL, epsrel=1e-10, points=(params.location,))
+    frac = integrate(lambda t: extraction_rate(t, params), window.t1, window.t2,
+                     epsabs=_RATE_QUAD_ABSTOL, epsrel=1e-10, points=(params.location,),
+                     tail_decay=params.dof + 1)
     return params.total_value * frac
 
 

@@ -12,6 +12,8 @@ import numpy as np
 
 from .errors import QuadratureError
 
+_LIMIT = 200  # intervals per piece
+
 # Kronrod abscissae on [0, 1) in descending order; the odd-indexed ones and
 # the centre are the Gauss nodes.
 _XGK = (0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
@@ -42,7 +44,7 @@ def _qk15(f, lo, hi):
     return kg[:, 0], np.abs(kg[:, 0] - kg[:, 1])
 
 
-def _adapt(f, a, b, epsabs, epsrel, limit):
+def _adapt(f, a, b, epsabs, epsrel):
     """Global adaptive bisection of [a, b].
 
     No interval is retired: each round bisects every interval whose error
@@ -57,10 +59,10 @@ def _adapt(f, a, b, epsabs, epsrel, limit):
             raise QuadratureError("quadrature error estimate is not finite", total_err)
         tol = max(epsabs, epsrel * abs(total))
         if total_err <= tol:
-            return total, total_err
+            return total
         split = err > tol / err.size
-        if err.size + np.count_nonzero(split) > limit:
-            raise QuadratureError(f"quadrature needs more than {limit} intervals", total_err)
+        if err.size + np.count_nonzero(split) > _LIMIT:
+            raise QuadratureError(f"quadrature needs more than {_LIMIT} intervals", total_err)
         keep = ~split
         mid = 0.5 * (lo[split] + hi[split])
         new_lo = np.concatenate([lo[split], mid])
@@ -72,24 +74,32 @@ def _adapt(f, a, b, epsabs, epsrel, limit):
         err = np.concatenate([err[keep], new_err])
 
 
-def integrate(f, a, b, epsabs, epsrel, limit=200, points=()):
-    """Integral of f over [a, b] as (value, error_estimate); b may be +inf.
+def _tail(f, c, k):
+    """f on [c, inf) as an integrand in u on (0, 1], where t = c + ((1 - u) / u)**k."""
+    def mapped(u):
+        w = (1.0 - u) / u
+        return f(c + w ** k) * (k * w ** (k - 1.0)) / (u * u)
+    return mapped
+
+
+def integrate(f, a, b, epsabs, epsrel, points=(), tail_decay=2.0):
+    """Integral of f over [a, b]; b may be +inf.
 
     `points` inside (a, b) cut the range into pieces, and each piece gets an
     equal share of `epsabs`. An infinite tail [c, inf), anchored at the last
-    cut c, is mapped to u in (0, 1] by t = c + (1 - u) / u. Raises
-    QuadratureError when a piece would need more than `limit` intervals or
-    its error estimate is not finite.
+    cut c, is mapped to u in (0, 1] by t = c + ((1 - u) / u)**k. When f falls
+    off like t**-tail_decay (tail_decay > 1), k = max(1, 1 / (tail_decay - 1))
+    keeps the mapped integrand bounded at u = 0, so bisection converges also
+    for tails heavier than t**-2. Raises QuadratureError when a piece would
+    need more than _LIMIT intervals or its error estimate is not finite.
     """
     cuts = [a, *sorted(p for p in points if a < p < b), b]
     share = epsabs / (len(cuts) - 1)
-    value = error = 0.0
+    k = max(1.0, 1.0 / (tail_decay - 1.0))
+    value = 0.0
     for lo, hi in zip(cuts[:-1], cuts[1:]):
-        if math.isinf(hi):  # c=lo binds the anchor now, not at call time
-            v, e = _adapt(lambda u, c=lo: f(c + (1.0 - u) / u) / (u * u), 0.0, 1.0,
-                          share, epsrel, limit)
+        if math.isinf(hi):
+            value += _adapt(_tail(f, lo, k), 0.0, 1.0, share, epsrel)
         else:
-            v, e = _adapt(f, lo, hi, share, epsrel, limit)
-        value += v
-        error += e
-    return value, error
+            value += _adapt(f, lo, hi, share, epsrel)
+    return value

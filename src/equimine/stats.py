@@ -63,7 +63,7 @@ def t_upper_critical(df: float, tail: float) -> float:
         raise ValidationError("tail probability must be in (0, 0.5]")
 
     def excess(t: float) -> float:
-        body, _ = integrate(lambda y: t_density(y, df), 0.0, t, _CDF_QUAD_TOL, 1e-12)
+        body = integrate(lambda y: t_density(y, df), 0.0, t, _CDF_QUAD_TOL, 1e-12)
         return 0.5 - body - tail
 
     lo, hi = 0.0, 1.0

@@ -342,8 +342,9 @@ def test_topsis_subcommand_matches_report_with_decision(runner, tmp_path):
     (["sensitivity", "--indicators", INDICATORS, "--train"],
      '{"learning_rate": 1e308, "epochs": 3}', "sensitivity"),
     (["simulate", "--scenario"], '{"dof": 1e308}', "mining"),
+    (["simulate", "--scenario"], '{"dof": 0.01}', "mining"),
 ], ids=["scenario", "train-config", "run-config", "negative-seed", "saturated-network",
-        "huge-dof"])
+        "huge-dof", "tiny-dof"])
 def test_malformed_json_input_prints_error_json(runner, tmp_path, args, text, stage):
     bad = tmp_path / "bad.json"
     bad.write_text(text)

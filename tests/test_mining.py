@@ -39,6 +39,10 @@ class TestCurveParams:
         with pytest.raises(ValidationError):
             MiningCurveParams(positive_mass=1.5)
 
+    def test_dof_below_minimum_rejected(self):
+        with pytest.raises(ValidationError, match="dof must be"):
+            MiningCurveParams(dof=0.01)
+
     def test_dof_overflowing_the_normalising_constant_rejected(self):
         with pytest.raises(ValidationError, match="normalising constant"):
             MiningCurveParams(dof=1e308)
