@@ -5,8 +5,6 @@ correlation testing and backprop-based sensitivity analysis."""
 from .allocation import AllocationResult, PovertyPolicy, allocate, poverty_multipliers
 from .equity import (
     DEFAULT_SCORE_WEIGHTS,
-    EquityIndexParams,
-    EquitySeries,
     IndicatorVector,
     country_score,
     global_equity_index,

@@ -13,7 +13,7 @@ from contextlib import contextmanager
 import click
 
 from . import io, pipeline
-from .allocation import ALLOC_MODES
+from .allocation import ALLOC_MODES, PovertyPolicy
 from .errors import PipelineError
 from .mining import INCOME_MODES
 
@@ -55,10 +55,12 @@ TRAIN = _input("--train", "train_path",
                help="Training config JSON (learning_rate, epochs, seed, layer_sizes).")
 INCOME_MODE = click.option("--income-mode", type=click.Choice(INCOME_MODES), default=None,
                            help="Override the run config's and the scenario's income mode.")
-BOTTOM_COUNT = click.option("--bottom-count", type=int, default=20, show_default=True,
-                            help="Size of the poverty group by ascending GDP.")
-ALLOC_MODE = click.option("--alloc-mode", type=click.Choice(ALLOC_MODES), default="conserve")
-MULTIPLIER = click.option("--multiplier", type=float, default=1.2, show_default=True)
+BOTTOM_COUNT = click.option("--bottom-count", type=int, default=PovertyPolicy.bottom_count,
+                            show_default=True, help="Size of the poverty group by ascending GDP.")
+ALLOC_MODE = click.option("--alloc-mode", type=click.Choice(ALLOC_MODES),
+                          default=pipeline.RunConfig.alloc_mode)
+MULTIPLIER = click.option("--multiplier", type=float, default=PovertyPolicy.multiplier,
+                          show_default=True)
 ALPHA = click.option("--alpha", type=float, default=0.05, show_default=True)
 SEED = click.option("--seed", type=int, default=None, help="Override the training seed.")
 

@@ -32,30 +32,6 @@ class IndicatorVector:
         return np.array([self.ei, self.idg, self.cea, self.ma, self.hr, self.er, self.sa])
 
 
-@dataclass
-class EquitySeries:
-    """Per-year development scores for one country."""
-
-    country: str
-    scores_by_year: list  # [(year, score), ...] with strictly increasing years
-
-    def __post_init__(self):
-        years = [y for y, _ in self.scores_by_year]
-        if any(b <= a for a, b in zip(years, years[1:])):
-            raise ValidationError(f"{self.country}: years must be strictly increasing")
-        if not all(np.isfinite(s) for _, s in self.scores_by_year):
-            raise ValidationError(f"{self.country}: scores must be finite")
-
-
-@dataclass
-class EquityIndexParams:
-    period_count: int
-
-    def __post_init__(self):
-        if self.period_count < 1:
-            raise ValidationError("period_count must be positive")
-
-
 def country_score(v: IndicatorVector, weights=DEFAULT_SCORE_WEIGHTS) -> float:
     """Weighted sum of the seven indicators."""
     if hasattr(weights, "weights"):  # accept a WeightVector
@@ -66,8 +42,7 @@ def country_score(v: IndicatorVector, weights=DEFAULT_SCORE_WEIGHTS) -> float:
     return float(w @ v.as_array())
 
 
-def global_equity_index(scores_by_year, countries=None, years=None,
-                        params: EquityIndexParams = None) -> float:
+def global_equity_index(scores_by_year, countries=None, years=None) -> float:
     """Variance of leave-one-out score ratios, averaged over years.
 
     For each year, every country's score is divided by the mean score of the
@@ -81,7 +56,6 @@ def global_equity_index(scores_by_year, countries=None, years=None,
     scores_by_year : array-like, shape (T, n)
         One row per year, one column per country; all entries present.
     countries, years : optional labels used in error messages.
-    params : optional EquityIndexParams; its period_count must match T.
     """
     s = np.asarray(scores_by_year, dtype=float)
     if s.ndim != 2:
@@ -93,10 +67,6 @@ def global_equity_index(scores_by_year, countries=None, years=None,
         raise ValidationError("need at least 1 year")
     if not np.all(np.isfinite(s)):
         raise ValidationError("scores must be finite")
-    if params is not None and params.period_count != t:
-        raise ValidationError(
-            f"period_count {params.period_count} does not match {t} supplied years"
-        )
 
     total = 0.0
     for ti in range(t):

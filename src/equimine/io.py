@@ -1,6 +1,7 @@
 """CSV and JSON input/output. All readers expect comma-delimited UTF-8 with a
 header row; all writers produce byte-stable output (fixed field order, '\n'
-line endings, 6 significant digits in JSON reports, full precision in CSV)."""
+line endings, full precision in CSV). JSON reports round every float to 6
+significant digits and write non-finite values as null (`write_json_report`)."""
 
 import csv
 import hashlib
@@ -15,7 +16,8 @@ import numpy as np
 from .equity import IndicatorVector
 from .errors import ParseError, ValidationError
 from .mcda import PairwiseMatrix
-from .mining import INCOME_MODES, MiningCurveParams, RevenueWindow
+from .mining import (DEFAULT_DOF, DEFAULT_LOCATION, DEFAULT_SCALE, DEFAULT_TOTAL_VALUE,
+                     INCOME_MODES, MiningCurveParams, RevenueWindow)
 from .sensnet import DEFAULT_LAYER_SIZES, LayerSpec, TrainConfig
 from .topsis import DecisionMatrix, IndicatorKind
 
@@ -195,14 +197,14 @@ def load_scenario(path):
         return json_field(raw, "scenario", key, default, float)
 
     params = MiningCurveParams(
-        dof=number("dof", 5.0),
-        location=number("location", 15.0),
-        scale=number("scale", 5.0),
-        total_value=number("total_value", 70e12),
+        dof=number("dof", DEFAULT_DOF),
+        location=number("location", DEFAULT_LOCATION),
+        scale=number("scale", DEFAULT_SCALE),
+        total_value=number("total_value", DEFAULT_TOTAL_VALUE),
     )
     t2 = raw.get("t2", "inf")
     t2 = math.inf if t2 in ("inf", None) else number("t2", None)
-    window = RevenueWindow(t1=number("t1", 0.0), t2=t2, cost=number("cost", 0.0))
+    window = RevenueWindow(t1=number("t1", 0.0), t2=t2, cost=number("cost", RevenueWindow.cost))
     mode = raw.get("mode", "cumulative")
     if mode not in INCOME_MODES:
         raise ParseError(f"scenario mode must be one of {', '.join(INCOME_MODES)}, got {mode!r}")
@@ -220,9 +222,9 @@ def load_train_config(path):
 
     spec = LayerSpec(field("layer_sizes", DEFAULT_LAYER_SIZES, lambda v: tuple(int(s) for s in v)))
     config = TrainConfig(
-        learning_rate=field("learning_rate", 0.1, float),
-        epochs=field("epochs", 5000, int),
-        seed=field("seed", 0, int),
+        learning_rate=field("learning_rate", TrainConfig.learning_rate, float),
+        epochs=field("epochs", TrainConfig.epochs, int),
+        seed=field("seed", TrainConfig.seed, int),
     )
     return spec, config
 
@@ -253,8 +255,20 @@ def config_digest(mapping: dict) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
+def _rounded(value):
+    """The payload with fmt6 applied to every float at any depth."""
+    if isinstance(value, float):
+        return fmt6(value)
+    if isinstance(value, dict):
+        return {k: _rounded(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple, np.ndarray)):
+        return [_rounded(v) for v in value]
+    return value
+
+
 def write_json_report(path, payload: dict):
-    Path(path).write_text(json.dumps(payload, indent=2, ensure_ascii=False) + "\n",
+    """Write payload as indented JSON, every float rounded by fmt6."""
+    Path(path).write_text(json.dumps(_rounded(payload), indent=2, ensure_ascii=False) + "\n",
                           encoding="utf-8")
 
 

@@ -11,15 +11,6 @@ METHODS = ("arithmetic-mean", "geometric-mean", "eigenvalue")
 # Random consistency index by matrix order n = 1..10.
 DEFAULT_RI_TABLE = (0.00, 0.00, 0.58, 0.90, 1.12, 1.24, 1.32, 1.41, 1.45, 1.49)
 
-# Published per-method weights for the seven development indicators. These are
-# the shipped defaults when no comparison matrix is supplied; they do not sum
-# to 1 exactly because they are printed at 4 decimals.
-REFERENCE_WEIGHTS = {
-    "arithmetic-mean": (0.1831, 0.3831, 0.0989, 0.0435, 0.0926, 0.0833, 0.1157),
-    "geometric-mean": (0.1965, 0.3965, 0.0996, 0.0436, 0.0620, 0.0852, 0.1166),
-    "eigenvalue": (0.1810, 0.3810, 0.0921, 0.0438, 0.1027, 0.0808, 0.1187),
-}
-
 _RECIPROCITY_RTOL = 1e-9
 _POWER_TOL = 1e-12
 _POWER_MAX_ITER = 10_000
@@ -137,11 +128,10 @@ def _power_iteration(a: np.ndarray) -> np.ndarray:
     raise ConvergenceError("power iteration did not converge", _POWER_MAX_ITER)
 
 
-def lambda_max(matrix: PairwiseMatrix, weights: WeightVector = None) -> float:
-    """Dominant eigenvalue estimate: mean of (A w)_i / w_i over the rows."""
-    if weights is None:
-        weights = derive_weights(matrix, "eigenvalue")
-    w = weights.weights
+def lambda_max(matrix: PairwiseMatrix) -> float:
+    """Dominant eigenvalue estimate: mean of (A w)_i / w_i over the rows, w the
+    eigenvalue-method weights."""
+    w = derive_weights(matrix, "eigenvalue").weights
     return float(np.mean((matrix.entries @ w) / w))
 
 

@@ -26,14 +26,25 @@ MIN_DOF = 0.05
 INCOME_MODES = ("cumulative", "paper-literal")
 
 _RATE_QUAD_ABSTOL = 1e-9  # on the rate integral, i.e. 1e-9 * V on income
+# Above this dof the lgamma difference loses about dof * 1e-16 to cancellation
+# (7.5e-14 here) while the series' first omitted term is 1.5e-16.
+_SERIES_DOF = 1e3
 
 
 def _log_norm(dof: float) -> float:
-    """Log of the t density's normalising constant; nan where it overflows."""
-    try:
-        return math.lgamma((dof + 1) / 2) - math.lgamma(dof / 2) - 0.5 * math.log(dof * math.pi)
-    except OverflowError:
+    """Log of the t density's normalising constant Gamma((d+1)/2) / (Gamma(d/2) sqrt(d pi));
+    nan where d pi overflows a float (d above about 5.7e307).
+
+    Above _SERIES_DOF, lgamma((d + 1)/2) - lgamma(d/2) is taken from its
+    asymptotic series ln(x)/2 - 1/(8x) + 1/(192x^3) - ..., x = d/2
+    (Abramowitz & Stegun 6.1.47), whose ln(x)/2 cancels against ln(d pi)/2.
+    """
+    if not math.isfinite(dof * math.pi):
         return math.nan
+    if dof > _SERIES_DOF:
+        u = 1.0 / dof
+        return -0.5 * math.log(2 * math.pi) - u / 4 + u ** 3 / 24
+    return math.lgamma((dof + 1) / 2) - math.lgamma(dof / 2) - 0.5 * math.log(dof * math.pi)
 
 
 def t_density(y, dof: float):
@@ -72,7 +83,7 @@ class MiningCurveParams:
             raise ValidationError("total_value must be >= 0")
         if self.positive_mass is None:
             density = lambda t: t_density((t - self.location) / self.scale, self.dof) / self.scale
-            self.positive_mass = integrate(density, 0.0, math.inf, epsabs=1e-12, epsrel=1e-12,
+            self.positive_mass = integrate(density, 0.0, math.inf, epsabs=0.0, epsrel=1e-12,
                                            points=(self.location,), tail_decay=self.dof + 1)
         if not (0.0 < self.positive_mass <= 1.0 + 1e-12):
             raise ValidationError(f"positive_mass must be in (0, 1], got {self.positive_mass}")

@@ -1,10 +1,11 @@
 """Batch pipeline: one function per stage, chained by `run_pipeline`.
 
 Each stage function takes loaded inputs and returns its reports, keyed by file
-name, plus any values later stages need. A JSON report is a dict; a CSV report
-is a (header, rows) pair. `run_pipeline` (the `report` command) chains the
-stage functions, and every CLI subcommand calls the same function for its
-stage, so both write the same payloads.
+name, plus any values later stages need. A JSON report is a dict of raw values,
+which `io.write_json_report` rounds; a CSV report is a (header, rows) pair.
+`run_pipeline` (the `report` command) chains the stage functions, and every CLI
+subcommand calls the same function for its stage, so both write the same
+payloads.
 
 Shared policies:
 
@@ -18,7 +19,7 @@ Shared policies:
 """
 
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from functools import cached_property
 from pathlib import Path
 
@@ -57,8 +58,8 @@ class RunConfig:
     income_mode: str = None  # None: the scenario's mode decides
     alloc_mode: str = "conserve"
     alloc_basis: str = "equity"
-    bottom_count: int = 20
-    multiplier: float = 1.2
+    bottom_count: int = allocation.PovertyPolicy.bottom_count
+    multiplier: float = allocation.PovertyPolicy.multiplier
     seed: int = None
 
     def __post_init__(self):
@@ -70,21 +71,7 @@ class RunConfig:
             raise ValidationError(f"unknown allocation basis {self.alloc_basis!r}")
 
     def digest(self) -> str:
-        fields = {
-            "indicators": str(self.indicators),
-            "pairwise": str(self.pairwise),
-            "gdp": str(self.gdp),
-            "scenario": str(self.scenario),
-            "train": str(self.train),
-            "decision": None if self.decision is None else str(self.decision),
-            "income_mode": self.income_mode,
-            "alloc_mode": self.alloc_mode,
-            "alloc_basis": self.alloc_basis,
-            "bottom_count": self.bottom_count,
-            "multiplier": self.multiplier,
-            "seed": self.seed,
-        }
-        return io.config_digest(fields)
+        return io.config_digest(asdict(self))
 
 
 def load_run_config(path, **overrides) -> RunConfig:
@@ -120,10 +107,12 @@ def load_run_config(path, **overrides) -> RunConfig:
         train=resolve("train"),
         decision=resolve("decision", required=False),
         income_mode=raw.get("income_mode"),
-        alloc_mode=raw.get("alloc_mode", "conserve"),
-        alloc_basis=raw.get("alloc_basis", "equity"),
-        bottom_count=io.json_field(poverty, "run config poverty", "bottom_count", 20, int),
-        multiplier=io.json_field(poverty, "run config poverty", "multiplier", 1.2, float),
+        alloc_mode=raw.get("alloc_mode", RunConfig.alloc_mode),
+        alloc_basis=raw.get("alloc_basis", RunConfig.alloc_basis),
+        bottom_count=io.json_field(poverty, "run config poverty", "bottom_count",
+                                   RunConfig.bottom_count, int),
+        multiplier=io.json_field(poverty, "run config poverty", "multiplier",
+                                 RunConfig.multiplier, float),
         seed=raw.get("seed"),
     )
     updates = {k: v for k, v in overrides.items() if v is not None}
@@ -167,14 +156,7 @@ def write_reports(out_dir, digest: str, reports: dict) -> dict:
 def consistency_stage(matrix):
     """CI/CR consistency check. Returns (reports, ConsistencyReport)."""
     report = mcda.consistency(matrix)
-    return {"consistency.json": {
-        "labels": matrix.labels,
-        "lambda_max": io.fmt6(report.lambda_max),
-        "ci": io.fmt6(report.ci),
-        "ri": io.fmt6(report.ri),
-        "cr": io.fmt6(report.cr),
-        "passes": report.passes,
-    }}, report
+    return {"consistency.json": {"labels": matrix.labels, **asdict(report)}}, report
 
 
 def weights_stage(matrix):
@@ -183,8 +165,8 @@ def weights_stage(matrix):
     mean_weights = np.mean(list(by_method.values()), axis=0)
     return {"weights.json": {
         "labels": matrix.labels,
-        "methods": {m: [io.fmt6(w) for w in by_method[m]] for m in mcda.METHODS},
-        "mean": [io.fmt6(w) for w in mean_weights],
+        "methods": by_method,
+        "mean": mean_weights,
     }}, mean_weights
 
 
@@ -248,10 +230,10 @@ def equity_stage(panel):
         "years": years,
         "scores": [
             {"country": c,
-             "series": [{"year": y, "score": io.fmt6(scores[(c, y)])} for y in years]}
+             "series": [{"year": y, "score": scores[(c, y)]} for y in years]}
             for c in countries
         ],
-        "global_equity_index": io.fmt6(ge),
+        "global_equity_index": ge,
     }}
 
 
@@ -270,9 +252,7 @@ def topsis_stage(decision, weights=None):
     ]
     return {"topsis.json": {
         "indicators": decision.indicator_labels,
-        "alternatives": [
-            dict(zip(TOPSIS_COLUMNS, (r[0], *map(io.fmt6, r[1:5]), r[5]))) for r in rows
-        ],
+        "alternatives": [dict(zip(TOPSIS_COLUMNS, r)) for r in rows],
         "ranking": [decision.alternative_labels[i] for i in ranked.ranking],
     }}, rows
 
@@ -289,21 +269,16 @@ def mining_stage(scenario, income_mode=None):
     profits = {m: mining.profit(incomes[m], window.cost) for m in mining.INCOME_MODES}
     return {"mining.json": {
         "scenario": metadata.get("name"),
-        "dof": io.fmt6(params.dof),
-        "location": io.fmt6(params.location),
-        "scale": io.fmt6(params.scale),
-        "total_value": io.fmt6(params.total_value),
-        "positive_mass": io.fmt6(params.positive_mass),
-        "window": {"t1": io.fmt6(window.t1), "t2": io.fmt6(window.t2),
-                   "cost": io.fmt6(window.cost)},
-        "income": {m: io.fmt6(incomes[m]) for m in mining.INCOME_MODES},
-        "profit": {m: io.fmt6(profits[m]) for m in mining.INCOME_MODES},
+        **asdict(params),
+        "window": asdict(window),
+        "income": incomes,
+        "profit": profits,
         "selected_mode": selected,
     }}, profits[selected]
 
 
 def allocation_stage(basis_scores, gdp, total_profit, alloc_mode, bottom_count, multiplier,
-                     basis="equity"):
+                     basis=RunConfig.alloc_basis):
     """Split total_profit by basis score with the poverty boost. Returns reports."""
     if set(gdp) != set(basis_scores):
         raise ValidationError("GDP table countries do not match the indicator table")
@@ -313,12 +288,11 @@ def allocation_stage(basis_scores, gdp, total_profit, alloc_mode, bottom_count, 
     return {"allocation.json": {
         "basis": basis,
         "mode": alloc_mode,
-        "total_profit": io.fmt6(result.total_profit),
-        "over_allocation": io.fmt6(result.over_allocation),
+        "total_profit": result.total_profit,
+        "over_allocation": result.over_allocation,
         "shares": [
-            {"country": s.label, "gamma": io.fmt6(s.gamma),
-             "raw_share": io.fmt6(s.raw_share),
-             "conserved_share": io.fmt6(s.conserved_share)}
+            {"country": s.label, "gamma": s.gamma, "raw_share": s.raw_share,
+             "conserved_share": s.conserved_share}
             for s in result.shares
         ],
     }}
@@ -332,9 +306,9 @@ def correlation_stage(panel, alpha=0.05):
         result = stats.t_test(stats.pearson(np.array(x[:, j]), series), len(series), alpha=alpha)
         per_indicator.append({
             "indicator": name,
-            "r": io.fmt6(result.r),
-            "t_stat": io.fmt6(result.t_stat),
-            "critical_value": io.fmt6(result.critical_value),
+            "r": result.r,
+            "t_stat": result.t_stat,
+            "critical_value": result.critical_value,
             "significant": result.significant,
             "strength": result.strength,
             "direction": "positive" if result.r > 0 else ("negative" if result.r < 0 else "zero"),
@@ -356,18 +330,18 @@ def sensitivity_stage(panel, train, seed=None):
     sweep = sensnet.sensitivity_sweep(
         x, scale_targets(series), spec, train_config, indicator_names=list(io.INDICATOR_COLUMNS)
     )
-    named = list(zip(sweep.indicator_names, sweep.sensitivities))
+    named = [(n, float(v)) for n, v in zip(sweep.indicator_names, sweep.sensitivities)]
     return {
-        "sensitivity.csv": (("indicator", "value"), [(n, float(v)) for n, v in named]),
+        "sensitivity.csv": (("indicator", "value"), named),
         "perturbation.csv": (("weight_id", "w", "output"), sweep.perturbation_rows),
         "sensitivity.json": {
             "seed": train_config.seed,
             "epochs": train_config.epochs,
-            "learning_rate": io.fmt6(train_config.learning_rate),
+            "learning_rate": train_config.learning_rate,
             "layer_sizes": list(spec.sizes),
-            "final_loss": io.fmt6(sweep.final_loss),
-            "sensitivities": [{"indicator": n, "value": io.fmt6(v)} for n, v in named],
-            "max_output_variation": io.fmt6(sweep.max_variation),
+            "final_loss": sweep.final_loss,
+            "sensitivities": [{"indicator": n, "value": v} for n, v in named],
+            "max_output_variation": sweep.max_variation,
             "variation_band": VARIATION_BAND,
             "within_band": bool(sweep.max_variation <= VARIATION_BAND),
         },

@@ -82,11 +82,9 @@ class ForwardTrace:
 class BackwardTrace:
     deltas: list  # delta^1 .. delta^L, batch means (also the bias gradients)
     weight_grads: list  # batch means
-    input_delta: np.ndarray  # loss gradient propagated to the input layer, per sample
     loss: float  # batch mean
     # per-sample arrays backward(out=...) writes into: delta^1 .. delta^L,
-    # the loss gradients at a^0 .. a^(L-1) (the first is input_delta), and
-    # the output error
+    # the loss gradients at a^1 .. a^(L-1), and the output error
     work: list = field(default_factory=list, repr=False)
 
 
@@ -139,11 +137,11 @@ def backward(trace: ForwardTrace, target, params: NetworkParams,
     depth = len(params.weights)
     samples = a_out.size // a_out.shape[-1]  # 1 for one vector
     shapes = ([z.shape for z in trace.pre_activations]
-              + [a.shape for a in trace.activations[:-1]] + [a_out.shape])
+              + [a.shape for a in trace.activations[1:-1]] + [a_out.shape])
     if out is None or [b.shape for b in out.work] != shapes:
         out = BackwardTrace(deltas=[np.empty(w.shape[0]) for w in params.weights],
                             weight_grads=[np.empty(w.shape) for w in params.weights],
-                            input_delta=None, loss=None, work=[np.empty(s) for s in shapes])
+                            loss=None, work=[np.empty(s) for s in shapes])
     sample_deltas, backs, err = out.work[:depth], out.work[depth:-1], out.work[-1]
 
     np.subtract(a_out, y, out=err)
@@ -158,12 +156,11 @@ def backward(trace: ForwardTrace, target, params: NetworkParams,
         delta_rows.mean(axis=0, out=out.deltas[l])
         np.matmul(delta_rows.T, np.atleast_2d(a), out=out.weight_grads[l])
         out.weight_grads[l] /= samples
-        np.matmul(delta, params.weights[l], out=backs[l])
         if l > 0:
+            back = np.matmul(delta, params.weights[l], out=backs[l - 1])
             delta = np.subtract(1.0, a, out=sample_deltas[l - 1])
             delta *= a
-            delta *= backs[l]
-    out.input_delta = backs[0]
+            delta *= back
     return out
 
 

@@ -123,9 +123,3 @@ def classify_strength(r: float) -> str:
         if abs(r) >= threshold:
             return label
     return "negligible"
-
-
-def correlation_test(x, y, alpha: float = 0.05) -> CorrelationResult:
-    """Convenience composition: pearson + t_test on two series."""
-    r = pearson(x, y)
-    return t_test(r, len(np.asarray(x)), alpha=alpha)

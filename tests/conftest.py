@@ -1,6 +1,15 @@
 import numpy as np
 import pytest
 
+# Published per-method AHP weights for the seven development indicators. Their
+# comparison matrix is unpublished, so no code path recomputes them; they do
+# not sum to 1 exactly because they are printed at 4 decimals.
+REFERENCE_WEIGHTS = {
+    "arithmetic-mean": (0.1831, 0.3831, 0.0989, 0.0435, 0.0926, 0.0833, 0.1157),
+    "geometric-mean": (0.1965, 0.3965, 0.0996, 0.0436, 0.0620, 0.0852, 0.1166),
+    "eigenvalue": (0.1810, 0.3810, 0.0921, 0.0438, 0.1027, 0.0808, 0.1187),
+}
+
 
 @pytest.fixture
 def rng():

@@ -15,7 +15,7 @@ from equimine import mcda, mining, pipeline, sensnet, stats, topsis
 from equimine.data import sample_path
 from equimine.mining import MiningCurveParams, RevenueWindow
 
-from conftest import make_consistent_matrix
+from conftest import REFERENCE_WEIGHTS, make_consistent_matrix
 from test_stats import INCONSISTENT_ROWS, load_t_table, pearson_oracle
 from test_topsis import kind_tuple, oracle_topsis, random_matrix
 
@@ -239,7 +239,7 @@ def test_c11_non_reproducible_numbers_excluded():
     # Published values whose inputs are unpublished are bundled as reference
     # constants or fixtures only; no code path claims to recompute them.
     # Their functionality is covered by the property-based criteria 3..10.
-    assert mcda.REFERENCE_WEIGHTS["eigenvalue"] == (
+    assert REFERENCE_WEIGHTS["eigenvalue"] == (
         0.1810, 0.3810, 0.0921, 0.0438, 0.1027, 0.0808, 0.1187)
     from equimine.equity import DEFAULT_SCORE_WEIGHTS
     assert DEFAULT_SCORE_WEIGHTS == (0.187, 0.387, 0.097, 0.0436, 0.086, 0.0831, 0.117)

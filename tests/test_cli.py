@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -89,6 +90,18 @@ def test_simulate_narrow_peak_far_from_zero(runner, tmp_path, scenario):
     assert result.exit_code == 0, result.output
     payload = json.loads((tmp_path / "mining.json").read_text())
     assert payload["positive_mass"] == 1.0
+    assert payload["income"]["cumulative"] == 7e13
+
+
+@pytest.mark.parametrize("dof", [1e20, 1e300])
+def test_simulate_large_dof_reaches_the_normal_limit(runner, tmp_path, dof):
+    # peak 3 scales right of t = 0, so the positive mass tends to Phi(3)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"dof": dof, "location": 15, "scale": 5}))
+    result = runner.invoke(main, ["simulate", "--scenario", str(path), "--out", str(tmp_path)])
+    assert result.exit_code == 0, result.output
+    payload = json.loads((tmp_path / "mining.json").read_text())
+    assert payload["positive_mass"] == pytest.approx(0.5 * math.erfc(-3 / math.sqrt(2)), rel=1e-6)
     assert payload["income"]["cumulative"] == 7e13
 
 

@@ -4,8 +4,6 @@ import pytest
 from equimine import equity
 from equimine.equity import (
     DEFAULT_SCORE_WEIGHTS,
-    EquityIndexParams,
-    EquitySeries,
     IndicatorVector,
     country_score,
     global_equity_index,
@@ -39,13 +37,6 @@ class TestCountryScore:
 
     def test_default_weights_frozen(self):
         assert DEFAULT_SCORE_WEIGHTS == (0.187, 0.387, 0.097, 0.0436, 0.086, 0.0831, 0.117)
-
-
-class TestEquitySeries:
-    def test_years_strictly_increasing(self):
-        with pytest.raises(ValidationError):
-            EquitySeries("X", [(2020, 1.0), (2020, 1.1)])
-        EquitySeries("X", [(2020, 1.0), (2021, 1.1)])
 
 
 class TestGlobalEquityIndex:
@@ -105,8 +96,3 @@ class TestGlobalEquityIndex:
     def test_needs_two_countries(self):
         with pytest.raises(ValidationError):
             global_equity_index([[1.0]])
-
-    def test_period_count_mismatch(self):
-        with pytest.raises(ValidationError):
-            global_equity_index([[1.0, 2.0]], params=EquityIndexParams(period_count=3))
-        global_equity_index([[1.0, 2.0]], params=EquityIndexParams(period_count=1))

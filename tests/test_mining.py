@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import stdtr
 
 from equimine import mining
 from equimine.errors import ValidationError
@@ -46,6 +47,16 @@ class TestCurveParams:
     def test_dof_overflowing_the_normalising_constant_rejected(self):
         with pytest.raises(ValidationError, match="normalising constant"):
             MiningCurveParams(dof=1e308)
+
+    def test_log_norm_is_continuous_at_the_series_switch(self):
+        above = math.nextafter(mining._SERIES_DOF, math.inf)
+        assert mining._log_norm(above) == pytest.approx(mining._log_norm(mining._SERIES_DOF),
+                                                        abs=1e-13)
+
+    def test_large_dof_mass_is_not_lost_to_cancellation(self):
+        # the lgamma difference alone summed this mass to 1 + 9.4e-12
+        p = MiningCurveParams(dof=1e4)
+        assert p.positive_mass == pytest.approx(float(stdtr(1e4, 3.0)), abs=1e-13)
 
 
 class TestNarrowPeakFarFromZero:

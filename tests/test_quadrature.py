@@ -11,7 +11,7 @@ from numpy.polynomial import polynomial as P
 from scipy.special import stdtr, stdtrit
 
 from equimine import mining, stats
-from equimine.errors import QuadratureError
+from equimine.errors import QuadratureError, ValidationError
 from equimine.quadrature import integrate
 
 ORACLE = settings(max_examples=60, derandomize=True, database=None, deadline=None)
@@ -89,9 +89,14 @@ def upper_mass(dof, x):
     return float(stdtr(dof, -x))
 
 
+def log_uniform(lo, hi):
+    """dof (or df) from 10**lo to 10**hi, log-uniformly."""
+    return st.floats(lo, hi).map(lambda e: 10.0 ** e)
+
+
 @st.composite
-def curves_and_windows(draw):
-    dof = draw(st.floats(mining.MIN_DOF, 100.0))
+def curves_and_windows(draw, dofs=st.floats(mining.MIN_DOF, 100.0)):
+    dof = draw(dofs)
     location = draw(st.floats(-5.0, 60.0))
     scale = draw(st.floats(0.1, 40.0))
     t1 = draw(st.floats(0.0, 100.0))
@@ -99,12 +104,14 @@ def curves_and_windows(draw):
     return dof, location, scale, t1, t2
 
 
-@ORACLE
-@given(curves_and_windows())
-def test_mass_and_income_match_closed_form_t_cdf(case):
+def assert_matches_closed_form_t_cdf(case):
     dof, location, scale, t1, t2 = case
-    params = mining.MiningCurveParams(dof=dof, location=location, scale=scale, total_value=1.0)
     mass = upper_mass(dof, -location / scale)
+    if mass == 0.0:  # below the smallest float: there is no curve to renormalise
+        with pytest.raises(ValidationError, match="positive_mass"):
+            mining.MiningCurveParams(dof=dof, location=location, scale=scale)
+        return
+    params = mining.MiningCurveParams(dof=dof, location=location, scale=scale, total_value=1.0)
     assert params.positive_mass == pytest.approx(mass, abs=1e-10)
     x1, x2 = (t1 - location) / scale, (t2 - location) / scale
     if x1 > 0:  # both edges right of the peak: difference of upper tails
@@ -113,6 +120,18 @@ def test_mass_and_income_match_closed_form_t_cdf(case):
         window_mass = float(stdtr(dof, x2) - stdtr(dof, x1))
     fraction = mining.income(mining.RevenueWindow(t1, t2), params)
     assert fraction == pytest.approx(window_mass / mass, abs=1e-8)
+
+
+@ORACLE
+@given(curves_and_windows())
+def test_mass_and_income_match_closed_form_t_cdf(case):
+    assert_matches_closed_form_t_cdf(case)
+
+
+@ORACLE
+@given(curves_and_windows(log_uniform(2.0, 8.0)))
+def test_large_dof_mass_and_income_match_closed_form_t_cdf(case):
+    assert_matches_closed_form_t_cdf(case)
 
 
 @pytest.mark.parametrize("dof", [mining.MIN_DOF, 0.1, 0.2, 0.3])
@@ -127,5 +146,12 @@ def test_heavy_tails_match_closed_form_t_cdf(dof):
 @ORACLE
 @given(st.floats(1.0, 100.0), st.floats(1e-4, 0.5))
 def test_t_upper_critical_matches_closed_form_quantile(df, tail):
+    assert stats.t_upper_critical(df, tail) == pytest.approx(
+        float(stdtrit(df, 1 - tail)), abs=1e-8)
+
+
+@ORACLE
+@given(log_uniform(2.0, 6.0), st.floats(1e-4, 0.5))
+def test_t_upper_critical_matches_closed_form_quantile_at_large_df(df, tail):
     assert stats.t_upper_critical(df, tail) == pytest.approx(
         float(stdtrit(df, 1 - tail)), abs=1e-8)

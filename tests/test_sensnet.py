@@ -87,7 +87,6 @@ class TestBackward:
         assert bt.loss == 0.0
         for g in bt.weight_grads:
             assert np.all(g == 0.0)
-        assert np.all(bt.input_delta == 0.0)
 
     def test_one_one_network_hand_case(self):
         # a = 0.5, y = 0, z = 0: delta = (0.5 - 0) * 0.25 = 0.125
@@ -231,22 +230,6 @@ class TestSensitivitySweep:
                                       points=3)
             assert sweep.sensitivities[0] > sweep.sensitivities[1:].max()
 
-    def test_constant_target_input_deltas_vanish(self):
-        # At the converged zero-gradient fixed point the backpropagated loss
-        # gradient at the input layer goes to zero.
-        rng = np.random.default_rng(0)
-        x = rng.uniform(0, 1, (30, 7))
-        x_std, _, _ = sensnet.standardize_columns(x)
-        y = np.full(30, 0.5)
-        params, losses = train(x_std, y, LayerSpec((7, 16, 1)),
-                               TrainConfig(learning_rate=0.5, epochs=8000, seed=1))
-        deltas = np.array([
-            np.abs(backward(forward(row, params), np.array([0.5]), params).input_delta)
-            for row in x_std
-        ])
-        assert losses[-1] < 1e-5
-        assert deltas.mean(axis=0).max() < 1e-3
-
     def test_needs_ten_samples(self, rng):
         with pytest.raises(ValidationError):
             sensitivity_sweep(rng.uniform(size=(5, 7)), np.zeros(5))
@@ -318,8 +301,6 @@ class TestOneNetworkPath:
                                    (batch.deltas[l], [s.deltas[l] for s in singles])):
                     assert got.shape == parts[0].shape
                     assert np.allclose(got, np.mean(parts, axis=0), rtol=1e-12, atol=1e-12)
-            assert np.allclose(batch.input_delta, [s.input_delta for s in singles],
-                               rtol=1e-12, atol=1e-15)
 
 
 def allocating_train(x, y, spec, config):
@@ -362,7 +343,6 @@ class TestOutReuse:
     @staticmethod
     def assert_grads_equal(got, want):
         assert got.loss == want.loss
-        assert np.array_equal(got.input_delta, want.input_delta)
         for g, w in zip(got.deltas + got.weight_grads, want.deltas + want.weight_grads):
             assert np.array_equal(g, w)
 

@@ -147,13 +147,3 @@ class TestClassifyStrength:
     def test_validation(self):
         with pytest.raises(ValidationError):
             stats.classify_strength(1.01)
-
-
-class TestCorrelationTest:
-    def test_composes(self, rng):
-        x = rng.normal(size=20)
-        y = 0.8 * x + rng.normal(size=20) * 0.2
-        result = stats.correlation_test(x, y)
-        assert result.r == pytest.approx(stats.pearson(x, y))
-        assert result.n == 20
-        assert result.strength in ("strong", "moderate", "weak", "negligible")
