@@ -8,6 +8,7 @@ import numpy as np
 from .errors import ValidationError
 
 ALLOC_MODES = ("conserve", "paper-literal")
+DEFAULT_ALLOC_MODE = "conserve"
 
 
 @dataclass
@@ -20,8 +21,8 @@ class PovertyPolicy:
     def __post_init__(self):
         if self.bottom_count < 1:
             raise ValidationError("bottom_count must be positive")
-        if self.multiplier < 1:
-            raise ValidationError("multiplier must be >= 1")
+        if not 1 <= self.multiplier < math.inf:
+            raise ValidationError("multiplier must be finite and >= 1")
 
 
 @dataclass
@@ -65,7 +66,8 @@ def poverty_multipliers(gdp: dict, policy: PovertyPolicy = None) -> dict:
     return {c: (policy.multiplier if c in poorest else 1.0) for c in labels}
 
 
-def allocate(total_profit: float, scores: dict, gammas: dict, mode: str = "conserve") -> AllocationResult:
+def allocate(total_profit: float, scores: dict, gammas: dict,
+             mode: str = DEFAULT_ALLOC_MODE) -> AllocationResult:
     """Allocate total_profit across countries.
 
     raw_share_k = gamma_k * total_profit * score_k / sum(scores); those raw

@@ -16,6 +16,7 @@ from . import io, pipeline
 from .allocation import ALLOC_MODES, PovertyPolicy
 from .errors import PipelineError
 from .mining import INCOME_MODES
+from .stats import DEFAULT_ALPHA
 
 
 @click.group()
@@ -61,7 +62,7 @@ ALLOC_MODE = click.option("--alloc-mode", type=click.Choice(ALLOC_MODES),
                           default=pipeline.RunConfig.alloc_mode)
 MULTIPLIER = click.option("--multiplier", type=float, default=PovertyPolicy.multiplier,
                           show_default=True)
-ALPHA = click.option("--alpha", type=float, default=0.05, show_default=True)
+ALPHA = click.option("--alpha", type=float, default=DEFAULT_ALPHA, show_default=True)
 SEED = click.option("--seed", type=int, default=None, help="Override the training seed.")
 
 

@@ -16,8 +16,8 @@ import numpy as np
 from .equity import IndicatorVector
 from .errors import ParseError, ValidationError
 from .mcda import PairwiseMatrix
-from .mining import (DEFAULT_DOF, DEFAULT_LOCATION, DEFAULT_SCALE, DEFAULT_TOTAL_VALUE,
-                     INCOME_MODES, MiningCurveParams, RevenueWindow)
+from .mining import (DEFAULT_DOF, DEFAULT_INCOME_MODE, DEFAULT_LOCATION, DEFAULT_SCALE,
+                     DEFAULT_TOTAL_VALUE, INCOME_MODES, MiningCurveParams, RevenueWindow)
 from .sensnet import DEFAULT_LAYER_SIZES, LayerSpec, TrainConfig
 from .topsis import DecisionMatrix, IndicatorKind
 
@@ -176,6 +176,15 @@ def read_json_object(path, what: str) -> dict:
     return raw
 
 
+def json_int(value) -> int:
+    """A JSON integer: an int that is not a bool, or a float with no fractional part."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{value!r} is not an integer")
+    return value
+
+
 def json_field(raw: dict, what: str, key: str, default, convert):
     """raw[key] (or default) passed through convert; a failure is a ParseError."""
     value = raw.get(key, default)
@@ -205,7 +214,7 @@ def load_scenario(path):
     t2 = raw.get("t2", "inf")
     t2 = math.inf if t2 in ("inf", None) else number("t2", None)
     window = RevenueWindow(t1=number("t1", 0.0), t2=t2, cost=number("cost", RevenueWindow.cost))
-    mode = raw.get("mode", "cumulative")
+    mode = raw.get("mode", DEFAULT_INCOME_MODE)
     if mode not in INCOME_MODES:
         raise ParseError(f"scenario mode must be one of {', '.join(INCOME_MODES)}, got {mode!r}")
     metadata = {k: v for k, v in raw.items()
@@ -220,11 +229,12 @@ def load_train_config(path):
     def field(key, default, convert):
         return json_field(raw, "train config", key, default, convert)
 
-    spec = LayerSpec(field("layer_sizes", DEFAULT_LAYER_SIZES, lambda v: tuple(int(s) for s in v)))
+    spec = LayerSpec(field("layer_sizes", DEFAULT_LAYER_SIZES,
+                           lambda v: tuple(json_int(s) for s in v)))
     config = TrainConfig(
         learning_rate=field("learning_rate", TrainConfig.learning_rate, float),
-        epochs=field("epochs", TrainConfig.epochs, int),
-        seed=field("seed", TrainConfig.seed, int),
+        epochs=field("epochs", TrainConfig.epochs, json_int),
+        seed=field("seed", TrainConfig.seed, json_int),
     )
     return spec, config
 

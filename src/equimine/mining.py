@@ -24,6 +24,7 @@ DEFAULT_TOTAL_VALUE = 70e12
 MIN_DOF = 0.05
 
 INCOME_MODES = ("cumulative", "paper-literal")
+DEFAULT_INCOME_MODE = "cumulative"
 
 _RATE_QUAD_ABSTOL = 1e-9  # on the rate integral, i.e. 1e-9 * V on income
 # Above this dof the lgamma difference loses about dof * 1e-16 to cancellation
@@ -121,7 +122,8 @@ def extraction_rate(t, params: MiningCurveParams):
     return rate if rate.ndim else float(rate)
 
 
-def income(window: RevenueWindow, params: MiningCurveParams, mode: str = "cumulative") -> float:
+def income(window: RevenueWindow, params: MiningCurveParams,
+           mode: str = DEFAULT_INCOME_MODE) -> float:
     """Income over the window.
 
     "cumulative" integrates rate * V over [t1, t2] by adaptive quadrature

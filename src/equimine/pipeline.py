@@ -56,7 +56,7 @@ class RunConfig:
     train: Path
     decision: Path = None
     income_mode: str = None  # None: the scenario's mode decides
-    alloc_mode: str = "conserve"
+    alloc_mode: str = allocation.DEFAULT_ALLOC_MODE
     alloc_basis: str = "equity"
     bottom_count: int = allocation.PovertyPolicy.bottom_count
     multiplier: float = allocation.PovertyPolicy.multiplier
@@ -110,10 +110,11 @@ def load_run_config(path, **overrides) -> RunConfig:
         alloc_mode=raw.get("alloc_mode", RunConfig.alloc_mode),
         alloc_basis=raw.get("alloc_basis", RunConfig.alloc_basis),
         bottom_count=io.json_field(poverty, "run config poverty", "bottom_count",
-                                   RunConfig.bottom_count, int),
+                                   RunConfig.bottom_count, io.json_int),
         multiplier=io.json_field(poverty, "run config poverty", "multiplier",
                                  RunConfig.multiplier, float),
-        seed=raw.get("seed"),
+        seed=io.json_field(raw, "run config", "seed", None,
+                           lambda v: None if v is None else io.json_int(v)),
     )
     updates = {k: v for k, v in overrides.items() if v is not None}
     if updates:
@@ -298,7 +299,7 @@ def allocation_stage(basis_scores, gdp, total_profit, alloc_mode, bottom_count, 
     }}
 
 
-def correlation_stage(panel, alpha=0.05):
+def correlation_stage(panel, alpha=stats.DEFAULT_ALPHA):
     """Pearson r and t test of each indicator against the scores. Returns reports."""
     x, series = panel.arrays
     per_indicator = []

@@ -7,6 +7,7 @@ perturbation sweep records how much the output moves when individual weights
 are displaced from their trained values.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,7 +23,7 @@ def sigmoid(x, out=None):
 
     exp(-x) overflows for x below about -709 and the result saturates to 0
     cleanly; callers that expect such inputs enter np.errstate(over="ignore")
-    to silence numpy's warning, as `forward` does once per pass.
+    to silence numpy's warning, once per `forward`, `train` or sweep.
     """
     if out is None:
         out = np.empty(np.shape(x))
@@ -48,7 +49,6 @@ class LayerSpec:
 class NetworkParams:
     weights: list  # layer l: array (N_l, N_{l-1})
     biases: list  # layer l: array (N_l,)
-    seed: int = None
 
     def __post_init__(self):
         if len(self.weights) != len(self.biases):
@@ -69,7 +69,7 @@ class NetworkParams:
         for n_in, n_out in zip(spec.sizes, spec.sizes[1:]):
             weights.append(rng.uniform(-INIT_HALF_RANGE, INIT_HALF_RANGE, size=(n_out, n_in)))
             biases.append(rng.uniform(-INIT_HALF_RANGE, INIT_HALF_RANGE, size=n_out))
-        return cls(weights=weights, biases=biases, seed=seed)
+        return cls(weights=weights, biases=biases)
 
 
 @dataclass
@@ -105,14 +105,19 @@ def forward(x, params: NetworkParams, out: ForwardTrace = None) -> ForwardTrace:
     if out is None or [z.shape for z in out.pre_activations] != shapes:
         out = ForwardTrace(pre_activations=[np.empty(s) for s in shapes],
                            activations=[a] + [np.empty(s) for s in shapes])
-    out.activations[0] = a
     with np.errstate(over="ignore"):
-        for w, b, z, a_next in zip(params.weights, params.biases, out.pre_activations,
-                                   out.activations[1:]):
-            np.matmul(a, w.T, out=z)
-            z += b
-            a = sigmoid(z, out=a_next)
-    return out
+        return _forward(a, params, out)
+
+
+def _forward(a, params: NetworkParams, trace: ForwardTrace) -> ForwardTrace:
+    """forward's arithmetic, into a trace sized for `a`, under the caller's errstate."""
+    trace.activations[0] = a
+    for w, b, z, a_next in zip(params.weights, params.biases, trace.pre_activations,
+                               trace.activations[1:]):
+        np.matmul(a, w.T, out=z)
+        z += b
+        a = sigmoid(z, out=a_next)
+    return trace
 
 
 def backward(trace: ForwardTrace, target, params: NetworkParams,
@@ -122,7 +127,7 @@ def backward(trace: ForwardTrace, target, params: NetworkParams,
     Output layer: delta = (a - y) * sigma'(z). Hidden layers: delta =
     (delta_next @ W_next) * sigma'(z), with sigma'(z) = a * (1 - a). Weight
     gradient: delta^T a_prev. For a batch, gradients and loss are means over
-    the rows; for one vector they are that sample's.
+    the rows; one vector is taken as a batch of one row.
 
     A result passed as `out` from a call on a trace of the same shape is
     overwritten and returned; one of any other shape is left untouched.
@@ -133,35 +138,38 @@ def backward(trace: ForwardTrace, target, params: NetworkParams,
         raise ValidationError(f"target shape {y.shape} does not match output {a_out.shape}")
     if len(trace.pre_activations) != len(params.weights):
         raise ValidationError("trace depth does not match params")
-
-    depth = len(params.weights)
-    samples = a_out.size // a_out.shape[-1]  # 1 for one vector
-    shapes = ([z.shape for z in trace.pre_activations]
-              + [a.shape for a in trace.activations[1:-1]] + [a_out.shape])
+    acts = [np.atleast_2d(a) for a in trace.activations]  # a vector is a one-row batch
+    shapes = [a.shape for a in acts[1:]] * 2
     if out is None or [b.shape for b in out.work] != shapes:
         out = BackwardTrace(deltas=[np.empty(w.shape[0]) for w in params.weights],
                             weight_grads=[np.empty(w.shape) for w in params.weights],
                             loss=None, work=[np.empty(s) for s in shapes])
-    sample_deltas, backs, err = out.work[:depth], out.work[depth:-1], out.work[-1]
+    return _backward(acts, np.atleast_2d(y), params, out)
 
-    np.subtract(a_out, y, out=err)
-    delta = np.subtract(1.0, a_out, out=sample_deltas[-1])
-    delta *= a_out
-    delta *= err
-    np.multiply(err, err, out=err)
-    out.loss = 0.5 * float(err.sum()) / samples
+
+def _backward(acts: list, y, params: NetworkParams, grads: BackwardTrace) -> BackwardTrace:
+    """backward's arithmetic on a batch's activations, into buffers sized for
+    them. A column mean is add.reduce then a division by the row count, as
+    ndarray.mean does it; delta @ W with a one-row W is a broadcast multiply,
+    bit-equal since each entry is one product."""
+    depth = len(params.weights)
+    samples = len(y)
+    sample_deltas, backs = grads.work[:depth], grads.work[depth:]
+    back = np.subtract(acts[-1], y, out=backs[-1])  # the output error
     for l in range(depth - 1, -1, -1):
-        a = trace.activations[l]
-        delta_rows = np.atleast_2d(delta)
-        delta_rows.mean(axis=0, out=out.deltas[l])
-        np.matmul(delta_rows.T, np.atleast_2d(a), out=out.weight_grads[l])
-        out.weight_grads[l] /= samples
+        delta = np.subtract(1.0, acts[l + 1], out=sample_deltas[l])
+        delta *= acts[l + 1]
+        delta *= back
+        np.add.reduce(delta, axis=0, out=grads.deltas[l])
+        grads.deltas[l] /= samples
+        np.matmul(delta.T, acts[l], out=grads.weight_grads[l])
+        grads.weight_grads[l] /= samples
         if l > 0:
-            back = np.matmul(delta, params.weights[l], out=backs[l - 1])
-            delta = np.subtract(1.0, a, out=sample_deltas[l - 1])
-            delta *= a
-            delta *= back
-    return out
+            w = params.weights[l]
+            back = (np.multiply if len(w) == 1 else np.matmul)(delta, w, out=backs[l - 1])
+    err = np.multiply(backs[-1], backs[-1], out=backs[-1])
+    grads.loss = 0.5 * float(np.add.reduce(err, axis=None)) / samples
+    return grads
 
 
 def output_input_gradient(trace: ForwardTrace, params: NetworkParams) -> np.ndarray:
@@ -184,8 +192,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValidationError("learning_rate must be positive")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValidationError("learning_rate must be positive and finite")
         if self.epochs < 1:
             raise ValidationError("epochs must be >= 1")
         if self.seed < 0:
@@ -193,7 +201,9 @@ class TrainConfig:
 
 
 def train(inputs, targets, spec: LayerSpec, config: TrainConfig):
-    """Full-batch gradient descent on the mean quadratic loss.
+    """Full-batch gradient descent on the mean quadratic loss. The first pass
+    through `forward` and `backward` checks the data and allocates every buffer;
+    later epochs run the kernels into them and update parameters in place.
 
     Returns (trained NetworkParams, per-epoch loss list). Raises
     TrainingError with the epoch index if the loss stops being finite.
@@ -202,33 +212,30 @@ def train(inputs, targets, spec: LayerSpec, config: TrainConfig):
     y = np.asarray(targets, dtype=float)
     if y.ndim == 1:
         y = y[:, None]
-    n_samples = x.shape[0]
-    if x.shape != (n_samples, spec.sizes[0]) or y.shape != (n_samples, spec.sizes[-1]):
-        raise ValidationError("data shapes do not match the layer spec")
-
     params = NetworkParams.initialize(spec, seed=config.seed)
+    trace = forward(x, params)
+    grads = backward(trace, y, params)
+    pairs = list(zip(params.weights + params.biases, grads.weight_grads + grads.deltas))
+    lr = config.learning_rate
     losses = []
-    trace = grads = None
-    for epoch in range(config.epochs):
-        trace = forward(x, params, out=trace)
-        grads = backward(trace, y, params, out=grads)
-        if not np.isfinite(grads.loss):
-            raise TrainingError("training loss diverged", epoch)
-        losses.append(grads.loss)
-        for l, (w_grad, b_grad) in enumerate(zip(grads.weight_grads, grads.deltas)):
-            params.weights[l] = params.weights[l] - config.learning_rate * w_grad
-            params.biases[l] = params.biases[l] - config.learning_rate * b_grad
+    with np.errstate(over="ignore"):
+        for epoch in range(config.epochs):
+            if epoch:
+                _backward(_forward(x, params, trace).activations, y, params, grads)
+            if not math.isfinite(grads.loss):
+                raise TrainingError("training loss diverged", epoch)
+            losses.append(grads.loss)
+            for p, g in pairs:  # the gradient buffer holds the step; the next pass rewrites it
+                p -= np.multiply(g, lr, out=g)
     return params, losses
 
 
 def input_sensitivities(inputs, params: NetworkParams) -> np.ndarray:
     """Mean absolute output gradient per input component, over all samples."""
     x = np.asarray(inputs, dtype=float)
-    grads = np.empty_like(x)
-    trace = None
-    for i in range(x.shape[0]):
-        trace = forward(x[i], params, out=trace)
-        grads[i] = output_input_gradient(trace, params)
+    trace = forward(x[0], params)
+    with np.errstate(over="ignore"):
+        grads = [output_input_gradient(_forward(row, params, trace), params) for row in x]
     return np.abs(grads).mean(axis=0)
 
 
@@ -239,10 +246,7 @@ class SweepResult:
     final_loss: float
     perturbation_rows: list  # (weight_id, weight_value, mean_output)
     variations: dict  # weight_id -> relative output variation over its sweep
-    max_variation: float = field(init=False)
-
-    def __post_init__(self):
-        self.max_variation = max(self.variations.values()) if self.variations else 0.0
+    max_variation: float
 
 
 def standardize_columns(x):
@@ -269,17 +273,15 @@ def perturbation_sweep(params: NetworkParams, inputs, span: float = 0.1, points:
         raise TrainingError("trained network output is saturated at 0; relative weight "
                             "variation is undefined")
     rows, variations = [], {}
-    for l, w in enumerate(params.weights):
-        for j in range(w.shape[0]):
-            for k in range(w.shape[1]):
+    with np.errstate(over="ignore"):
+        for l, w in enumerate(params.weights):
+            for (j, k), center in np.ndenumerate(w):
                 weight_id = f"w{l + 1}[{j},{k}]"
-                center = w[j, k]
                 half = abs(center) * span if center != 0 else span
                 outputs = []
                 for value in np.linspace(center - half, center + half, points):
                     w[j, k] = value
-                    trace = forward(x, params, out=trace)
-                    out = float(trace.activations[-1].mean())
+                    out = float(_forward(x, params, trace).activations[-1].mean())
                     outputs.append(out)
                     rows.append((weight_id, float(value), out))
                 w[j, k] = center
@@ -314,4 +316,5 @@ def sensitivity_sweep(inputs, targets, spec: LayerSpec = None, config: TrainConf
         final_loss=losses[-1],
         perturbation_rows=rows,
         variations=variations,
+        max_variation=max(variations.values(), default=0.0),
     )

@@ -12,6 +12,7 @@ from .quadrature import integrate
 
 # |r| bins for the strength label; conventional, carried as shipped defaults.
 STRENGTH_THRESHOLDS = ((0.8, "strong"), (0.5, "moderate"), (0.3, "weak"))
+DEFAULT_ALPHA = 0.05  # two-sided significance level of the correlation t test
 
 _CDF_QUAD_TOL = 1e-10
 _ROOT_XTOL, _ROOT_RTOL, _ROOT_MAXITER = 1e-10, 1e-12, 100  # brentq's stop rule and cap
@@ -84,7 +85,7 @@ def t_upper_critical(df: float, tail: float) -> float:
     raise ConvergenceError(f"t critical value for df {df}, tail {tail}", _ROOT_MAXITER)
 
 
-def t_test(r: float, n: int, alpha: float = 0.05) -> CorrelationResult:
+def t_test(r: float, n: int, alpha: float = DEFAULT_ALPHA) -> CorrelationResult:
     """Two-sided significance test of a correlation coefficient.
 
     t = |r| / sqrt((1 - r^2) / (n - 2)) with n - 2 degrees of freedom,

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,11 @@ class TestPovertyMultipliers:
             poverty_multipliers({"a": float("nan")}, PovertyPolicy(bottom_count=1))
         with pytest.raises(ValidationError):
             PovertyPolicy(multiplier=0.9)
+
+    @pytest.mark.parametrize("multiplier", [math.nan, math.inf, -math.inf])
+    def test_non_finite_multiplier_rejected(self, multiplier):
+        with pytest.raises(ValidationError, match="multiplier"):
+            PovertyPolicy(multiplier=multiplier)
 
 
 class TestAllocate:

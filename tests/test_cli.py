@@ -356,8 +356,12 @@ def test_topsis_subcommand_matches_report_with_decision(runner, tmp_path):
      '{"learning_rate": 1e308, "epochs": 3}', "sensitivity"),
     (["simulate", "--scenario"], '{"dof": 1e308}', "mining"),
     (["simulate", "--scenario"], '{"dof": 0.01}', "mining"),
+    (["sensitivity", "--indicators", INDICATORS, "--train"], '{"epochs": 2.5}', "sensitivity"),
+    (["sensitivity", "--indicators", INDICATORS, "--train"], '{"epochs": true}', "sensitivity"),
+    (["sensitivity", "--indicators", INDICATORS, "--train"], '{"layer_sizes": [7, 16.9, 1]}',
+     "sensitivity"),
 ], ids=["scenario", "train-config", "run-config", "negative-seed", "saturated-network",
-        "huge-dof", "tiny-dof"])
+        "huge-dof", "tiny-dof", "fractional-epochs", "boolean-epochs", "fractional-width"])
 def test_malformed_json_input_prints_error_json(runner, tmp_path, args, text, stage):
     bad = tmp_path / "bad.json"
     bad.write_text(text)
@@ -381,3 +385,23 @@ def test_malformed_csv_input_prints_error_json(runner, tmp_path, args, content, 
     assert result.exit_code == 1
     error = json.loads(result.output)["error"]
     assert error["stage"] == stage
+
+
+@pytest.mark.parametrize("command, value", [
+    ("allocate", "nan"), ("allocate", "inf"), ("sensitivity", "NaN"), ("sensitivity", "Infinity"),
+], ids=["nan-multiplier", "inf-multiplier", "nan-learning-rate", "inf-learning-rate"])
+def test_non_finite_policy_and_training_numbers_are_rejected(runner, tmp_path, command, value):
+    if command == "allocate":
+        stage, field = "allocation", "multiplier"
+        args = ["allocate", "--indicators", INDICATORS, "--gdp", str(sample_path("gdp.csv")),
+                "--scenario", str(sample_path("scenario.json")), "--bottom-count", "2",
+                "--multiplier", value]
+    else:
+        stage, field = "sensitivity", "learning_rate"
+        (tmp_path / "train.json").write_text(f'{{"learning_rate": {value}}}')
+        args = ["sensitivity", "--indicators", INDICATORS, "--train", str(tmp_path / "train.json")]
+    result = runner.invoke(main, args + ["--out", str(tmp_path / "out")])
+    assert result.exit_code == 1
+    error = json.loads(result.output)["error"]
+    assert error["stage"] == stage and field in error["message"]
+    assert not (tmp_path / "out").exists()

@@ -158,6 +158,13 @@ class TestTrainConfigFile:
         assert config.epochs == 5000
         assert config.seed == 0
 
+    def test_integral_floats_are_integers(self, tmp_path):
+        path = tmp_path / "train.json"
+        path.write_text('{"epochs": 12.0, "seed": 3, "layer_sizes": [7, 4.0, 1]}')
+        spec, config = io.load_train_config(path)
+        assert (config.epochs, config.seed, spec.sizes) == (12, 3, (7, 4, 1))
+        assert all(type(v) is int for v in (config.epochs, config.seed, *spec.sizes))
+
 
 PATHS = '"indicators": "a", "pairwise": "a", "gdp": "a", "scenario": "a", "train": "a"'
 
@@ -169,11 +176,20 @@ PATHS = '"indicators": "a", "pairwise": "a", "gdp": "a", "scenario": "a", "train
     (io.load_scenario, '[1, 2]'),
     (io.load_train_config, '{"layer_sizes": [7, "x", 1]}'),
     (io.load_train_config, '{"epochs": "many"}'),
+    (io.load_train_config, '{"epochs": 2.5}'),
+    (io.load_train_config, '{"epochs": true}'),
+    (io.load_train_config, '{"epochs": "12"}'),
+    (io.load_train_config, '{"seed": 1.5}'),
+    (io.load_train_config, '{"layer_sizes": [7, 16.9, 1]}'),
+    (io.load_train_config, '{"layer_sizes": [7, false, 1]}'),
     (io.load_train_config, '"text"'),
     (pipeline.load_run_config, '{"indicators": "a.csv",'),
     (pipeline.load_run_config, '[]'),
     (pipeline.load_run_config, '{' + PATHS + ', "poverty": {"bottom_count": "two"}}'),
     (pipeline.load_run_config, '{' + PATHS + ', "poverty": [2]}'),
+    (pipeline.load_run_config, '{' + PATHS + ', "poverty": {"bottom_count": 2.7}}'),
+    (pipeline.load_run_config, '{' + PATHS + ', "seed": 2.5}'),
+    (pipeline.load_run_config, '{' + PATHS + ', "seed": "3"}'),
     (pipeline.load_run_config, '{' + PATHS.replace('"a"', '7', 1) + '}'),
 ])
 def test_malformed_json_input_is_parse_error(tmp_path, loader, text):

@@ -1,5 +1,6 @@
 """Layout rules for the package source."""
 
+import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "equimine"
@@ -14,3 +15,26 @@ def test_only_io_applies_the_json_number_rule():
 
 def test_sensnet_stays_within_its_line_budget():
     assert len((SRC / "sensnet.py").read_text(encoding="utf-8").splitlines()) <= 320
+
+
+# The one network path: only these functions of sensnet.py run a sigmoid or a
+# matrix product, so training, the sweep and the input gradients share them.
+NETWORK_FUNCTIONS = {"_forward", "_backward", "output_input_gradient"}
+
+
+def _network_ops(tree) -> set:
+    """Calls to or uses of sigmoid, np.matmul and the @ operator under `tree`."""
+    return {node for node in ast.walk(tree)
+            if (isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult))
+            or (isinstance(node, ast.Attribute) and node.attr == "matmul")
+            or (isinstance(node, ast.Name) and node.id == "sigmoid")}
+
+
+def test_only_the_network_kernels_run_the_network():
+    tree = ast.parse((SRC / "sensnet.py").read_text(encoding="utf-8"))
+    kernels = [f for f in ast.walk(tree)
+               if isinstance(f, ast.FunctionDef) and f.name in NETWORK_FUNCTIONS]
+    assert sorted(f.name for f in kernels) == sorted(NETWORK_FUNCTIONS)
+    assert all(_network_ops(f) for f in kernels)
+    allowed = set().union(*map(_network_ops, kernels))
+    assert sorted(node.lineno for node in _network_ops(tree) - allowed) == []

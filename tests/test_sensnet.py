@@ -380,11 +380,15 @@ class TestOutReuse:
         for a, b in zip(other_grads.work + other_grads.weight_grads, kept_grads):
             assert np.array_equal(a, b)
 
-    def test_train_is_bit_equal_to_allocating_loop(self):
+    # (7, 1) has no hidden layer; (7, 4, 1, 3, 1) backpropagates through a one-row W
+    # inside the network, where backward uses a broadcast multiply for delta @ W
+    @pytest.mark.parametrize("sizes", [(7, 16, 1), (7, 1), (7, 4, 1, 3, 1)],
+                             ids=["7-16-1", "7-1", "7-4-1-3-1"])
+    def test_train_is_bit_equal_to_allocating_loop(self, sizes):
         rng = np.random.default_rng(77)
         x = rng.uniform(-1, 1, (500, 7))
         y = rng.uniform(0.1, 0.9, (500, 1))
-        spec, config = LayerSpec((7, 16, 1)), TrainConfig(learning_rate=0.5, epochs=300, seed=4)
+        spec, config = LayerSpec(sizes), TrainConfig(learning_rate=0.5, epochs=300, seed=4)
         params, losses = train(x, y, spec, config)
         want_params, want_losses = allocating_train(x, y, spec, config)
         assert losses == want_losses
@@ -410,3 +414,31 @@ class TestOutReuse:
         finally:
             tracemalloc.stop()
         assert peak - start < samples * 16 * 8
+
+    def test_train_allocates_nothing_per_epoch(self):
+        rng = np.random.default_rng(3)
+        samples = 2000
+        x = rng.uniform(-1, 1, (samples, 7))
+        y = rng.uniform(0.1, 0.9, (samples, 1))
+        spec = LayerSpec((7, 16, 1))
+
+        def peak_rise(run):
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                run()
+                return tracemalloc.get_traced_memory()[1] - start
+            finally:
+                tracemalloc.stop()
+
+        params = NetworkParams.initialize(spec, seed=0)
+        trace = forward(x, params)
+        grads = backward(trace, y, params)
+        buffers = sum(a.nbytes for a in trace.pre_activations + trace.activations[1:]
+                      + grads.work + grads.weight_grads + grads.deltas)
+        peaks = {epochs: peak_rise(lambda: train(x, y, spec, TrainConfig(epochs=epochs)))
+                 for epochs in (5, 50)}
+        # more epochs hold no more memory, and no epoch needs more than the
+        # buffers the first, checked pass allocates
+        assert peaks[50] - peaks[5] < samples * 16 * 8
+        assert peaks[5] - buffers < samples * 16 * 8
