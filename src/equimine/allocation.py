@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, as_integer
 
 ALLOC_MODES = ("conserve", "paper-literal")
 DEFAULT_ALLOC_MODE = "conserve"
@@ -19,6 +19,7 @@ class PovertyPolicy:
     multiplier: float = 1.2
 
     def __post_init__(self):
+        self.bottom_count = as_integer(self.bottom_count, "bottom_count")
         if self.bottom_count < 1:
             raise ValidationError("bottom_count must be positive")
         if not 1 <= self.multiplier < math.inf:

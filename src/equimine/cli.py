@@ -29,11 +29,10 @@ def main():
 
 
 @contextmanager
-def _errors_as_json(stage):
-    """Print any toolkit error raised inside as the error JSON and exit 1."""
+def _errors_as_json():
+    """Print any stage's error raised inside as the error JSON and exit 1."""
     try:
-        with pipeline._stage(stage):
-            yield
+        yield
     except PipelineError as exc:
         click.echo(json.dumps({"error": {"stage": exc.stage, "message": exc.message,
                                          **exc.detail}}, indent=2))
@@ -71,7 +70,7 @@ def _stage_command(stage, *options):
     `stage`'s error handling; its reports are written under a digest of its flags."""
     def register(body):
         def command(out, **flags):
-            with _errors_as_json(stage):
+            with _errors_as_json(), pipeline._stage(stage):
                 reports = body(**flags)
             written = pipeline.write_reports(out, io.config_digest(flags), reports)
             click.echo("wrote " + ", ".join(str(p) for p in written.values()))
@@ -144,8 +143,10 @@ def sensitivity(indicators, train_path, pairwise, seed):
 @SEED
 def report(config_path, out, **overrides):
     """Run the full pipeline and write every report artifact."""
-    with _errors_as_json("config"):
-        written = pipeline.run_pipeline(pipeline.load_run_config(config_path, **overrides), out)
+    with _errors_as_json():
+        with pipeline._stage("config"):
+            config = pipeline.load_run_config(config_path, **overrides)
+        written = pipeline.run_pipeline(config, out)
     click.echo(f"wrote {len(written)} artifacts to {out}")
 
 

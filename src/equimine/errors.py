@@ -1,4 +1,7 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the integer rule its
+loaders and parameter classes share."""
+
+import numbers
 
 
 class EquimineError(Exception):
@@ -71,3 +74,13 @@ class PipelineError(EquimineError):
         self.stage = stage
         self.message = message
         self.detail = dict(detail or {})
+
+
+def as_integer(value, what="value") -> int:
+    """`value` as an int: an int or numpy integer that is not a bool, or a float
+    with no fractional part. Anything else raises ValidationError naming `what`."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValidationError(f"{what} must be an integer, got {value!r}")
+    return int(value)

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .equity import IndicatorVector
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ValidationError, as_integer
 from .mcda import PairwiseMatrix
 from .mining import (DEFAULT_DOF, DEFAULT_INCOME_MODE, DEFAULT_LOCATION, DEFAULT_SCALE,
                      DEFAULT_TOTAL_VALUE, INCOME_MODES, MiningCurveParams, RevenueWindow)
@@ -176,15 +176,6 @@ def read_json_object(path, what: str) -> dict:
     return raw
 
 
-def json_int(value) -> int:
-    """A JSON integer: an int that is not a bool, or a float with no fractional part."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{value!r} is not an integer")
-    return value
-
-
 def json_field(raw: dict, what: str, key: str, default, convert):
     """raw[key] (or default) passed through convert; a failure is a ParseError."""
     value = raw.get(key, default)
@@ -230,11 +221,11 @@ def load_train_config(path):
         return json_field(raw, "train config", key, default, convert)
 
     spec = LayerSpec(field("layer_sizes", DEFAULT_LAYER_SIZES,
-                           lambda v: tuple(json_int(s) for s in v)))
+                           lambda v: tuple(as_integer(s) for s in v)))
     config = TrainConfig(
         learning_rate=field("learning_rate", TrainConfig.learning_rate, float),
-        epochs=field("epochs", TrainConfig.epochs, json_int),
-        seed=field("seed", TrainConfig.seed, json_int),
+        epochs=field("epochs", TrainConfig.epochs, as_integer),
+        seed=field("seed", TrainConfig.seed, as_integer),
     )
     return spec, config
 

@@ -16,8 +16,12 @@ Shared policies:
 * Income mode: an explicit mode (the --income-mode flag, else the run
   config's `income_mode`), else the scenario's `mode`, which defaults to
   cumulative (`mining_stage`).
+* Stage boundaries: `_stage` names the stage of any toolkit error raised
+  inside it and logs the stage to the `equimine.pipeline` logger.
 """
 
+import logging
+import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
 from functools import cached_property
@@ -26,7 +30,9 @@ from pathlib import Path
 import numpy as np
 
 from . import allocation, equity, io, mcda, mining, sensnet, stats, topsis
-from .errors import EquimineError, ParseError, PipelineError, ValidationError
+from .errors import EquimineError, ParseError, PipelineError, ValidationError, as_integer
+
+log = logging.getLogger(__name__)
 
 VARIATION_BAND = 0.07  # advertised robustness band for the perturbation sweep
 
@@ -110,11 +116,11 @@ def load_run_config(path, **overrides) -> RunConfig:
         alloc_mode=raw.get("alloc_mode", RunConfig.alloc_mode),
         alloc_basis=raw.get("alloc_basis", RunConfig.alloc_basis),
         bottom_count=io.json_field(poverty, "run config poverty", "bottom_count",
-                                   RunConfig.bottom_count, io.json_int),
+                                   RunConfig.bottom_count, as_integer),
         multiplier=io.json_field(poverty, "run config poverty", "multiplier",
                                  RunConfig.multiplier, float),
         seed=io.json_field(raw, "run config", "seed", None,
-                           lambda v: None if v is None else io.json_int(v)),
+                           lambda v: None if v is None else as_integer(v)),
     )
     updates = {k: v for k, v in overrides.items() if v is not None}
     if updates:
@@ -128,13 +134,20 @@ def load_run_config(path, **overrides) -> RunConfig:
 
 @contextmanager
 def _stage(name):
-    """Report any toolkit error raised inside as a PipelineError of stage `name`."""
+    """Run stage `name`: log its start, and its end with its duration, at INFO;
+    log a toolkit error raised inside at ERROR and report it as a PipelineError
+    of that stage."""
+    log.info("stage %s started", name)
+    start = time.perf_counter()
     try:
         yield
-    except PipelineError:
+    except PipelineError as exc:
+        log.error("stage %s failed: %s", name, exc.message)
         raise
     except EquimineError as exc:
+        log.error("stage %s failed: %s", name, exc)
         raise PipelineError(name, str(exc)) from exc
+    log.info("stage %s finished in %.3f s", name, time.perf_counter() - start)
 
 
 def write_reports(out_dir, digest: str, reports: dict) -> dict:

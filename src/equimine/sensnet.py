@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import TrainingError, ValidationError
+from .errors import TrainingError, ValidationError, as_integer
 
 DEFAULT_LAYER_SIZES = (7, 16, 1)
 INIT_HALF_RANGE = 0.5  # weights and biases start uniform in [-0.5, 0.5]
@@ -38,7 +38,7 @@ class LayerSpec:
     sizes: tuple = DEFAULT_LAYER_SIZES
 
     def __post_init__(self):
-        self.sizes = tuple(int(s) for s in self.sizes)
+        self.sizes = tuple(as_integer(s, "layer width") for s in self.sizes)
         if len(self.sizes) < 2:
             raise ValidationError("need at least an input and an output layer")
         if any(s < 1 for s in self.sizes):
@@ -83,6 +83,9 @@ class BackwardTrace:
     deltas: list  # delta^1 .. delta^L, batch means (also the bias gradients)
     weight_grads: list  # batch means
     loss: float  # batch mean
+    # one flat array that weight_grads then deltas view, laid out as `train` packs
+    # the weights then the biases
+    means: np.ndarray = field(default=None, repr=False)
     # per-sample arrays backward(out=...) writes into: delta^1 .. delta^L,
     # the loss gradients at a^1 .. a^(L-1), and the output error
     work: list = field(default_factory=list, repr=False)
@@ -109,14 +112,23 @@ def forward(x, params: NetworkParams, out: ForwardTrace = None) -> ForwardTrace:
         return _forward(a, params, out)
 
 
-def _forward(a, params: NetworkParams, trace: ForwardTrace) -> ForwardTrace:
-    """forward's arithmetic, into a trace sized for `a`, under the caller's errstate."""
+def _forward(a, params: NetworkParams, trace: ForwardTrace, start: int = 0,
+             unit: int = None) -> ForwardTrace:
+    """forward's arithmetic, into a trace sized for `a`, under the caller's errstate.
+
+    With `unit`, layers before `start` are read from the trace, and layer
+    `start` takes its full product (so the column has a full pass's bits) but
+    biases and activates only that unit. The other units then keep unbiased
+    pre-activations: only the weight sweep does this, on a trace private to it.
+    """
     trace.activations[0] = a
-    for w, b, z, a_next in zip(params.weights, params.biases, trace.pre_activations,
-                               trace.activations[1:]):
-        np.matmul(a, w.T, out=z)
+    for l in range(start, len(params.weights)):
+        z, a_next, b = trace.pre_activations[l], trace.activations[l + 1], params.biases[l]
+        np.matmul(trace.activations[l], params.weights[l].T, out=z)
+        if l == start and unit is not None:
+            z, a_next, b = z[..., unit], a_next[..., unit], b[unit]
         z += b
-        a = sigmoid(z, out=a_next)
+        sigmoid(z, out=a_next)
     return trace
 
 
@@ -141,17 +153,18 @@ def backward(trace: ForwardTrace, target, params: NetworkParams,
     acts = [np.atleast_2d(a) for a in trace.activations]  # a vector is a one-row batch
     shapes = [a.shape for a in acts[1:]] * 2
     if out is None or [b.shape for b in out.work] != shapes:
-        out = BackwardTrace(deltas=[np.empty(w.shape[0]) for w in params.weights],
-                            weight_grads=[np.empty(w.shape) for w in params.weights],
-                            loss=None, work=[np.empty(s) for s in shapes])
+        means, views = _packed(params.weights + params.biases)  # _backward overwrites it
+        depth = len(params.weights)
+        out = BackwardTrace(deltas=views[depth:], weight_grads=views[:depth], loss=None,
+                            means=means, work=[np.empty(s) for s in shapes])
     return _backward(acts, np.atleast_2d(y), params, out)
 
 
 def _backward(acts: list, y, params: NetworkParams, grads: BackwardTrace) -> BackwardTrace:
     """backward's arithmetic on a batch's activations, into buffers sized for
-    them. A column mean is add.reduce then a division by the row count, as
-    ndarray.mean does it; delta @ W with a one-row W is a broadcast multiply,
-    bit-equal since each entry is one product."""
+    them. A mean is a sum then a division by the row count, as ndarray.mean
+    does it, and `grads.means` takes them all in one division. delta @ W with
+    a one-row W is an einsum, bit-equal since each entry is one product."""
     depth = len(params.weights)
     samples = len(y)
     sample_deltas, backs = grads.work[:depth], grads.work[depth:]
@@ -160,13 +173,16 @@ def _backward(acts: list, y, params: NetworkParams, grads: BackwardTrace) -> Bac
         delta = np.subtract(1.0, acts[l + 1], out=sample_deltas[l])
         delta *= acts[l + 1]
         delta *= back
-        np.add.reduce(delta, axis=0, out=grads.deltas[l])
-        grads.deltas[l] /= samples
+        if delta.shape[1] > 1:  # einsum adds C-order rows in order, as add.reduce does
+            np.einsum("ij->j", delta, out=grads.deltas[l])
+        else:  # add.reduce sums a contiguous column pairwise, einsum would not
+            np.add.reduce(delta, axis=0, out=grads.deltas[l])
         np.matmul(delta.T, acts[l], out=grads.weight_grads[l])
-        grads.weight_grads[l] /= samples
         if l > 0:
             w = params.weights[l]
-            back = (np.multiply if len(w) == 1 else np.matmul)(delta, w, out=backs[l - 1])
+            back = (np.einsum("ik,kj->ij", delta, w, out=backs[l - 1]) if len(w) == 1
+                    else np.matmul(delta, w, out=backs[l - 1]))
+    grads.means /= samples
     err = np.multiply(backs[-1], backs[-1], out=backs[-1])
     grads.loss = 0.5 * float(np.add.reduce(err, axis=None)) / samples
     return grads
@@ -200,10 +216,18 @@ class TrainConfig:
             raise ValidationError("seed must be >= 0")
 
 
+def _packed(arrays: list):
+    """A flat copy of `arrays` laid end to end, and a view into it shaped like each."""
+    flat = np.concatenate([np.ravel(a) for a in arrays], dtype=float)
+    parts = np.split(flat, np.cumsum([np.size(a) for a in arrays])[:-1])
+    return flat, [part.reshape(np.shape(a)) for part, a in zip(parts, arrays)]
+
+
 def train(inputs, targets, spec: LayerSpec, config: TrainConfig):
     """Full-batch gradient descent on the mean quadratic loss. The first pass
     through `forward` and `backward` checks the data and allocates every buffer;
-    later epochs run the kernels into them and update parameters in place.
+    later epochs run the kernels into them and update the parameters, views into
+    one flat array laid out as the gradient means, in one in-place operation.
 
     Returns (trained NetworkParams, per-epoch loss list). Raises
     TrainingError with the epoch index if the loss stops being finite.
@@ -212,10 +236,12 @@ def train(inputs, targets, spec: LayerSpec, config: TrainConfig):
     y = np.asarray(targets, dtype=float)
     if y.ndim == 1:
         y = y[:, None]
-    params = NetworkParams.initialize(spec, seed=config.seed)
+    initial = NetworkParams.initialize(spec, seed=config.seed)
+    theta, views = _packed(initial.weights + initial.biases)
+    depth = len(initial.weights)
+    params = NetworkParams(weights=views[:depth], biases=views[depth:])
     trace = forward(x, params)
     grads = backward(trace, y, params)
-    pairs = list(zip(params.weights + params.biases, grads.weight_grads + grads.deltas))
     lr = config.learning_rate
     losses = []
     with np.errstate(over="ignore"):
@@ -225,8 +251,7 @@ def train(inputs, targets, spec: LayerSpec, config: TrainConfig):
             if not math.isfinite(grads.loss):
                 raise TrainingError("training loss diverged", epoch)
             losses.append(grads.loss)
-            for p, g in pairs:  # the gradient buffer holds the step; the next pass rewrites it
-                p -= np.multiply(g, lr, out=g)
+            theta -= np.multiply(grads.means, lr, out=grads.means)  # the next pass rewrites it
     return params, losses
 
 
@@ -265,6 +290,9 @@ def perturbation_sweep(params: NetworkParams, inputs, span: float = 0.1, points:
     grid point; the per-weight variation is (max - min) / baseline output.
     Weights exactly at zero sweep the absolute band [-span, span]. Returns
     (rows, variations). Raises TrainingError when the baseline output is 0.
+
+    Moving w[j, k] of layer l changes only unit j there, so each pass recomputes
+    that unit and the layers after it; one more pass per weight puts it back.
     """
     x = np.asarray(inputs, dtype=float)
     trace = forward(x, params)
@@ -281,10 +309,11 @@ def perturbation_sweep(params: NetworkParams, inputs, span: float = 0.1, points:
                 outputs = []
                 for value in np.linspace(center - half, center + half, points):
                     w[j, k] = value
-                    out = float(_forward(x, params, trace).activations[-1].mean())
+                    out = float(_forward(x, params, trace, l, j).activations[-1].mean())
                     outputs.append(out)
                     rows.append((weight_id, float(value), out))
                 w[j, k] = center
+                _forward(x, params, trace, l, j)
                 variations[weight_id] = (max(outputs) - min(outputs)) / abs(baseline)
     return rows, variations
 

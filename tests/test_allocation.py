@@ -38,6 +38,19 @@ class TestPovertyMultipliers:
         with pytest.raises(ValidationError, match="multiplier"):
             PovertyPolicy(multiplier=multiplier)
 
+    @pytest.mark.parametrize("bottom_count", [1.5, True, "2", None])
+    def test_non_integer_bottom_count_rejected(self, bottom_count):
+        with pytest.raises(ValidationError, match="bottom_count"):
+            poverty_multipliers({"a": 1.0, "b": 2.0, "c": 3.0},
+                                PovertyPolicy(bottom_count=bottom_count))
+
+    @pytest.mark.parametrize("bottom_count", [2, np.int64(2), 2.0])
+    def test_integral_bottom_count_accepted(self, bottom_count):
+        policy = PovertyPolicy(bottom_count=bottom_count)
+        assert policy.bottom_count == 2 and type(policy.bottom_count) is int
+        assert poverty_multipliers({"a": 1.0, "b": 2.0, "c": 3.0}, policy) == {
+            "a": 1.2, "b": 1.2, "c": 1.0}
+
 
 class TestAllocate:
     def test_uniform_case(self):

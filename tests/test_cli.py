@@ -1,6 +1,8 @@
 import json
+import logging
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -269,6 +271,39 @@ def test_report_matches_seed_reference(sample_report):
     assert len(names) == 10
     for name in names:
         assert _same_report(sample_report / name, REFERENCE / name), name
+
+
+STAGES = ["consistency", "weights", "equity", "topsis", "mining", "allocation", "correlation",
+          "sensitivity"]
+
+
+def test_info_log_has_one_end_line_per_stage(tmp_path, sample_report):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, "EQUIMINE_LOG": "INFO"}
+    result = subprocess.run([sys.executable, "-m", "equimine.cli", "report", "--config",
+                             str(sample_path("config.json")), "--out", str(tmp_path)],
+                            env=env, capture_output=True, text=True, check=True)
+    ends = [m.group(1) for m in map(
+        re.compile(r"INFO equimine\.pipeline: stage (\w+) finished in \d+\.\d{3} s").fullmatch,
+        result.stderr.splitlines()) if m]
+    assert ends == ["config"] + STAGES
+    # logging leaves the report bytes alone
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(p.name for p in sample_report.iterdir())
+    for report in sample_report.iterdir():
+        assert (tmp_path / report.name).read_bytes() == report.read_bytes(), report.name
+
+
+def test_stage_failure_is_logged_at_error_naming_the_stage(runner, tmp_path, caplog):
+    (tmp_path / "train.json").write_text('{"epochs": true}')
+    with caplog.at_level(logging.INFO, logger="equimine.pipeline"):
+        result = runner.invoke(main, ["sensitivity", "--indicators", INDICATORS, "--train",
+                                      str(tmp_path / "train.json"), "--out", str(tmp_path)])
+    assert result.exit_code == 1
+    logged = [(r.levelname, r.getMessage()) for r in caplog.records]
+    assert logged[0] == ("INFO", "stage sensitivity started")
+    assert logged[1][0] == "ERROR" and logged[1][1].startswith("stage sensitivity failed: ")
+    assert "epochs" in logged[1][1] and len(logged) == 2
 
 
 @pytest.mark.parametrize("args, files", [

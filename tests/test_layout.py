@@ -14,7 +14,7 @@ def test_only_io_applies_the_json_number_rule():
 
 
 def test_sensnet_stays_within_its_line_budget():
-    assert len((SRC / "sensnet.py").read_text(encoding="utf-8").splitlines()) <= 320
+    assert len((SRC / "sensnet.py").read_text(encoding="utf-8").splitlines()) <= 350
 
 
 # The one network path: only these functions of sensnet.py run a sigmoid or a

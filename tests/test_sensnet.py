@@ -1,3 +1,4 @@
+import copy
 import tracemalloc
 
 import numpy as np
@@ -70,6 +71,15 @@ class TestForward:
         params = NetworkParams.initialize(LayerSpec((4, 2)), seed=0)
         with pytest.raises(ValidationError):
             forward(np.zeros(3), params)
+
+    @pytest.mark.parametrize("sizes", [(7, 16.9, 1), (7, True, 1), (7.5, 16, 1), (7, "16", 1)])
+    def test_non_integer_layer_width_rejected(self, sizes):
+        with pytest.raises(ValidationError, match="layer width"):
+            LayerSpec(sizes)
+
+    def test_integral_layer_widths_accepted(self):
+        spec = LayerSpec((7, np.int64(16), 1.0))
+        assert spec.sizes == (7, 16, 1) and all(type(s) is int for s in spec.sizes)
 
     def test_deterministic_initialization(self):
         a = NetworkParams.initialize(LayerSpec((7, 16, 1)), seed=9)
@@ -303,6 +313,24 @@ class TestOneNetworkPath:
                     assert np.allclose(got, np.mean(parts, axis=0), rtol=1e-12, atol=1e-12)
 
 
+def full_pass_sweep(params, x, span=0.1, points=11):
+    """The weight sweep as a public `forward` pass over the whole network at
+    every grid point. Kept as the oracle for `perturbation_sweep`."""
+    baseline = float(forward(x, params).activations[-1].mean())
+    rows, variations = [], {}
+    for l, w in enumerate(params.weights):
+        for (j, k), center in np.ndenumerate(w):
+            half = abs(center) * span if center != 0 else span
+            outputs = []
+            for value in np.linspace(center - half, center + half, points):
+                w[j, k] = value
+                outputs.append(float(forward(x, params).activations[-1].mean()))
+                rows.append((f"w{l + 1}[{j},{k}]", float(value), outputs[-1]))
+            w[j, k] = center
+            variations[f"w{l + 1}[{j},{k}]"] = (max(outputs) - min(outputs)) / abs(baseline)
+    return rows, variations
+
+
 def allocating_train(x, y, spec, config):
     """The training loop as it was before out= reuse: every epoch allocates a
     fresh trace and fresh gradients. Kept as the oracle for `train`."""
@@ -381,19 +409,43 @@ class TestOutReuse:
             assert np.array_equal(a, b)
 
     # (7, 1) has no hidden layer; (7, 4, 1, 3, 1) backpropagates through a one-row W
-    # inside the network, where backward uses a broadcast multiply for delta @ W
-    @pytest.mark.parametrize("sizes", [(7, 16, 1), (7, 1), (7, 4, 1, 3, 1)],
-                             ids=["7-16-1", "7-1", "7-4-1-3-1"])
-    def test_train_is_bit_equal_to_allocating_loop(self, sizes):
+    # inside the network, where backward takes delta @ W through einsum. At 3,000
+    # rows every delta wider than one column, whose column sums einsum takes, is
+    # past numpy's 8,192-element iterator buffer
+    @pytest.mark.parametrize("sizes, rows, epochs", [
+        pytest.param((7, 16, 1), 500, 300, id="7-16-1"),
+        pytest.param((7, 1), 500, 300, id="7-1"),
+        pytest.param((7, 4, 1, 3, 1), 500, 300, id="7-4-1-3-1"),
+        pytest.param((7, 16, 1), 3000, 40, id="7-16-1-3000-rows"),
+        pytest.param((7, 1), 3000, 40, id="7-1-3000-rows"),
+        pytest.param((7, 4, 1, 3, 1), 3000, 40, id="7-4-1-3-1-3000-rows"),
+    ])
+    def test_train_is_bit_equal_to_allocating_loop(self, sizes, rows, epochs):
         rng = np.random.default_rng(77)
-        x = rng.uniform(-1, 1, (500, 7))
-        y = rng.uniform(0.1, 0.9, (500, 1))
-        spec, config = LayerSpec(sizes), TrainConfig(learning_rate=0.5, epochs=300, seed=4)
+        x = rng.uniform(-1, 1, (rows, 7))
+        y = rng.uniform(0.1, 0.9, (rows, 1))
+        spec, config = LayerSpec(sizes), TrainConfig(learning_rate=0.5, epochs=epochs, seed=4)
         params, losses = train(x, y, spec, config)
         want_params, want_losses = allocating_train(x, y, spec, config)
         assert losses == want_losses
         for got, want in zip(params.weights + params.biases,
                              want_params.weights + want_params.biases):
+            assert np.array_equal(got, want)
+
+    # the sweep recomputes only the unit a moved weight feeds; its outputs must
+    # still carry the bits of full passes
+    @pytest.mark.parametrize("sizes", [(7, 16, 1), (7, 1), (7, 4, 1, 3, 1)],
+                             ids=["7-16-1", "7-1", "7-4-1-3-1"])
+    def test_sweep_is_bit_equal_to_full_forward_passes(self, sizes):
+        rng = np.random.default_rng(21)
+        x = rng.uniform(-2, 2, (1200, 7))
+        y = rng.uniform(0.1, 0.9, (1200, 1))
+        params, _ = train(x, y, LayerSpec(sizes), TrainConfig(learning_rate=0.5, epochs=20))
+        params.weights[-1][0, 0] = 0.0  # a zero weight sweeps the absolute band
+        trained = copy.deepcopy(params)
+        rows, variations = perturbation_sweep(params, x)
+        assert (rows, variations) == full_pass_sweep(copy.deepcopy(trained), x)
+        for got, want in zip(params.weights + params.biases, trained.weights + trained.biases):
             assert np.array_equal(got, want)
 
     def test_reused_epochs_allocate_no_per_sample_array(self):
