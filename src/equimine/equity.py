@@ -32,14 +32,21 @@ class IndicatorVector:
         return np.array([self.ei, self.idg, self.cea, self.ma, self.hr, self.er, self.sa])
 
 
-def country_score(v: IndicatorVector, weights=DEFAULT_SCORE_WEIGHTS) -> float:
-    """Weighted sum of the seven indicators."""
+def development_scores(values, weights=DEFAULT_SCORE_WEIGHTS) -> np.ndarray:
+    """Weighted sum of the seven indicators per record: float array (..., 7) -> (...)."""
     if hasattr(weights, "weights"):  # accept a WeightVector
         weights = weights.weights
     w = np.asarray(weights, dtype=float)
     if w.shape != (7,):
         raise ValidationError(f"expected 7 weights, got shape {w.shape}")
-    return float(w @ v.as_array())
+    # one dot product per record, so each score has the bits of w @ record;
+    # values @ w would sum the products in another order
+    return np.matmul(values[..., None, :], w)[..., 0]
+
+
+def country_score(v: IndicatorVector, weights=DEFAULT_SCORE_WEIGHTS) -> float:
+    """Weighted sum of the seven indicators."""
+    return float(development_scores(v.as_array(), weights))
 
 
 def global_equity_index(scores_by_year, countries=None, years=None) -> float:
@@ -57,7 +64,8 @@ def global_equity_index(scores_by_year, countries=None, years=None) -> float:
         One row per year, one column per country; all entries present.
     countries, years : optional labels used in error messages.
     """
-    s = np.asarray(scores_by_year, dtype=float)
+    # C order: numpy sums the rows of a transposed view in another order
+    s = np.ascontiguousarray(scores_by_year, dtype=float)
     if s.ndim != 2:
         raise ValidationError(f"expected a (years x countries) table, got shape {s.shape}")
     t, n = s.shape
@@ -68,15 +76,14 @@ def global_equity_index(scores_by_year, countries=None, years=None) -> float:
     if not np.all(np.isfinite(s)):
         raise ValidationError("scores must be finite")
 
-    total = 0.0
-    for ti in range(t):
-        row = s[ti]
-        loo_mean = (row.sum() - row) / (n - 1)
-        for k in range(n):
-            if loo_mean[k] == 0:
-                country = countries[k] if countries is not None else f"#{k}"
-                year = years[ti] if years is not None else f"#{ti}"
-                raise SingularityError(country, year)
-        ratios = row / loo_mean
-        total += float(((ratios - ratios.mean()) ** 2).sum())
-    return total / (t * n)
+    loo_mean = (s.sum(axis=1, keepdims=True) - s) / (n - 1)
+    zeros = np.argwhere(loo_mean == 0)
+    if zeros.size:
+        ti, k = zeros[0]
+        raise SingularityError(countries[k] if countries is not None else f"#{k}",
+                               years[ti] if years is not None else f"#{ti}")
+    ratios = s / loo_mean
+    per_year = ((ratios - ratios.mean(axis=1, keepdims=True)) ** 2).sum(axis=1)
+    # the year terms are added in year order: a running sum, which Python's
+    # sum() of floats is not from 3.12 on
+    return float(np.cumsum(per_year)[-1]) / (t * n)

@@ -13,7 +13,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .equity import IndicatorVector
 from .errors import ParseError, ValidationError, as_integer
 from .mcda import PairwiseMatrix
 from .mining import (DEFAULT_DOF, DEFAULT_INCOME_MODE, DEFAULT_LOCATION, DEFAULT_SCALE,
@@ -93,37 +92,17 @@ def load_decision_csv(path) -> DecisionMatrix:
 
 @dataclass
 class IndicatorTable:
-    """Validated (country, year) -> IndicatorVector records."""
+    """A complete indicator panel: values[c, t] holds the seven indicators of
+    countries[c] in years[t], countries in file order and years sorted."""
 
-    records: dict
-
-    @property
-    def countries(self) -> list:
-        seen = {}
-        for country, _ in self.records:
-            seen.setdefault(country, None)
-        return list(seen)
-
-    @property
-    def years(self) -> list:
-        return sorted({year for _, year in self.records})
-
-    def require_complete_panel(self):
-        """Every country must have every year; returns (countries, years)."""
-        countries, years = self.countries, self.years
-        missing = [
-            (c, y) for c in countries for y in years if (c, y) not in self.records
-        ]
-        if missing:
-            raise ValidationError(f"indicator table is missing records: {missing[:5]}")
-        return countries, years
-
-    def matrix(self, countries, year) -> np.ndarray:
-        return np.array([self.records[(c, year)].as_array() for c in countries])
+    countries: list
+    years: list
+    values: np.ndarray  # (countries, years, 7)
 
 
 def load_indicator_table(path) -> IndicatorTable:
-    """Read per-(country, year) indicator records, rejecting duplicates."""
+    """Read a complete panel of per-(country, year) indicator records, rejecting
+    duplicates, non-finite cells and missing (country, year) records."""
     rows = _read_rows(path)
     expected = ("country", "year") + INDICATOR_COLUMNS
     if not rows or tuple(c.strip().lower() for c in rows[0]) != expected:
@@ -135,15 +114,23 @@ def load_indicator_table(path) -> IndicatorTable:
         country = row[0].strip()
         try:
             year = int(row[1])
-            vector = IndicatorVector(*[float(c) for c in row[2:]])
-        except (ValueError, ValidationError) as exc:
+            cells = [float(c) for c in row[2:]]
+        except ValueError as exc:
             raise ParseError(str(exc), line=i) from None
+        if not all(map(math.isfinite, cells)):
+            raise ParseError("all seven indicators must be finite", line=i)
         if (country, year) in records:
             raise ValidationError(f"duplicate record for ({country}, {year})")
-        records[(country, year)] = vector
+        records[(country, year)] = cells
     if not records:
         raise ParseError("indicator table has no data rows", line=1)
-    return IndicatorTable(records=records)
+    countries = list(dict.fromkeys(c for c, _ in records))
+    years = sorted({y for _, y in records})
+    missing = [(c, y) for c in countries for y in years if (c, y) not in records]
+    if missing:
+        raise ValidationError(f"indicator table is missing records: {missing[:5]}")
+    values = np.array([[records[(c, y)] for y in years] for c in countries])
+    return IndicatorTable(countries, years, values)
 
 
 def load_gdp_csv(path) -> dict:

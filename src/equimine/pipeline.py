@@ -24,7 +24,6 @@ import logging
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -194,38 +193,27 @@ def matrix_weights(pairwise_path, default=equity.DEFAULT_SCORE_WEIGHTS):
 
 @dataclass
 class Panel:
-    """A complete indicator panel scored under one weight vector.
-
-    `scores` maps (country, year) to the development score, in panel order:
-    countries in file order, then sorted years.
-    """
+    """A complete indicator panel scored under one weight vector: scores[c, t]
+    is the development score of table.countries[c] in table.years[t]."""
 
     table: io.IndicatorTable
-    countries: list
-    years: list
-    scores: dict
+    scores: np.ndarray  # (countries, years)
 
     def latest_scores(self) -> dict:
         """Each country's score in the panel's latest year."""
-        return {c: self.scores[(c, self.years[-1])] for c in self.countries}
+        return dict(zip(self.table.countries, self.scores[:, -1].tolist()))
 
-    @cached_property
-    def arrays(self):
+    @property
+    def records(self):
         """(indicator rows, score series) of every record, in panel order."""
-        x = np.array([self.table.records[k].as_array() for k in self.scores])
-        return x, np.array(list(self.scores.values()))
+        return self.table.values.reshape(-1, 7), self.scores.ravel()
 
 
 def score_panel(table, weights) -> Panel:
     """Score every record of a complete panel with the given weights."""
-    countries, years = table.require_complete_panel()
     if len(weights) != 7:
         raise ValidationError(f"equity scoring needs a 7-criterion matrix, got {len(weights)}")
-    scores = {
-        (c, y): equity.country_score(table.records[(c, y)], weights)
-        for c in countries for y in years
-    }
-    return Panel(table, countries, years, scores)
+    return Panel(table, equity.development_scores(table.values, weights))
 
 
 def load_panel(indicators_path, pairwise_path=None) -> Panel:
@@ -236,16 +224,15 @@ def load_panel(indicators_path, pairwise_path=None) -> Panel:
 
 def equity_stage(panel):
     """Per-country score series and the global equity index. Returns reports."""
-    countries, years, scores = panel.countries, panel.years, panel.scores
-    score_grid = np.array([[scores[(c, y)] for c in countries] for y in years])
-    ge = equity.global_equity_index(score_grid, countries=countries, years=years)
+    countries, years = panel.table.countries, panel.table.years
+    ge = equity.global_equity_index(panel.scores.T, countries=countries, years=years)
     return {"equity.json": {
         "countries": countries,
         "years": years,
         "scores": [
             {"country": c,
-             "series": [{"year": y, "score": scores[(c, y)]} for y in years]}
-            for c in countries
+             "series": [{"year": y, "score": score} for y, score in zip(years, series)]}
+            for c, series in zip(countries, panel.scores.tolist())
         ],
         "global_equity_index": ge,
     }}
@@ -314,7 +301,7 @@ def allocation_stage(basis_scores, gdp, total_profit, alloc_mode, bottom_count, 
 
 def correlation_stage(panel, alpha=stats.DEFAULT_ALPHA):
     """Pearson r and t test of each indicator against the scores. Returns reports."""
-    x, series = panel.arrays
+    x, series = panel.records
     per_indicator = []
     for j, name in enumerate(io.INDICATOR_COLUMNS):
         result = stats.t_test(stats.pearson(np.array(x[:, j]), series), len(series), alpha=alpha)
@@ -337,7 +324,7 @@ def sensitivity_stage(panel, train, seed=None):
     `train` is the (LayerSpec, TrainConfig) pair of a train config; `seed`
     overrides its seed. Returns reports.
     """
-    x, series = panel.arrays
+    x, series = panel.records
     spec, train_config = train
     if seed is not None:
         train_config = replace(train_config, seed=seed)
@@ -399,8 +386,8 @@ def run_pipeline(config: RunConfig, out_dir) -> dict:
         else:
             # Rank countries on their latest-year indicators, AHP-weighted.
             decision = topsis.DecisionMatrix(
-                values=panel.table.matrix(panel.countries, panel.years[-1]),
-                alternative_labels=panel.countries,
+                values=panel.table.values[:, -1],
+                alternative_labels=panel.table.countries,
                 indicator_kinds=[topsis.IndicatorKind.benefit()] * 7,
                 indicator_labels=list(io.INDICATOR_COLUMNS),
             )
@@ -418,7 +405,7 @@ def run_pipeline(config: RunConfig, out_dir) -> dict:
             basis_scores = panel.latest_scores()
         else:
             basis_scores = {row[0]: row[4] for row in rows}
-            if set(basis_scores) != set(panel.countries):
+            if set(basis_scores) != set(panel.table.countries):
                 raise ValidationError(
                     "allocation basis 'topsis' needs the ranking to cover the same countries"
                 )

@@ -86,30 +86,24 @@ class BackwardTrace:
     # one flat array that weight_grads then deltas view, laid out as `train` packs
     # the weights then the biases
     means: np.ndarray = field(default=None, repr=False)
-    # per-sample arrays backward(out=...) writes into: delta^1 .. delta^L,
+    # per-sample arrays _backward writes into: delta^1 .. delta^L,
     # the loss gradients at a^1 .. a^(L-1), and the output error
     work: list = field(default_factory=list, repr=False)
 
 
-def forward(x, params: NetworkParams, out: ForwardTrace = None) -> ForwardTrace:
+def forward(x, params: NetworkParams) -> ForwardTrace:
     """Run the network on one input vector (n_in,) or a batch of rows
-    (samples, n_in), recording z and a per layer.
-
-    A trace passed as `out` from a call on input of the same shape is
-    overwritten and returned, so a loop can run without allocating; a trace
-    of any other shape is left untouched and fresh arrays are returned.
-    """
+    (samples, n_in), recording z and a per layer."""
     a = np.asarray(x, dtype=float)
     n_in = params.weights[0].shape[1]
     if a.ndim not in (1, 2) or a.shape[-1] != n_in:
         raise ValidationError(
             f"expected input of shape ({n_in},) or (samples, {n_in}), got {a.shape}")
     shapes = [a.shape[:-1] + (w.shape[0],) for w in params.weights]
-    if out is None or [z.shape for z in out.pre_activations] != shapes:
-        out = ForwardTrace(pre_activations=[np.empty(s) for s in shapes],
-                           activations=[a] + [np.empty(s) for s in shapes])
+    trace = ForwardTrace(pre_activations=[np.empty(s) for s in shapes],
+                         activations=[a] + [np.empty(s) for s in shapes])
     with np.errstate(over="ignore"):
-        return _forward(a, params, out)
+        return _forward(a, params, trace)
 
 
 def _forward(a, params: NetworkParams, trace: ForwardTrace, start: int = 0,
@@ -132,17 +126,13 @@ def _forward(a, params: NetworkParams, trace: ForwardTrace, start: int = 0,
     return trace
 
 
-def backward(trace: ForwardTrace, target, params: NetworkParams,
-             out: BackwardTrace = None) -> BackwardTrace:
+def backward(trace: ForwardTrace, target, params: NetworkParams) -> BackwardTrace:
     """Backpropagate the quadratic loss C = 0.5 * ||a_out - target||^2.
 
     Output layer: delta = (a - y) * sigma'(z). Hidden layers: delta =
     (delta_next @ W_next) * sigma'(z), with sigma'(z) = a * (1 - a). Weight
     gradient: delta^T a_prev. For a batch, gradients and loss are means over
     the rows; one vector is taken as a batch of one row.
-
-    A result passed as `out` from a call on a trace of the same shape is
-    overwritten and returned; one of any other shape is left untouched.
     """
     y = np.asarray(target, dtype=float)
     a_out = trace.activations[-1]
@@ -151,13 +141,11 @@ def backward(trace: ForwardTrace, target, params: NetworkParams,
     if len(trace.pre_activations) != len(params.weights):
         raise ValidationError("trace depth does not match params")
     acts = [np.atleast_2d(a) for a in trace.activations]  # a vector is a one-row batch
-    shapes = [a.shape for a in acts[1:]] * 2
-    if out is None or [b.shape for b in out.work] != shapes:
-        means, views = _packed(params.weights + params.biases)  # _backward overwrites it
-        depth = len(params.weights)
-        out = BackwardTrace(deltas=views[depth:], weight_grads=views[:depth], loss=None,
-                            means=means, work=[np.empty(s) for s in shapes])
-    return _backward(acts, np.atleast_2d(y), params, out)
+    means, views = _packed(params.weights + params.biases)  # _backward overwrites it
+    depth = len(params.weights)
+    grads = BackwardTrace(deltas=views[depth:], weight_grads=views[:depth], loss=None,
+                          means=means, work=[np.empty(a.shape) for a in acts[1:] * 2])
+    return _backward(acts, np.atleast_2d(y), params, grads)
 
 
 def _backward(acts: list, y, params: NetworkParams, grads: BackwardTrace) -> BackwardTrace:

@@ -43,7 +43,11 @@ class IndicatorKind:
         if text == "cost":
             return cls.cost()
         if text.startswith("mid="):
-            return cls.intermediate(float(text[4:]))
+            try:
+                x_best = float(text[4:])
+            except ValueError:
+                raise ValidationError(f"bad optimum in kind annotation {text!r}") from None
+            return cls.intermediate(x_best)
         raise ValidationError(f"unknown kind annotation {text!r}")
 
 
@@ -171,9 +175,7 @@ def score(matrix: DecisionMatrix, weights=None) -> TopsisScores:
     d_minus = np.sqrt(((z - z_minus) ** 2).sum(axis=1))
 
     denom = d_plus + d_minus
-    s = np.empty(n)
-    for i in range(n):
-        s[i] = 0.5 if denom[i] == 0 else d_minus[i] / denom[i]
+    s = np.divide(d_minus, denom, out=np.full(n, 0.5), where=denom != 0)
     s_normalized = s / s.sum()
     ranking = [int(i) for i in np.argsort(-s, kind="stable")]
     return TopsisScores(

@@ -412,7 +412,8 @@ def test_malformed_json_input_prints_error_json(runner, tmp_path, args, text, st
     (["equity", "--indicators"],
      b"country,year,ei,idg,cea,ma,hr,er,sa\nA\xffland,2020,1,1,1,1,1,1,1\n", "equity"),
     (["topsis", "--decision"], b"name,x:benefit\nA," + b"9" * (128 * 1024 + 1) + b"\n", "topsis"),
-], ids=["pairwise-row-count", "not-utf8", "oversized-cell"])
+    (["topsis", "--decision"], b"alt,a:benefit,b:mid=abc\nx,1,2\ny,4,5\n", "topsis"),
+], ids=["pairwise-row-count", "not-utf8", "oversized-cell", "bad-mid-optimum"])
 def test_malformed_csv_input_prints_error_json(runner, tmp_path, args, content, stage):
     bad = tmp_path / "bad.csv"
     bad.write_bytes(content)
@@ -420,6 +421,16 @@ def test_malformed_csv_input_prints_error_json(runner, tmp_path, args, content, 
     assert result.exit_code == 1
     error = json.loads(result.output)["error"]
     assert error["stage"] == stage
+
+
+def test_equity_rejects_a_pairwise_matrix_of_another_size(runner, tmp_path):
+    pairwise = tmp_path / "pairwise5.csv"
+    pairwise.write_text(",A,B,C,D,E\n" + "".join(f"{c},1,1,1,1,1\n" for c in "ABCDE"))
+    result = runner.invoke(main, ["equity", "--indicators", INDICATORS, "--pairwise",
+                                  str(pairwise), "--out", str(tmp_path / "out")])
+    assert result.exit_code == 1
+    error = json.loads(result.output)["error"]
+    assert error["stage"] == "equity" and "7-criterion" in error["message"]
 
 
 @pytest.mark.parametrize("command, value", [

@@ -67,15 +67,21 @@ class TestDecisionCsv:
         with pytest.raises(ParseError, match="annotation"):
             io.load_decision_csv(path)
 
+    @pytest.mark.parametrize("annotation", ["mid=abc", "mid=", "mid=inf"])
+    def test_bad_mid_optimum_names_line_1(self, tmp_path, annotation):
+        path = tmp_path / "d.csv"
+        path.write_text(f"alt,a:benefit,b:{annotation}\nx,1,2\ny,4,5\n")
+        with pytest.raises(ParseError, match="line 1"):
+            io.load_decision_csv(path)
+
 
 class TestIndicatorTable:
     def test_loads_sample(self):
         table = io.load_indicator_table(sample_path("indicators.csv"))
-        assert len(table.records) == 40
+        assert table.values.shape == (8, 5, 7)
         assert table.countries[0] == "Arcadia"
+        assert len(table.countries) == 8
         assert table.years == [2017, 2018, 2019, 2020, 2021]
-        countries, years = table.require_complete_panel()
-        assert len(countries) == 8
 
     def test_two_row_file(self, tmp_path):
         path = tmp_path / "i.csv"
@@ -83,7 +89,9 @@ class TestIndicatorTable:
                         "X,2020,.1,.2,.3,.4,.5,.6,.7\n"
                         "X,2021,.2,.3,.4,.5,.6,.7,.8\n")
         table = io.load_indicator_table(path)
-        assert len(table.records) == 2
+        assert (table.countries, table.years) == (["X"], [2020, 2021])
+        assert table.values.shape == (1, 2, 7)
+        assert table.values[0, 1, 0] == 0.2
 
     def test_missing_column_names_line(self, tmp_path):
         path = tmp_path / "i.csv"
@@ -105,9 +113,17 @@ class TestIndicatorTable:
         path.write_text("country,year,ei,idg,cea,ma,hr,er,sa\n"
                         "X,2020,.1,.2,.3,.4,.5,.6,.7\n"
                         "Y,2021,.2,.3,.4,.5,.6,.7,.8\n")
-        table = io.load_indicator_table(path)
         with pytest.raises(ValidationError, match="missing"):
-            table.require_complete_panel()
+            io.load_indicator_table(path)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_names_line(self, tmp_path, cell):
+        path = tmp_path / "i.csv"
+        path.write_text("country,year,ei,idg,cea,ma,hr,er,sa\n"
+                        "X,2020,.1,.2,.3,.4,.5,.6,.7\n"
+                        f"X,2021,.2,.3,{cell},.5,.6,.7,.8\n")
+        with pytest.raises(ParseError, match="line 3"):
+            io.load_indicator_table(path)
 
 
 class TestGdpCsv:

@@ -13,6 +13,15 @@ def test_only_io_applies_the_json_number_rule():
     assert offenders == []
 
 
+def test_panel_modules_hold_no_per_record_objects():
+    # the indicator panel is one array: io loads it and pipeline scores it in
+    # one batched product, so neither builds or scores records one by one
+    offenders = [(name, symbol) for name in ("io.py", "pipeline.py")
+                 for symbol in ("IndicatorVector", "country_score")
+                 if symbol in (SRC / name).read_text(encoding="utf-8")]
+    assert offenders == []
+
+
 def test_sensnet_stays_within_its_line_budget():
     assert len((SRC / "sensnet.py").read_text(encoding="utf-8").splitlines()) <= 350
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from equimine import allocation, equity, mcda, topsis
 
@@ -87,3 +88,26 @@ def test_equity_index_zero_for_identical_countries(year_scores, countries):
     table = np.repeat(np.array(year_scores)[:, None], countries, axis=1)
     # the within-year mean of identical ratios can round one ulp away from them
     assert equity.global_equity_index(table) == pytest.approx(0.0, abs=1e-24)
+
+
+@st.composite
+def scored_panels(draw):
+    """A (countries, years, 7) panel of positive indicators and 7 positive weights."""
+    shape = (draw(st.integers(2, 60)), draw(st.integers(1, 8)), 7)
+    values = draw(arrays(np.float64, shape, elements=st.floats(0.01, 1.0)))
+    weights = draw(arrays(np.float64, 7, elements=st.floats(0.01, 1.0)))
+    return values, weights
+
+
+@PROPERTY
+@given(scored_panels())
+def test_batched_scores_and_index_match_per_record_and_c_order(panel):
+    values, weights = panel
+    scores = equity.development_scores(values, weights)
+    per_record = [[float(weights @ v) for v in row] for row in values]  # one dot product each
+    assert scores.tolist() == per_record
+    assert [[equity.country_score(equity.IndicatorVector(*v), weights) for v in row]
+            for row in values] == per_record
+    # the pipeline hands the index the transposed (countries, years) array
+    assert equity.global_equity_index(scores.T) == equity.global_equity_index(
+        np.ascontiguousarray(scores.T))

@@ -360,54 +360,6 @@ def allocating_train(x, y, spec, config):
 
 
 class TestOutReuse:
-    SHAPES = TestOneNetworkPath.SHAPES
-
-    @staticmethod
-    def assert_traces_equal(got, want):
-        for g, w in zip(got.pre_activations + got.activations,
-                        want.pre_activations + want.activations):
-            assert np.array_equal(g, w)
-
-    @staticmethod
-    def assert_grads_equal(got, want):
-        assert got.loss == want.loss
-        for g, w in zip(got.deltas + got.weight_grads, want.deltas + want.weight_grads):
-            assert np.array_equal(g, w)
-
-    def test_reused_results_are_bit_equal_to_fresh(self, rng):
-        for sizes in self.SHAPES:
-            params = NetworkParams.initialize(LayerSpec(sizes), seed=6)
-            for shape in [(sizes[0],), (9, sizes[0])]:
-                x = rng.uniform(-2, 2, shape)
-                y = rng.uniform(0.1, 0.9, shape[:-1] + (sizes[-1],))
-                prev = forward(rng.uniform(-2, 2, shape), params)
-                prev_grads = backward(prev, y, params)
-                reused = forward(x, params, out=prev)
-                assert reused is prev
-                fresh = forward(x, params)
-                self.assert_traces_equal(reused, fresh)
-                grads = backward(reused, y, params, out=prev_grads)
-                assert grads is prev_grads
-                self.assert_grads_equal(grads, backward(fresh, y, params))
-
-    def test_trace_of_another_shape_is_left_untouched(self, rng):
-        params = NetworkParams.initialize(LayerSpec((7, 16, 1)), seed=2)
-        batch = rng.uniform(-2, 2, (9, 7))
-        other = forward(batch, params)
-        other_grads = backward(other, rng.uniform(0.1, 0.9, (9, 1)), params)
-        kept = [a.copy() for a in other.pre_activations + other.activations[1:]]
-        kept_grads = [a.copy() for a in other_grads.work + other_grads.weight_grads]
-        x = rng.uniform(-2, 2, 7)
-        trace = forward(x, params, out=other)
-        grads = backward(trace, np.array([0.4]), params, out=other_grads)
-        assert trace is not other and grads is not other_grads
-        self.assert_traces_equal(trace, forward(x, params))
-        self.assert_grads_equal(grads, backward(forward(x, params), np.array([0.4]), params))
-        for a, b in zip(other.pre_activations + other.activations[1:], kept):
-            assert np.array_equal(a, b)
-        for a, b in zip(other_grads.work + other_grads.weight_grads, kept_grads):
-            assert np.array_equal(a, b)
-
     # (7, 1) has no hidden layer; (7, 4, 1, 3, 1) backpropagates through a one-row W
     # inside the network, where backward takes delta @ W through einsum. At 3,000
     # rows every delta wider than one column, whose column sums einsum takes, is
@@ -447,25 +399,6 @@ class TestOutReuse:
         assert (rows, variations) == full_pass_sweep(copy.deepcopy(trained), x)
         for got, want in zip(params.weights + params.biases, trained.weights + trained.biases):
             assert np.array_equal(got, want)
-
-    def test_reused_epochs_allocate_no_per_sample_array(self):
-        rng = np.random.default_rng(3)
-        samples = 2000
-        x = rng.uniform(-1, 1, (samples, 7))
-        y = rng.uniform(0.1, 0.9, (samples, 1))
-        params = NetworkParams.initialize(LayerSpec((7, 16, 1)), seed=0)
-        trace = forward(x, params)
-        grads = backward(trace, y, params)
-        tracemalloc.start()
-        try:
-            start = tracemalloc.get_traced_memory()[0]
-            for _ in range(3):
-                trace = forward(x, params, out=trace)
-                grads = backward(trace, y, params, out=grads)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak - start < samples * 16 * 8
 
     def test_train_allocates_nothing_per_epoch(self):
         rng = np.random.default_rng(3)
