@@ -70,9 +70,10 @@ def _stage_command(stage, *options):
     `stage`'s error handling; its reports are written under a digest of its flags."""
     def register(body):
         def command(out, **flags):
-            with _errors_as_json(), pipeline._stage(stage):
-                reports = body(**flags)
-            written = pipeline.write_reports(out, io.config_digest(flags), reports)
+            with _errors_as_json():
+                with pipeline._stage(stage):
+                    reports = body(**flags)
+                written = pipeline.write_reports(out, io.config_digest(flags), reports)
             click.echo("wrote " + ", ".join(str(p) for p in written.values()))
         for option in reversed((*options, OUT)):
             command = option(command)

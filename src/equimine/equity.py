@@ -34,8 +34,6 @@ class IndicatorVector:
 
 def development_scores(values, weights=DEFAULT_SCORE_WEIGHTS) -> np.ndarray:
     """Weighted sum of the seven indicators per record: float array (..., 7) -> (...)."""
-    if hasattr(weights, "weights"):  # accept a WeightVector
-        weights = weights.weights
     w = np.asarray(weights, dtype=float)
     if w.shape != (7,):
         raise ValidationError(f"expected 7 weights, got shape {w.shape}")

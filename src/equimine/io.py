@@ -27,7 +27,7 @@ def parse_ratio(text: str) -> float:
     """Parse a comparison ratio; fractions like '1/3' are taken exactly."""
     try:
         return float(Fraction(text.strip()))
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise ParseError(f"bad ratio {text!r}: {exc}") from None
 
 

@@ -21,8 +21,9 @@ Shared policies:
 """
 
 import logging
+import os
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -36,14 +37,16 @@ log = logging.getLogger(__name__)
 VARIATION_BAND = 0.07  # advertised robustness band for the perturbation sweep
 
 REPORT_FILES = (
-    "weights.json",
     "consistency.json",
+    "weights.json",
     "equity.json",
     "topsis.json",
     "mining.json",
     "allocation.json",
     "correlation.json",
     "sensitivity.csv",
+    "perturbation.csv",
+    "sensitivity.json",
 )
 
 ALLOC_BASES = ("equity", "topsis")
@@ -150,20 +153,32 @@ def _stage(name):
 
 
 def write_reports(out_dir, digest: str, reports: dict) -> dict:
-    """Write each report into out_dir; JSON reports lead with the config digest.
-
-    Returns {file name: Path}.
-    """
+    """Write every report into out_dir, or none: each goes to a temporary name,
+    and all are renamed into place once every one is written. JSON reports lead
+    with the config digest. Returns {file name: Path}; an OSError raises
+    PipelineError("write", ...) naming out_dir."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    written = {}
-    for name, content in reports.items():
-        path = written[name] = out / name
-        if isinstance(content, dict):
-            io.write_json_report(path, {"config_digest": digest, **content})
-        else:
-            io.write_csv(path, *content)
-    return written
+    staged = {}  # final path -> temporary path, until renamed
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for name, content in reports.items():
+            tmp = out / f".{name}.{os.getpid()}.tmp"
+            open(tmp, "x").close()  # claim the name: cleanup removes only files made here
+            staged[out / name] = tmp
+            if isinstance(content, dict):
+                io.write_json_report(tmp, {"config_digest": digest, **content})
+            else:
+                io.write_csv(tmp, *content)
+        for path in list(staged):
+            os.replace(staged[path], path)
+            del staged[path]
+    except OSError as exc:
+        raise PipelineError("write", f"cannot write reports into {out}: {exc}") from exc
+    finally:  # after a failure, remove the temporaries not yet renamed
+        for tmp in staged.values():
+            with suppress(OSError):
+                tmp.unlink()
+    return {name: out / name for name in reports}
 
 
 def consistency_stage(matrix):
@@ -350,21 +365,17 @@ def sensitivity_stage(panel, train, seed=None):
 
 
 def run_pipeline(config: RunConfig, out_dir) -> dict:
-    """Run every stage and write the eight report artifacts into out_dir.
+    """Run every stage, then write the REPORT_FILES into out_dir at once.
 
     Returns {artifact name: Path}. Raises PipelineError carrying the failing
-    stage's name; reports written before the failure are left in place.
+    stage's name; a failed run, a CR failure included, leaves out_dir as it was.
     """
-    digest = config.digest()
-    written = {}
-
-    def write(reports):
-        written.update(write_reports(out_dir, digest, reports))
+    report_set = {}
 
     with _stage("consistency"):
         matrix = io.load_pairwise_csv(config.pairwise)
         reports, report = consistency_stage(matrix)
-        write(reports)
+        report_set |= reports
         if not report.passes:
             raise PipelineError(
                 "consistency",
@@ -374,11 +385,11 @@ def run_pipeline(config: RunConfig, out_dir) -> dict:
 
     with _stage("weights"):
         reports, mean_weights = weights_stage(matrix)
-        write(reports)
+        report_set |= reports
 
     with _stage("equity"):
         panel = score_panel(io.load_indicator_table(config.indicators), mean_weights)
-        write(equity_stage(panel))
+        report_set |= equity_stage(panel)
 
     with _stage("topsis"):
         if config.decision is not None:
@@ -392,12 +403,12 @@ def run_pipeline(config: RunConfig, out_dir) -> dict:
                 indicator_labels=list(io.INDICATOR_COLUMNS),
             )
             reports, rows = topsis_stage(decision, mean_weights)
-        write(reports)
+        report_set |= reports
 
     with _stage("mining"):
         reports, total_profit = mining_stage(io.load_scenario(config.scenario),
                                              config.income_mode)
-        write(reports)
+        report_set |= reports
 
     with _stage("allocation"):
         gdp = io.load_gdp_csv(config.gdp)
@@ -409,16 +420,16 @@ def run_pipeline(config: RunConfig, out_dir) -> dict:
                 raise ValidationError(
                     "allocation basis 'topsis' needs the ranking to cover the same countries"
                 )
-        write(allocation_stage(basis_scores, gdp, total_profit, config.alloc_mode,
-                               config.bottom_count, config.multiplier, config.alloc_basis))
+        report_set |= allocation_stage(basis_scores, gdp, total_profit, config.alloc_mode,
+                                       config.bottom_count, config.multiplier, config.alloc_basis)
 
     with _stage("correlation"):
-        write(correlation_stage(panel))
+        report_set |= correlation_stage(panel)
 
     with _stage("sensitivity"):
-        write(sensitivity_stage(panel, io.load_train_config(config.train), config.seed))
+        report_set |= sensitivity_stage(panel, io.load_train_config(config.train), config.seed)
 
-    return written
+    return write_reports(out_dir, config.digest(), report_set)
 
 
 def scale_targets(y: np.ndarray) -> np.ndarray:

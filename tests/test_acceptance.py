@@ -256,3 +256,8 @@ def test_c12_end_to_end_determinism(sample_run):
     for name in sorted(run_a):
         assert run_a[name].read_bytes() == run_b[name].read_bytes(), name
     _report(12, f"two report runs byte-identical across {len(run_a)} artifacts")
+
+
+def test_run_pipeline_writes_exactly_the_report_files(sample_run):
+    # REPORT_FILES names every report of a run, in stage order
+    assert tuple(sample_run[0]) == pipeline.REPORT_FILES

@@ -12,8 +12,10 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from equimine import io, pipeline
 from equimine.cli import main
 from equimine.data import sample_dir, sample_path
+from equimine.errors import PipelineError
 
 
 @pytest.fixture
@@ -210,12 +212,16 @@ def test_report_fails_on_inconsistent_matrix(runner, tmp_path):
         "train": "train.json",
         "poverty": {"bottom_count": 2, "multiplier": 1.2},
     }))
+    out = tmp_path / "out"
+    out.mkdir()
     result = runner.invoke(main, ["report", "--config", str(tmp_path / "config.json"),
-                                  "--out", str(tmp_path / "out")])
+                                  "--out", str(out)])
     assert result.exit_code == 1
     payload = json.loads(result.output)
     assert payload["error"]["stage"] == "consistency"
     assert payload["error"]["cr"] >= 0.1
+    # a CR failure writes no report, consistency.json included
+    assert list(out.iterdir()) == []
 
 
 def test_report_rerun_is_byte_identical(runner, tmp_path):
@@ -413,7 +419,9 @@ def test_malformed_json_input_prints_error_json(runner, tmp_path, args, text, st
      b"country,year,ei,idg,cea,ma,hr,er,sa\nA\xffland,2020,1,1,1,1,1,1,1\n", "equity"),
     (["topsis", "--decision"], b"name,x:benefit\nA," + b"9" * (128 * 1024 + 1) + b"\n", "topsis"),
     (["topsis", "--decision"], b"alt,a:benefit,b:mid=abc\nx,1,2\ny,4,5\n", "topsis"),
-], ids=["pairwise-row-count", "not-utf8", "oversized-cell", "bad-mid-optimum"])
+    (["weights", "--pairwise"], b",A,B\nA,1,1e400\nB,1,1\n", "weights"),
+], ids=["pairwise-row-count", "not-utf8", "oversized-cell", "bad-mid-optimum",
+        "overflowing-ratio"])
 def test_malformed_csv_input_prints_error_json(runner, tmp_path, args, content, stage):
     bad = tmp_path / "bad.csv"
     bad.write_bytes(content)
@@ -451,3 +459,69 @@ def test_non_finite_policy_and_training_numbers_are_rejected(runner, tmp_path, c
     error = json.loads(result.output)["error"]
     assert error["stage"] == stage and field in error["message"]
     assert not (tmp_path / "out").exists()
+
+
+def _snapshot(directory):
+    """{name: bytes, or None for a directory} of every entry in directory."""
+    return {p.name: None if p.is_dir() else p.read_bytes() for p in directory.iterdir()}
+
+
+@pytest.mark.parametrize("obstacle", ["out-is-a-file", "report-name-is-a-directory"])
+@pytest.mark.parametrize("args", [
+    ["report", "--config", str(sample_path("config.json"))],
+    ["weights", "--pairwise", PAIRWISE],
+], ids=["report", "weights"])
+def test_unwritable_out_prints_the_write_error(runner, tmp_path, args, obstacle):
+    out = tmp_path / "out"
+    if obstacle == "out-is-a-file":
+        out.write_text("not a directory\n")
+    else:
+        (out / "weights.json").mkdir(parents=True)
+    result = runner.invoke(main, args + ["--out", str(out)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)  # the error JSON, not a traceback
+    error = json.loads(result.output)["error"]
+    assert error["stage"] == "write" and str(out) in error["message"]
+    assert [p.name for p in tmp_path.rglob("*.tmp")] == []
+
+
+def test_failed_report_leaves_out_as_it_was(runner, tmp_path):
+    (tmp_path / "train.json").write_text('{"epochs": true}')
+    (tmp_path / "config.json").write_text(
+        json.dumps(_sample_config(train=str(tmp_path / "train.json"))))
+    out = tmp_path / "out"
+    out.mkdir()
+    for name in (*pipeline.REPORT_FILES, "notes.txt"):
+        (out / name).write_text(f"stale {name}\n")
+    before = _snapshot(out)
+    result = runner.invoke(main, ["report", "--config", str(tmp_path / "config.json"),
+                                  "--out", str(out)])
+    assert result.exit_code == 1
+    assert json.loads(result.output)["error"]["stage"] == "sensitivity"
+    assert _snapshot(out) == before
+
+
+REPORTS = {"weights.json": {"mean": [0.5, 0.5]}, "sensitivity.csv": (("value",), [(0.25,)])}
+
+
+def test_write_error_before_the_first_rename_leaves_out_as_it_was(tmp_path, monkeypatch):
+    def full_disk(path, header, rows):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(io, "write_csv", full_disk)
+    (tmp_path / "weights.json").write_text("stale\n")
+    before = _snapshot(tmp_path)
+    with pytest.raises(PipelineError) as raised:
+        pipeline.write_reports(tmp_path, "digest", REPORTS)
+    assert raised.value.stage == "write" and str(tmp_path) in raised.value.message
+    assert _snapshot(tmp_path) == before
+
+
+def test_write_error_cleanup_removes_only_its_own_temporaries(tmp_path):
+    # a file already holding the second report's temporary name stops the
+    # write, and is not this call's to remove
+    (tmp_path / f".sensitivity.csv.{os.getpid()}.tmp").write_text("not ours\n")
+    before = _snapshot(tmp_path)
+    with pytest.raises(PipelineError):
+        pipeline.write_reports(tmp_path, "digest", REPORTS)
+    assert _snapshot(tmp_path) == before

@@ -44,6 +44,12 @@ class TestPairwiseCsv:
         with pytest.raises(ParseError, match="line 3"):
             io.load_pairwise_csv(bad)
 
+    def test_overflowing_cell_reports_line(self, tmp_path):
+        bad = tmp_path / "m.csv"
+        bad.write_text(",A,B\nA,1,1e400\nB,1,1\n")
+        with pytest.raises(ParseError, match="line 2"):
+            io.load_pairwise_csv(bad)
+
 
 class TestDecisionCsv:
     def test_loads_sample_asteroids(self):

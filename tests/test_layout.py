@@ -47,3 +47,29 @@ def test_only_the_network_kernels_run_the_network():
     assert all(_network_ops(f) for f in kernels)
     allowed = set().union(*map(_network_ops, kernels))
     assert sorted(node.lineno for node in _network_ops(tree) - allowed) == []
+
+
+# The one write path: pipeline.write_reports stages every report under a
+# temporary name and renames it into place; any other caller of the io writers
+# would put a report on disk unstaged.
+REPORT_WRITERS = {"write_json_report", "write_csv"}
+
+
+def _writer_calls(tree) -> set:
+    return {node for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and (getattr(node.func, "attr", None) or getattr(node.func, "id", None))
+            in REPORT_WRITERS}
+
+
+def test_only_write_reports_calls_the_report_writers():
+    pipeline_tree = ast.parse((SRC / "pipeline.py").read_text(encoding="utf-8"))
+    [owner] = [f for f in ast.walk(pipeline_tree)
+               if isinstance(f, ast.FunctionDef) and f.name == "write_reports"]
+    assert len(_writer_calls(owner)) == 2
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = (pipeline_tree if path.name == "pipeline.py"
+                else ast.parse(path.read_text(encoding="utf-8")))
+        offenders += [(path.name, node.lineno)
+                      for node in _writer_calls(tree) - _writer_calls(owner)]
+    assert offenders == []
