@@ -15,7 +15,6 @@ from .errors import (
     EquimineError,
     ParseError,
     PipelineError,
-    QuadratureError,
     SingularityError,
     TrainingError,
     ValidationError,

@@ -49,14 +49,6 @@ class SingularityError(EquimineError, ZeroDivisionError):
         self.year = year
 
 
-class QuadratureError(EquimineError, RuntimeError):
-    """Numerical integration missed its tolerance target."""
-
-    def __init__(self, message, achieved):
-        super().__init__(f"{message} (achieved abs error {achieved:.3e})")
-        self.achieved = achieved
-
-
 class TrainingError(EquimineError, RuntimeError):
     """Training diverged or left an unusable network. Carries the epoch at
     which training diverged, or None when the trained network is the fault."""

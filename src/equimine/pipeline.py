@@ -155,8 +155,8 @@ def _stage(name):
 def write_reports(out_dir, digest: str, reports: dict) -> dict:
     """Write every report into out_dir, or none: each goes to a temporary name,
     and all are renamed into place once every one is written. JSON reports lead
-    with the config digest. Returns {file name: Path}; an OSError raises
-    PipelineError("write", ...) naming out_dir."""
+    with the config digest. Returns {file name: Path}; an OSError, or a directory
+    holding a report's name, raises PipelineError("write", ...) naming out_dir."""
     out = Path(out_dir)
     staged = {}  # final path -> temporary path, until renamed
     try:
@@ -169,6 +169,8 @@ def write_reports(out_dir, digest: str, reports: dict) -> dict:
                 io.write_json_report(tmp, {"config_digest": digest, **content})
             else:
                 io.write_csv(tmp, *content)
+        if blocked := [path.name for path in staged if path.is_dir()]:
+            raise PipelineError("write", f"cannot write reports into {out}: directory {blocked}")
         for path in list(staged):
             os.replace(staged[path], path)
             del staged[path]

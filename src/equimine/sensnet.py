@@ -217,14 +217,20 @@ def train(inputs, targets, spec: LayerSpec, config: TrainConfig):
     later epochs run the kernels into them and update the parameters, views into
     one flat array laid out as the gradient means, in one in-place operation.
 
-    Returns (trained NetworkParams, per-epoch loss list). Raises
-    TrainingError with the epoch index if the loss stops being finite.
+    Returns (trained NetworkParams, per-epoch loss list). Raises TrainingError
+    with the epoch index if the loss stops being finite, and ValidationError if
+    layer_sizes do not fit the data's widths or cannot be allocated.
     """
     x = np.asarray(inputs, dtype=float)
     y = np.asarray(targets, dtype=float)
     if y.ndim == 1:
         y = y[:, None]
-    initial = NetworkParams.initialize(spec, seed=config.seed)
+    if spec.sizes[0] != x.shape[-1] or spec.sizes[-1] != y.shape[-1]:
+        raise ValidationError(f"layer_sizes must fit the data: {x.shape[-1]} in, {y.shape[-1]} out")
+    try:
+        initial = NetworkParams.initialize(spec, seed=config.seed)
+    except (MemoryError, ValueError) as exc:
+        raise ValidationError(f"layer_sizes cannot be initialised: {exc}") from None
     theta, views = _packed(initial.weights + initial.biases)
     depth = len(initial.weights)
     params = NetworkParams(weights=views[:depth], biases=views[depth:])

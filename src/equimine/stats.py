@@ -7,14 +7,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, ValidationError
-from .mining import t_density
-from .quadrature import integrate
+from .mining import t_density, t_sf
 
 # |r| bins for the strength label; conventional, carried as shipped defaults.
 STRENGTH_THRESHOLDS = ((0.8, "strong"), (0.5, "moderate"), (0.3, "weak"))
 DEFAULT_ALPHA = 0.05  # two-sided significance level of the correlation t test
 
-_CDF_QUAD_TOL = 1e-10
 _ROOT_XTOL, _ROOT_RTOL, _ROOT_MAXITER = 1e-10, 1e-12, 100  # brentq's stop rule and cap
 
 
@@ -51,12 +49,11 @@ def pearson(x, y) -> float:
 def t_upper_critical(df: float, tail: float) -> float:
     """Value t >= 0 whose upper-tail probability under Student-t(df) equals `tail`.
 
-    The tail probability is computed by adaptive quadrature of the density
-    (tolerance 1e-10) and inverted by Newton steps, whose derivative is minus
-    the density, inside a shrinking bracket; a step that would leave the
-    bracket is replaced by bisection. No quantile table is involved. Results
-    are memoized per (df, tail), since a report tests many correlations with
-    the same df.
+    The tail probability is the closed-form t CDF `mining.t_sf`, inverted by
+    Newton steps, whose derivative is minus the density, inside a shrinking
+    bracket; a step that would leave the bracket is replaced by bisection. No
+    quantile table is involved. Results are memoized per (df, tail), since a
+    report tests many correlations with the same df.
     """
     if df < 1:
         raise ValidationError("df must be >= 1")
@@ -64,8 +61,7 @@ def t_upper_critical(df: float, tail: float) -> float:
         raise ValidationError("tail probability must be in (0, 0.5]")
 
     def excess(t: float) -> float:
-        body = integrate(lambda y: t_density(y, df), 0.0, t, _CDF_QUAD_TOL, 1e-12)
-        return 0.5 - body - tail
+        return t_sf(t, df) - tail
 
     lo, hi = 0.0, 1.0
     while excess(hi) > 0:

@@ -1,5 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+
+# Settings of the hypothesis oracles that check results against scipy.
+ORACLE = settings(max_examples=60, derandomize=True, database=None, deadline=None)
 
 # Published per-method AHP weights for the seven development indicators. Their
 # comparison matrix is unpublished, so no code path recomputes them; they do
@@ -25,3 +30,8 @@ def make_consistent_matrix(rng, n):
 @pytest.fixture
 def consistent_3x3():
     return np.array([[1, 2, 4], [0.5, 1, 2], [0.25, 0.5, 1]], dtype=float)
+
+
+def log_uniform(lo, hi):
+    """dof (or df) from 10**lo to 10**hi, log-uniformly."""
+    return st.floats(lo, hi).map(lambda e: 10.0 ** e)

@@ -86,7 +86,8 @@ def test_simulate_asteroid_scenario_full_horizon(runner, tmp_path):
 @pytest.mark.parametrize("scenario", [
     {"dof": 10, "location": 60, "scale": 0.1, "t1": 0, "t2": 100},
     {"location": 100, "scale": 0.1},
-], ids=["peak-at-60", "peak-at-100"])
+    {"dof": 5, "location": 1000, "scale": 0.01, "t1": 0, "t2": 2000},
+], ids=["peak-at-60", "peak-at-100", "peak-at-1000"])
 def test_simulate_narrow_peak_far_from_zero(runner, tmp_path, scenario):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(scenario))
@@ -431,6 +432,21 @@ def test_malformed_csv_input_prints_error_json(runner, tmp_path, args, content, 
     assert error["stage"] == stage
 
 
+@pytest.mark.parametrize("sizes", ["[1e300, 16, 1]", "[7, 1e16, 1]", "[6, 16, 1]", "[7, 16, 2]"],
+                         ids=["huge-input-width", "huge-hidden-width", "wrong-input-width",
+                              "wrong-output-width"])
+def test_layer_sizes_that_do_not_fit_print_error_json(runner, tmp_path, sizes):
+    # a huge hidden layer fails to allocate at once: 7e16 weights need 497 PiB
+    train = tmp_path / "train.json"
+    train.write_text(f'{{"layer_sizes": {sizes}, "epochs": 1}}')
+    result = runner.invoke(main, ["sensitivity", "--indicators", INDICATORS, "--train", str(train),
+                                  "--out", str(tmp_path / "out")])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)  # the error JSON, not a traceback
+    error = json.loads(result.output)["error"]
+    assert error["stage"] == "sensitivity" and "layer_sizes" in error["message"]
+
+
 def test_equity_rejects_a_pairwise_matrix_of_another_size(runner, tmp_path):
     pairwise = tmp_path / "pairwise5.csv"
     pairwise.write_text(",A,B,C,D,E\n" + "".join(f"{c},1,1,1,1,1\n" for c in "ABCDE"))
@@ -498,6 +514,22 @@ def test_failed_report_leaves_out_as_it_was(runner, tmp_path):
                                   "--out", str(out)])
     assert result.exit_code == 1
     assert json.loads(result.output)["error"]["stage"] == "sensitivity"
+    assert _snapshot(out) == before
+
+
+def test_report_name_held_by_a_directory_leaves_out_as_it_was(runner, tmp_path):
+    # consistency.json is renamed before weights.json: the directory is found
+    # before the first rename, so no stale report is replaced
+    out = tmp_path / "out"
+    (out / "weights.json").mkdir(parents=True)
+    for name in pipeline.REPORT_FILES[:1] + pipeline.REPORT_FILES[2:]:
+        (out / name).write_text(f"stale {name}\n")
+    before = _snapshot(out)
+    result = runner.invoke(main, ["report", "--config", str(sample_path("config.json")),
+                                  "--out", str(out)])
+    assert result.exit_code == 1
+    error = json.loads(result.output)["error"]
+    assert error["stage"] == "write" and "weights.json" in error["message"]
     assert _snapshot(out) == before
 
 

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from conftest import ORACLE, log_uniform
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.special import stdtr
 
 from equimine import mining
@@ -13,11 +16,12 @@ from equimine.mining import (
     income,
     profit,
     t_density,
+    t_sf,
 )
 
 
 def trapezoid_rate_integral(params, t1, t2, points=200_001):
-    """Independent quadrature oracle: dense trapezoid rule on the rate."""
+    """Independent oracle: dense trapezoid rule on the rate."""
     grid = np.linspace(t1, t2, points)
     return float(np.trapezoid(extraction_rate(grid, params), grid))
 
@@ -60,8 +64,8 @@ class TestCurveParams:
 
 
 class TestNarrowPeakFarFromZero:
-    """A peak of width 0.1 at t = 60 or 100 lies between the quadrature's
-    first nodes; splitting the range at the peak finds it."""
+    """A peak of width 0.1 at t = 60 or 100, far right of t = 0: its mass is a
+    difference of t tails, whatever the window's width."""
 
     def test_peak_at_60_holds_all_value_in_window(self):
         p = MiningCurveParams(dof=10.0, location=60.0, scale=0.1, total_value=7e13)
@@ -156,3 +160,96 @@ class TestWindowAndProfit:
         assert profit(income(RevenueWindow(0.0, math.inf), p), 0.0) == pytest.approx(
             p.total_value, rel=1e-6
         )
+
+
+def upper_mass(dof, x):
+    """P(T > x) for Student-t(dof), free of cancellation for either sign of x."""
+    return float(stdtr(dof, -x))
+
+
+def window_mass(dof, x1, x2):
+    """P(x1 < T < x2) for Student-t(dof), from scipy."""
+    if x1 > 0:  # both edges right of the peak: difference of upper tails
+        return upper_mass(dof, x1) - upper_mass(dof, x2)
+    return float(stdtr(dof, x2) - stdtr(dof, x1))
+
+
+# t_sf against scipy's stdtr: dof from MIN_DOF to 1e20 and |t| <= 1e6
+SF_DOFS = [*np.geomspace(mining.MIN_DOF, 1e20, 45).tolist(), 1.0, 2.0, 5.0, 1e3]
+SF_TS = [0.0, *(sign * t for t in (1e-3, 1e-2, 0.1, 0.5, 1, 1.7, 2, 3, 5, 10, 30, 100, 1e3,
+                                    1e4, 1e6) for sign in (1, -1))]
+
+
+@pytest.mark.parametrize("dof", SF_DOFS)
+def test_t_sf_matches_stdtr(dof):
+    rel = 1e-12 if dof <= 1e3 else 1e-10
+    for t in SF_TS:
+        expected = upper_mass(dof, t)
+        if expected == 0.0:  # stdtr underflows: below the smallest float
+            continue
+        assert t_sf(t, dof) == pytest.approx(expected, rel=rel, abs=0), t
+
+
+def test_t_sf_at_the_infinities():
+    assert (t_sf(math.inf, 5.0), t_sf(-math.inf, 5.0)) == (0.0, 1.0)
+    assert (t_sf(math.inf, 1e6), t_sf(-math.inf, 1e6)) == (0.0, 1.0)
+
+
+@pytest.mark.parametrize("curve", [
+    {"location": 1e9}, {"scale": 1e-9}, {"location": 1e3, "scale": 1e-3},
+], ids=["location-1e9", "scale-1e-9", "scale-1e-3-at-1e3"])
+def test_curves_past_the_old_interval_limit_match_stdtr(curve):
+    p = MiningCurveParams(**curve)
+    mass = upper_mass(p.dof, -p.location / p.scale)
+    assert p.positive_mass == pytest.approx(mass, rel=1e-9)
+    for t1, t2 in ((0.0, p.location), (p.location - 2 * p.scale, p.location + 3 * p.scale),
+                   (p.location + p.scale, math.inf), (0.0, math.inf)):
+        x1, x2 = (t1 - p.location) / p.scale, (t2 - p.location) / p.scale
+        expected = p.total_value * window_mass(p.dof, x1, x2) / mass
+        assert math.isfinite(expected)
+        assert income(RevenueWindow(t1, t2), p) == pytest.approx(expected, rel=1e-9)
+
+
+@st.composite
+def curves_and_windows(draw, dofs=st.floats(mining.MIN_DOF, 100.0)):
+    dof = draw(dofs)
+    location = draw(st.floats(-5.0, 60.0))
+    scale = draw(st.floats(0.1, 40.0))
+    t1 = draw(st.floats(0.0, 100.0))
+    t2 = draw(st.one_of(st.just(math.inf), st.floats(0.01, 100.0).map(lambda w: t1 + w)))
+    return dof, location, scale, t1, t2
+
+
+def assert_matches_closed_form_t_cdf(case):
+    dof, location, scale, t1, t2 = case
+    mass = upper_mass(dof, -location / scale)
+    if mass == 0.0:  # below the smallest float: there is no curve to renormalise
+        with pytest.raises(ValidationError, match="positive_mass"):
+            mining.MiningCurveParams(dof=dof, location=location, scale=scale)
+        return
+    params = mining.MiningCurveParams(dof=dof, location=location, scale=scale, total_value=1.0)
+    assert params.positive_mass == pytest.approx(mass, abs=1e-10)
+    x1, x2 = (t1 - location) / scale, (t2 - location) / scale
+    fraction = mining.income(mining.RevenueWindow(t1, t2), params)
+    assert fraction == pytest.approx(window_mass(dof, x1, x2) / mass, abs=1e-8)
+
+
+@ORACLE
+@given(curves_and_windows())
+def test_mass_and_income_match_closed_form_t_cdf(case):
+    assert_matches_closed_form_t_cdf(case)
+
+
+@ORACLE
+@given(curves_and_windows(log_uniform(2.0, 8.0)))
+def test_large_dof_mass_and_income_match_closed_form_t_cdf(case):
+    assert_matches_closed_form_t_cdf(case)
+
+
+@pytest.mark.parametrize("dof", [mining.MIN_DOF, 0.1, 0.2, 0.3])
+def test_heavy_tails_match_closed_form_t_cdf(dof):
+    params = mining.MiningCurveParams(dof=dof, location=15.0, scale=5.0, total_value=1.0)
+    mass = upper_mass(dof, -3.0)
+    assert params.positive_mass == pytest.approx(mass, abs=1e-12)
+    fraction = mining.income(mining.RevenueWindow(20.0, math.inf), params)
+    assert fraction == pytest.approx(upper_mass(dof, 1.0) / mass, abs=1e-10)

@@ -4,6 +4,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import ORACLE, log_uniform
+from hypothesis import given
+from hypothesis import strategies as st
+from scipy.special import stdtrit
 from scipy.stats import t as scipy_t
 
 from equimine import stats
@@ -147,3 +151,17 @@ class TestClassifyStrength:
     def test_validation(self):
         with pytest.raises(ValidationError):
             stats.classify_strength(1.01)
+
+
+@ORACLE
+@given(st.floats(1.0, 100.0), st.floats(1e-4, 0.5))
+def test_t_upper_critical_matches_closed_form_quantile(df, tail):
+    assert stats.t_upper_critical(df, tail) == pytest.approx(
+        float(stdtrit(df, 1 - tail)), abs=1e-8)
+
+
+@ORACLE
+@given(log_uniform(2.0, 6.0), st.floats(1e-4, 0.5))
+def test_t_upper_critical_matches_closed_form_quantile_at_large_df(df, tail):
+    assert stats.t_upper_critical(df, tail) == pytest.approx(
+        float(stdtrit(df, 1 - tail)), abs=1e-8)
