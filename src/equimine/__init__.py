@@ -46,8 +46,6 @@ from .topsis import (
     DecisionMatrix,
     IndicatorKind,
     TopsisScores,
-    forward_column,
-    forward_matrix,
     normalize,
     rank_alternatives,
     score,

@@ -53,8 +53,6 @@ def poverty_multipliers(gdp: dict, policy: PovertyPolicy = None) -> dict:
     """
     policy = policy or PovertyPolicy()
     labels = list(gdp)
-    if len(set(labels)) != len(labels):
-        raise ValidationError("duplicate country labels in GDP table")
     if policy.bottom_count > len(labels):
         raise ValidationError(
             f"bottom_count {policy.bottom_count} exceeds {len(labels)} countries"
@@ -75,7 +73,8 @@ def allocate(total_profit: float, scores: dict, gammas: dict,
     shares generally over-allocate whenever any gamma > 1. "conserve" mode
     rescales by gamma_k * score_k / sum_j(gamma_j * score_j) so the shares sum
     exactly to total_profit; "paper-literal" keeps the raw shares and reports
-    the over-allocation.
+    the over-allocation. Shares that overflow the float range raise
+    ValidationError naming the multiplier.
     """
     if mode not in ALLOC_MODES:
         raise ValidationError(f"unknown allocation mode {mode!r}")
@@ -92,8 +91,12 @@ def allocate(total_profit: float, scores: dict, gammas: dict,
     if s_sum <= 0:
         raise ValidationError("score sum must be positive")
 
-    raw = g * total_profit * s / s_sum
-    conserved = total_profit * (g * s) / (g * s).sum()
+    with np.errstate(over="ignore", invalid="ignore"):
+        raw = g * total_profit * s / s_sum
+        conserved = total_profit * (g * s) / (g * s).sum()
+    if not (np.isfinite(raw).all() and np.isfinite(conserved).all()):
+        raise ValidationError(f"shares overflow the float range: multiplier up to {g.max():g} "
+                              f"on total_profit {total_profit:g}")
     shares = [
         CountryShare(label=c, gamma=float(g[i]), raw_share=float(raw[i]),
                      conserved_share=float(conserved[i]))

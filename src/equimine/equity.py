@@ -5,6 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularityError, ValidationError
+from .io import INDICATOR_COLUMNS
 
 # Coefficients of the shipped development-score formula, in indicator order
 # (EI, IDG, CEA, MA, HR, ER, SA). They are rounded method averages and sum to
@@ -35,8 +36,9 @@ class IndicatorVector:
 def development_scores(values, weights=DEFAULT_SCORE_WEIGHTS) -> np.ndarray:
     """Weighted sum of the seven indicators per record: float array (..., 7) -> (...)."""
     w = np.asarray(weights, dtype=float)
-    if w.shape != (7,):
-        raise ValidationError(f"expected 7 weights, got shape {w.shape}")
+    if w.shape != (len(INDICATOR_COLUMNS),):
+        raise ValidationError(f"equity scoring needs a {len(INDICATOR_COLUMNS)}-criterion matrix, "
+                              f"got weights of shape {w.shape}")
     # one dot product per record, so each score has the bits of w @ record;
     # values @ w would sum the products in another order
     return np.matmul(values[..., None, :], w)[..., 0]

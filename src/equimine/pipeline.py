@@ -223,13 +223,11 @@ class Panel:
     @property
     def records(self):
         """(indicator rows, score series) of every record, in panel order."""
-        return self.table.values.reshape(-1, 7), self.scores.ravel()
+        return self.table.values.reshape(-1, len(io.INDICATOR_COLUMNS)), self.scores.ravel()
 
 
 def score_panel(table, weights) -> Panel:
     """Score every record of a complete panel with the given weights."""
-    if len(weights) != 7:
-        raise ValidationError(f"equity scoring needs a 7-criterion matrix, got {len(weights)}")
     return Panel(table, equity.development_scores(table.values, weights))
 
 
@@ -401,7 +399,7 @@ def run_pipeline(config: RunConfig, out_dir) -> dict:
             decision = topsis.DecisionMatrix(
                 values=panel.table.values[:, -1],
                 alternative_labels=panel.table.countries,
-                indicator_kinds=[topsis.IndicatorKind.benefit()] * 7,
+                indicator_kinds=[topsis.IndicatorKind("benefit")] * len(io.INDICATOR_COLUMNS),
                 indicator_labels=list(io.INDICATOR_COLUMNS),
             )
             reports, rows = topsis_stage(decision, mean_weights)

@@ -28,7 +28,8 @@ class CorrelationResult:
 
 def pearson(x, y) -> float:
     """Sample Pearson correlation: centered cross products over the product
-    of root squared deviations."""
+    of root squared deviations. Series whose sums of squares or cross
+    products overflow the float range raise ValidationError."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1:
@@ -36,13 +37,18 @@ def pearson(x, y) -> float:
     n = x.size
     if n < 3:
         raise ValidationError("need at least 3 points")
-    dx = x - x.mean()
-    dy = y - y.mean()
-    sxx = float((dx * dx).sum())
-    syy = float((dy * dy).sum())
+    with np.errstate(over="ignore", invalid="ignore"):
+        dx = x - x.mean()
+        dy = y - y.mean()
+        sxx = float((dx * dx).sum())
+        syy = float((dy * dy).sum())
+        sxy = float((dx * dy).sum())
+    if not all(map(math.isfinite, (sxx, syy, sxy))):
+        raise ValidationError("series too large to correlate: a sum of squares or cross "
+                              "products overflows the float range")
     if sxx == 0 or syy == 0:
         raise ValidationError("series must not be constant")
-    return float((dx * dy).sum()) / (math.sqrt(sxx) * math.sqrt(syy))
+    return sxy / (math.sqrt(sxx) * math.sqrt(syy))
 
 
 @functools.lru_cache(maxsize=256)

@@ -1,4 +1,7 @@
-"""TOPSIS ranking: indicator forwarding, vector normalization, closeness scores."""
+"""TOPSIS ranking: indicator forwarding, vector normalization, closeness scores.
+
+A DecisionMatrix checks its values, labels and kinds once, when it is built;
+`forward`, `normalize` and `score` then pass plain arrays."""
 
 from dataclasses import dataclass
 
@@ -24,31 +27,19 @@ class IndicatorKind:
                 raise ValidationError("intermediate kind needs a finite x_best")
 
     @classmethod
-    def benefit(cls):
-        return cls("benefit")
-
-    @classmethod
-    def cost(cls):
-        return cls("cost")
-
-    @classmethod
     def intermediate(cls, x_best: float):
         return cls("intermediate", float(x_best))
 
     @classmethod
     def parse(cls, text: str):
         """Parse a header annotation: 'benefit', 'cost' or 'mid=<x_best>'."""
-        if text == "benefit":
-            return cls.benefit()
-        if text == "cost":
-            return cls.cost()
-        if text.startswith("mid="):
-            try:
-                x_best = float(text[4:])
-            except ValueError:
-                raise ValidationError(f"bad optimum in kind annotation {text!r}") from None
-            return cls.intermediate(x_best)
-        raise ValidationError(f"unknown kind annotation {text!r}")
+        if not text.startswith("mid="):
+            return cls(text)
+        try:
+            x_best = float(text[4:])
+        except ValueError:
+            raise ValidationError(f"bad optimum in kind annotation {text!r}") from None
+        return cls.intermediate(x_best)
 
 
 @dataclass
@@ -77,10 +68,6 @@ class DecisionMatrix:
             raise ValidationError(f"expected {m} indicator labels")
         self.values = v
 
-    @property
-    def shape(self):
-        return self.values.shape
-
 
 @dataclass
 class TopsisScores:
@@ -91,69 +78,57 @@ class TopsisScores:
     ranking: list  # alternative indices, best first, ties stable by input order
 
 
-def forward_column(column, kind: IndicatorKind) -> np.ndarray:
-    """Transform one indicator column to benefit orientation.
+def forward(matrix: DecisionMatrix) -> np.ndarray:
+    """The matrix's values with every column in benefit orientation.
 
     Benefit columns pass through, cost columns become max(x) - x, and
     intermediate columns become 1 - |x - x_best| / max|x - x_best|. When every
-    entry already equals x_best the column is all ones (equally ideal).
+    entry already equals x_best the column is all ones (equally ideal). A
+    column whose forwarded values overflow the float range is rejected.
     """
-    x = np.asarray(column, dtype=float)
-    if x.size == 0:
-        raise ValidationError("cannot forward an empty column")
-    if not np.all(np.isfinite(x)):
-        raise ValidationError("column has non-finite entries")
-    if kind.kind == "benefit":
-        return x.copy()
-    if kind.kind == "cost":
-        return x.max() - x
-    dev = np.abs(x - kind.x_best)
-    m = dev.max()
-    if m == 0:
-        return np.ones_like(x)
-    return 1.0 - dev / m
+    x = matrix.values.copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j, kind in enumerate(matrix.indicator_kinds):
+            column = x[:, j]
+            if kind.kind == "cost":
+                x[:, j] = column.max() - column
+            elif kind.kind == "intermediate":
+                dev = np.abs(column - kind.x_best)
+                m = dev.max()
+                x[:, j] = 1.0 if m == 0 else 1.0 - dev / m
+    overflowed = ~np.isfinite(x).all(axis=0)
+    if overflowed.any():
+        label = matrix.indicator_labels[overflowed.argmax()]
+        raise ValidationError(f"indicator {label!r} overflows the float range when forwarded")
+    return x
 
 
-def forward_matrix(matrix: DecisionMatrix) -> DecisionMatrix:
-    """Forward every column; the result is all benefit-kind."""
-    cols = [forward_column(matrix.values[:, j], k) for j, k in enumerate(matrix.indicator_kinds)]
-    return DecisionMatrix(
-        values=np.column_stack(cols),
-        alternative_labels=list(matrix.alternative_labels),
-        indicator_kinds=[IndicatorKind.benefit()] * matrix.shape[1],
-        indicator_labels=list(matrix.indicator_labels),
-    )
+def normalize(x: np.ndarray, labels) -> np.ndarray:
+    """Scale each column by its Euclidean norm: z_ij = x_ij / sqrt(sum_i x_ij^2).
 
-
-def normalize(matrix: DecisionMatrix) -> DecisionMatrix:
-    """Scale each column by its Euclidean norm: z_ij = x_ij / sqrt(sum_i x_ij^2)."""
-    x = matrix.values
+    `labels` names the columns; an all-zero column raises
+    DegenerateColumnError naming the first such label.
+    """
     if np.any(x < 0):
         raise ValidationError("normalize expects non-negative (forwarded) entries")
     norms = np.sqrt((x * x).sum(axis=0))
-    for j, nrm in enumerate(norms):
-        if nrm == 0:
-            raise DegenerateColumnError(matrix.indicator_labels[j])
-    return DecisionMatrix(
-        values=x / norms,
-        alternative_labels=list(matrix.alternative_labels),
-        indicator_kinds=list(matrix.indicator_kinds),
-        indicator_labels=list(matrix.indicator_labels),
-    )
+    if not norms.all():
+        raise DegenerateColumnError(labels[(norms == 0).argmax()])
+    return x / norms
 
 
-def score(matrix: DecisionMatrix, weights=None) -> TopsisScores:
+def score(z: np.ndarray, weights=None) -> TopsisScores:
     """Score alternatives by relative closeness to the ideal solution.
 
-    Expects a forwarded and normalized matrix. Distances are Euclidean to the
-    per-column max (ideal) and min (anti-ideal); S = D- / (D+ + D-). An
-    optional positive weight vector is applied to the normalized columns
-    before the distance computation (default uniform).
+    Expects forwarded and normalized values, alternatives by indicators.
+    Distances are Euclidean to the per-column max (ideal) and min
+    (anti-ideal); S = D- / (D+ + D-). An optional positive weight vector is
+    applied to the normalized columns before the distance computation
+    (default uniform).
 
     Degenerate cases: a single alternative scores S = 1; when all rows are
     identical every alternative scores S = 0.5.
     """
-    z = matrix.values
     n, m = z.shape
     if weights is not None:
         w = np.asarray(weights, dtype=float)
@@ -185,4 +160,4 @@ def score(matrix: DecisionMatrix, weights=None) -> TopsisScores:
 
 def rank_alternatives(matrix: DecisionMatrix, weights=None) -> TopsisScores:
     """Full pipeline: forward, normalize, score."""
-    return score(normalize(forward_matrix(matrix)), weights=weights)
+    return score(normalize(forward(matrix), matrix.indicator_labels), weights=weights)

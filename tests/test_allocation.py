@@ -124,3 +124,8 @@ class TestAllocate:
             allocate(-1.0, {"a": 1.0}, {"a": 1.0})
         with pytest.raises(ValidationError):
             allocate(10.0, {"a": 1.0}, {"a": 1.0}, mode="greedy")
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_shares_name_the_multiplier(self):
+        with pytest.raises(ValidationError, match="multiplier"):
+            allocate(10.0, {"a": 1.0, "b": 1.0}, {"a": 1e308, "b": 1.0})

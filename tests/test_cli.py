@@ -421,8 +421,11 @@ def test_malformed_json_input_prints_error_json(runner, tmp_path, args, text, st
     (["topsis", "--decision"], b"name,x:benefit\nA," + b"9" * (128 * 1024 + 1) + b"\n", "topsis"),
     (["topsis", "--decision"], b"alt,a:benefit,b:mid=abc\nx,1,2\ny,4,5\n", "topsis"),
     (["weights", "--pairwise"], b",A,B\nA,1,1e400\nB,1,1\n", "weights"),
+    (["correlate", "--indicators"],
+     sample_path("indicators.csv").read_bytes().replace(b"0.6961", b"1e308", 1), "correlation"),
 ], ids=["pairwise-row-count", "not-utf8", "oversized-cell", "bad-mid-optimum",
-        "overflowing-ratio"])
+        "overflowing-ratio", "overflowing-indicator"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_malformed_csv_input_prints_error_json(runner, tmp_path, args, content, stage):
     bad = tmp_path / "bad.csv"
     bad.write_bytes(content)
@@ -458,8 +461,11 @@ def test_equity_rejects_a_pairwise_matrix_of_another_size(runner, tmp_path):
 
 
 @pytest.mark.parametrize("command, value", [
-    ("allocate", "nan"), ("allocate", "inf"), ("sensitivity", "NaN"), ("sensitivity", "Infinity"),
-], ids=["nan-multiplier", "inf-multiplier", "nan-learning-rate", "inf-learning-rate"])
+    ("allocate", "nan"), ("allocate", "inf"), ("allocate", "1e308"), ("sensitivity", "NaN"),
+    ("sensitivity", "Infinity"),
+], ids=["nan-multiplier", "inf-multiplier", "overflowing-multiplier", "nan-learning-rate",
+        "inf-learning-rate"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_non_finite_policy_and_training_numbers_are_rejected(runner, tmp_path, command, value):
     if command == "allocate":
         stage, field = "allocation", "multiplier"

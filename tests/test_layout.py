@@ -22,6 +22,15 @@ def test_panel_modules_hold_no_per_record_objects():
     assert offenders == []
 
 
+def test_topsis_builds_no_decision_matrix():
+    # a DecisionMatrix is validated once, by whoever builds it; forward,
+    # normalize and score pass plain arrays rather than rebuilding one
+    tree = ast.parse((SRC / "topsis.py").read_text(encoding="utf-8"))
+    calls = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and getattr(node.func, "id", None) == "DecisionMatrix"]
+    assert calls == []
+
+
 def test_sensnet_stays_within_its_line_budget():
     assert len((SRC / "sensnet.py").read_text(encoding="utf-8").splitlines()) <= 350
 
@@ -107,7 +116,7 @@ def test_t_sf_is_the_one_t_cdf():
 
 
 # ROADMAP aim 2 tracks the size of src/; raise this budget only on purpose.
-SRC_LINE_BUDGET = 2230
+SRC_LINE_BUDGET = 2211
 
 
 def test_src_stays_within_its_line_budget():

@@ -70,6 +70,16 @@ class TestPearson:
         with pytest.raises(ValidationError):
             stats.pearson([1.0, 1.0, 1.0], [1, 2, 3])
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("x, y", [
+        ([1e308, 1.0, 2.0, 3.0], [1.0, 2.0, 3.0, 5.0]),
+        ([1.0, 2.0, 3.0, 5.0], [1.0, 2.0, 3.0, -1e308]),
+        ([1e308, -1e308, 1.0], [1.0, 2.0, 4.0]),
+    ], ids=["x-squares", "y-squares", "x-deviations"])
+    def test_overflowing_sums_are_rejected_without_warnings(self, x, y):
+        with pytest.raises(ValidationError, match="overflows"):
+            stats.pearson(x, y)
+
 
 class TestCriticalValues:
     def test_matches_scipy_quantiles(self):

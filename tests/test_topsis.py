@@ -51,9 +51,9 @@ def random_matrix(rng, n=5, m=4):
     for j in range(m):
         pick = j % 3  # all three kinds present in every matrix
         if pick == 0:
-            kinds.append(IndicatorKind.benefit())
+            kinds.append(IndicatorKind("benefit"))
         elif pick == 1:
-            kinds.append(IndicatorKind.cost())
+            kinds.append(IndicatorKind("cost"))
         else:
             kinds.append(IndicatorKind.intermediate(float(rng.uniform(1.0, 9.0))))
     return DecisionMatrix(values=values, alternative_labels=[f"A{i}" for i in range(n)],
@@ -64,25 +64,43 @@ def kind_tuple(kind):
     return (kind.kind, kind.x_best)
 
 
+def forward_column(column, kind):
+    """topsis.forward of a one-column decision matrix, as a 1-D array."""
+    matrix = DecisionMatrix(values=np.array(column, dtype=float)[:, None],
+                            alternative_labels=[f"A{i}" for i in range(len(column))],
+                            indicator_kinds=[kind])
+    return topsis.forward(matrix)[:, 0]
+
+
 class TestForwardColumn:
     def test_intermediate_example(self):
-        out = topsis.forward_column([1.0, 3.0, 5.0], IndicatorKind.intermediate(3.0))
+        out = forward_column([1.0, 3.0, 5.0], IndicatorKind.intermediate(3.0))
         assert np.allclose(out, [0.0, 1.0, 0.0])
 
     def test_benefit_identity(self):
-        assert np.array_equal(topsis.forward_column([2.0, 7.0], IndicatorKind.benefit()),
-                              [2.0, 7.0])
+        assert np.array_equal(forward_column([2.0, 7.0], IndicatorKind("benefit")), [2.0, 7.0])
 
     def test_cost_flips(self):
-        assert np.allclose(topsis.forward_column([2.0, 7.0], IndicatorKind.cost()), [5.0, 0.0])
+        assert np.allclose(forward_column([2.0, 7.0], IndicatorKind("cost")), [5.0, 0.0])
 
     def test_degenerate_intermediate_all_ones(self):
-        out = topsis.forward_column([3.0, 3.0, 3.0], IndicatorKind.intermediate(3.0))
+        out = forward_column([3.0, 3.0, 3.0], IndicatorKind.intermediate(3.0))
         assert np.array_equal(out, [1.0, 1.0, 1.0])
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("kind", [IndicatorKind("cost"), IndicatorKind.intermediate(-1e308)],
+                             ids=["cost", "intermediate"])
+    def test_overflowing_column_is_rejected_by_label(self, kind):
+        matrix = DecisionMatrix(values=np.array([[1e308, 1.0], [-1e308, 2.0]]),
+                                alternative_labels=["a", "b"], indicator_kinds=[kind, kind],
+                                indicator_labels=["wide", "narrow"])
+        with pytest.raises(ValidationError, match="'wide' overflows"):
+            topsis.forward(matrix)
+
     def test_empty_column(self):
-        with pytest.raises(ValidationError):
-            topsis.forward_column([], IndicatorKind.benefit())
+        with pytest.raises(ValidationError, match="non-empty"):
+            DecisionMatrix(values=np.empty((0, 1)), alternative_labels=[],
+                           indicator_kinds=[IndicatorKind("benefit")])
 
     def test_kind_parse(self):
         assert IndicatorKind.parse("benefit").kind == "benefit"
@@ -94,71 +112,56 @@ class TestForwardColumn:
 
 
 class TestNormalize:
-    def _matrix(self, cols):
+    def _normalize(self, cols, labels=None):
         values = np.array(cols, dtype=float).T
-        n, m = values.shape
-        return DecisionMatrix(values=values, alternative_labels=[f"A{i}" for i in range(n)],
-                              indicator_kinds=[IndicatorKind.benefit()] * m)
+        return topsis.normalize(values, labels or [f"I{j + 1}" for j in range(values.shape[1])])
 
     def test_three_four_five(self):
-        out = topsis.normalize(self._matrix([[3.0, 4.0]]))
-        assert np.allclose(out.values[:, 0], [0.6, 0.8])
+        out = self._normalize([[3.0, 4.0]])
+        assert np.allclose(out[:, 0], [0.6, 0.8])
 
     def test_single_alternative(self):
-        out = topsis.normalize(self._matrix([[5.0]]))
-        assert out.values[0, 0] == 1.0
+        out = self._normalize([[5.0]])
+        assert out[0, 0] == 1.0
 
     def test_equal_pair(self):
-        out = topsis.normalize(self._matrix([[1.0, 1.0]]))
-        assert np.allclose(out.values[:, 0], [1 / math.sqrt(2)] * 2)
+        out = self._normalize([[1.0, 1.0]])
+        assert np.allclose(out[:, 0], [1 / math.sqrt(2)] * 2)
 
     def test_all_zero_column_names_indicator(self):
-        matrix = self._matrix([[1.0, 2.0], [0.0, 0.0]])
-        matrix.indicator_labels = ["good", "bad"]
         with pytest.raises(DegenerateColumnError, match="bad"):
-            topsis.normalize(matrix)
+            self._normalize([[1.0, 2.0], [0.0, 0.0]], labels=["good", "bad"])
 
     def test_rejects_negative(self):
         with pytest.raises(ValidationError):
-            topsis.normalize(self._matrix([[1.0, -1.0]]))
+            self._normalize([[1.0, -1.0]])
 
 
 class TestScore:
     def test_symmetric_two_by_two(self):
-        m = DecisionMatrix(values=np.eye(2), alternative_labels=["a", "b"],
-                           indicator_kinds=[IndicatorKind.benefit()] * 2)
-        scores = topsis.score(m)
+        scores = topsis.score(np.eye(2))
         assert np.allclose(scores.d_plus, [1.0, 1.0])
         assert np.allclose(scores.d_minus, [1.0, 1.0])
         assert np.allclose(scores.s, [0.5, 0.5])
 
     def test_dominating_row(self):
         # rows [2,2] and [1,1]: after normalization one dominates everywhere
-        m = DecisionMatrix(values=np.array([[2.0, 2.0], [1.0, 1.0]]),
-                           alternative_labels=["top", "bottom"],
-                           indicator_kinds=[IndicatorKind.benefit()] * 2)
-        scores = topsis.score(topsis.normalize(m))
+        scores = topsis.score(topsis.normalize(np.array([[2.0, 2.0], [1.0, 1.0]]), ["I1", "I2"]))
         assert scores.s[0] == 1.0
         assert scores.s[1] == 0.0
         assert scores.ranking == [0, 1]
 
     def test_single_alternative_scores_one(self):
-        m = DecisionMatrix(values=np.array([[0.3, 0.9]]), alternative_labels=["only"],
-                           indicator_kinds=[IndicatorKind.benefit()] * 2)
-        scores = topsis.score(m)
+        scores = topsis.score(np.array([[0.3, 0.9]]))
         assert scores.s[0] == 1.0
 
     def test_identical_rows_all_half(self):
-        m = DecisionMatrix(values=np.ones((3, 2)) * 0.5, alternative_labels=list("abc"),
-                           indicator_kinds=[IndicatorKind.benefit()] * 2)
-        scores = topsis.score(m)
+        scores = topsis.score(np.ones((3, 2)) * 0.5)
         assert np.allclose(scores.s, 0.5)
 
     def test_stable_tie_ranking(self):
-        m = DecisionMatrix(values=np.array([[0.5, 0.5], [0.5, 0.5], [0.1, 0.1]]),
-                           alternative_labels=list("abc"),
-                           indicator_kinds=[IndicatorKind.benefit()] * 2)
-        scores = topsis.score(topsis.normalize(m))
+        values = np.array([[0.5, 0.5], [0.5, 0.5], [0.1, 0.1]])
+        scores = topsis.score(topsis.normalize(values, ["I1", "I2"]))
         assert scores.ranking == [0, 1, 2]
 
     def test_matches_oracle_on_random(self, rng):
@@ -183,11 +186,11 @@ class TestScore:
 
     def test_bad_weights(self, rng):
         matrix = random_matrix(rng)
+        normalized = topsis.normalize(topsis.forward(matrix), matrix.indicator_labels)
         with pytest.raises(ValidationError):
-            topsis.score(topsis.normalize(topsis.forward_matrix(matrix)), weights=[1.0])
+            topsis.score(normalized, weights=[1.0])
         with pytest.raises(ValidationError):
-            topsis.score(topsis.normalize(topsis.forward_matrix(matrix)),
-                         weights=[1.0, 1.0, 0.0, 1.0])
+            topsis.score(normalized, weights=[1.0, 1.0, 0.0, 1.0])
 
 
 class TestProperties:
@@ -200,7 +203,7 @@ class TestProperties:
     def test_monotonic_dominance(self, rng):
         for _ in range(30):
             matrix = random_matrix(rng)
-            fwd = topsis.forward_matrix(matrix).values
+            fwd = topsis.forward(matrix)
             scores = topsis.rank_alternatives(matrix)
             n = fwd.shape[0]
             for a in range(n):
@@ -214,12 +217,9 @@ class TestProperties:
         # At the scoring step a duplicate row adds no new column extremes, so
         # every original alternative keeps its exact score and order.
         matrix = random_matrix(rng, n=5)
-        normalized = topsis.normalize(topsis.forward_matrix(matrix))
+        normalized = topsis.normalize(topsis.forward(matrix), matrix.indicator_labels)
         base = topsis.score(normalized)
-        dup = DecisionMatrix(values=np.vstack([normalized.values, normalized.values[2]]),
-                             alternative_labels=matrix.alternative_labels + ["dup"],
-                             indicator_kinds=normalized.indicator_kinds)
-        extended = topsis.score(dup)
+        extended = topsis.score(np.vstack([normalized, normalized[2]]))
         assert np.array_equal(extended.s[:5], base.s)
         assert extended.s[5] == base.s[2]
 
@@ -234,8 +234,8 @@ class TestProperties:
             [6.01620221, 4.55317029, 8.84278466, 4.41063842],
             [9.26621597, 1.15279585, 4.58497019, 5.43539079],
         ])
-        kinds = [IndicatorKind.benefit(), IndicatorKind.cost(),
-                 IndicatorKind.intermediate(8.607505564654797), IndicatorKind.benefit()]
+        kinds = [IndicatorKind("benefit"), IndicatorKind("cost"),
+                 IndicatorKind.intermediate(8.607505564654797), IndicatorKind("benefit")]
         mat = DecisionMatrix(values=values, alternative_labels=list("abcde"),
                              indicator_kinds=kinds)
         dup = DecisionMatrix(values=np.vstack([values, values[3]]),
