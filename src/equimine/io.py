@@ -33,61 +33,43 @@ def parse_ratio(text: str) -> float:
 
 def load_pairwise_csv(path) -> PairwiseMatrix:
     """Read a comparison matrix: header and first column carry the labels."""
-    rows = _read_rows(path)
+    rows = list(_rows(path))  # a few short rows; the row count is checked first
     if len(rows) < 2:
         raise ParseError("pairwise matrix file needs a header and body", line=1)
-    labels = [c.strip() for c in rows[0][1:]]
+    header_line, header = rows[0]
+    labels = [c.strip() for c in header[1:]]
     n = len(labels)
     if len(rows) - 1 != n:
         raise ParseError(f"header has {n} labels but the file has {len(rows) - 1} body rows",
-                         line=1)
+                         line=header_line)
     entries = np.empty((n, n))
-    for i, row in enumerate(rows[1:], start=2):
-        if len(row) != n + 1:
-            raise ParseError(f"expected {n + 1} cells, got {len(row)}", line=i)
-        if row[0].strip() != labels[i - 2]:
-            raise ParseError(
-                f"row label {row[0].strip()!r} does not match header order", line=i
-            )
-        for j, cell in enumerate(row[1:]):
-            try:
-                entries[i - 2, j] = parse_ratio(cell)
-            except ParseError as exc:
-                raise ParseError(str(exc), line=i) from None
+    for i, (line, row) in enumerate(rows[1:]):
+        if row[0].strip() != labels[i]:
+            raise ParseError(f"row label {row[0].strip()!r} does not match header order", line=line)
+        entries[i] = _converted(line, parse_ratio, row[1:])
     return PairwiseMatrix(entries=entries, labels=labels)
 
 
 def load_decision_csv(path) -> DecisionMatrix:
     """Read a decision matrix; header cells are 'name:kind' with kind one of
     benefit, cost or mid=<x_best>; first column holds alternative labels."""
-    rows = _read_rows(path)
-    if len(rows) < 2:
-        raise ParseError("decision matrix file needs a header and body", line=1)
+    rows = _rows(path)
+    header_line, header = next(rows, (1, []))
     names, kinds = [], []
-    for cell in rows[0][1:]:
+    for cell in header[1:]:
         if ":" not in cell:
-            raise ParseError(f"indicator {cell!r} is missing its kind annotation", line=1)
+            raise ParseError(f"indicator {cell!r} is missing its kind annotation", line=header_line)
         name, annotation = cell.rsplit(":", 1)
         names.append(name.strip())
-        try:
-            kinds.append(IndicatorKind.parse(annotation.strip()))
-        except ValidationError as exc:
-            raise ParseError(str(exc), line=1) from None
+        kinds += _converted(header_line, IndicatorKind.parse, [annotation.strip()])
     labels, values = [], []
-    for i, row in enumerate(rows[1:], start=2):
-        if len(row) != len(names) + 1:
-            raise ParseError(f"expected {len(names) + 1} cells, got {len(row)}", line=i)
+    for line, row in rows:
         labels.append(row[0].strip())
-        try:
-            values.append([float(c) for c in row[1:]])
-        except ValueError as exc:
-            raise ParseError(str(exc), line=i) from None
-    return DecisionMatrix(
-        values=np.array(values),
-        alternative_labels=labels,
-        indicator_kinds=kinds,
-        indicator_labels=names,
-    )
+        values.append(_converted(line, float, row[1:]))
+    if not labels:
+        raise ParseError("decision matrix file needs a header and body", line=header_line)
+    return DecisionMatrix(values=np.array(values), alternative_labels=labels,
+                          indicator_kinds=kinds, indicator_labels=names)
 
 
 @dataclass
@@ -103,52 +85,45 @@ class IndicatorTable:
 def load_indicator_table(path) -> IndicatorTable:
     """Read a complete panel of per-(country, year) indicator records, rejecting
     duplicates, non-finite cells and missing (country, year) records."""
-    rows = _read_rows(path)
+    rows = _rows(path)
     expected = ("country", "year") + INDICATOR_COLUMNS
-    if not rows or tuple(c.strip().lower() for c in rows[0]) != expected:
-        raise ParseError(f"header must be {','.join(expected)}", line=1)
-    records = {}
-    for i, row in enumerate(rows[1:], start=2):
-        if len(row) != len(expected):
-            raise ParseError(f"expected {len(expected)} cells, got {len(row)}", line=i)
-        country = row[0].strip()
-        try:
-            year = int(row[1])
-            cells = [float(c) for c in row[2:]]
-        except ValueError as exc:
-            raise ParseError(str(exc), line=i) from None
-        if not all(map(math.isfinite, cells)):
-            raise ParseError("all seven indicators must be finite", line=i)
-        if (country, year) in records:
-            raise ValidationError(f"duplicate record for ({country}, {year})")
-        records[(country, year)] = cells
-    if not records:
-        raise ParseError("indicator table has no data rows", line=1)
-    countries = list(dict.fromkeys(c for c, _ in records))
-    years = sorted({y for _, y in records})
-    missing = [(c, y) for c in countries for y in years if (c, y) not in records]
+    header_line, header = next(rows, (1, []))
+    if tuple(c.strip().lower() for c in header) != expected:
+        raise ParseError(f"header must be {','.join(expected)}", line=header_line)
+    cells, index = [], {}  # the file's cells in one flat list; (country, year) -> record
+    for line, row in rows:
+        key = row[0].strip(), *_converted(line, int, row[1:2])
+        record = _converted(line, float, row[2:])
+        if not all(map(math.isfinite, record)):
+            raise ParseError("all seven indicators must be finite", line=line)
+        if key in index:
+            raise ValidationError(f"duplicate record for ({key[0]}, {key[1]})")
+        index[key] = len(index)
+        cells += record
+    if not index:
+        raise ParseError("indicator table has no data rows", line=header_line)
+    countries = list(dict.fromkeys(c for c, _ in index))
+    years = sorted({y for _, y in index})
+    missing = [(c, y) for c in countries for y in years if (c, y) not in index]
     if missing:
         raise ValidationError(f"indicator table is missing records: {missing[:5]}")
-    values = np.array([[records[(c, y)] for y in years] for c in countries])
-    return IndicatorTable(countries, years, values)
+    order = [index[(c, y)] for c in countries for y in years]
+    values = np.array(cells).reshape(-1, len(INDICATOR_COLUMNS))[order]
+    return IndicatorTable(countries, years, values.reshape(len(countries), len(years), -1))
 
 
 def load_gdp_csv(path) -> dict:
     """Read (country, gdp) pairs into a dict, preserving file order."""
-    rows = _read_rows(path)
-    if not rows or tuple(c.strip().lower() for c in rows[0]) != ("country", "gdp"):
-        raise ParseError("header must be country,gdp", line=1)
+    rows = _rows(path)
+    header_line, header = next(rows, (1, []))
+    if tuple(c.strip().lower() for c in header) != ("country", "gdp"):
+        raise ParseError("header must be country,gdp", line=header_line)
     gdp = {}
-    for i, row in enumerate(rows[1:], start=2):
-        if len(row) != 2:
-            raise ParseError(f"expected 2 cells, got {len(row)}", line=i)
+    for line, row in rows:
         country = row[0].strip()
         if country in gdp:
             raise ValidationError(f"duplicate GDP row for {country!r}")
-        try:
-            gdp[country] = float(row[1])
-        except ValueError as exc:
-            raise ParseError(str(exc), line=i) from None
+        [gdp[country]] = _converted(line, float, row[1:])
     return gdp
 
 
@@ -217,16 +192,32 @@ def load_train_config(path):
     return spec, config
 
 
-def _read_rows(path) -> list:
-    """Non-blank rows of a CSV file; undecodable bytes and CSV errors are ParseErrors."""
+def _rows(path):
+    """Yield (line, row) for each non-blank row of a CSV file, `line` being the file line
+    it ends on. Bad UTF-8, CSV errors and rows ragged against the header are ParseErrors."""
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
+        width = None
         try:
-            return [row for row in reader if row and any(c.strip() for c in row)]
+            for row in reader:
+                if any(c.strip() for c in row):
+                    width = width or len(row)
+                    if len(row) != width:
+                        raise ParseError(f"expected {width} cells, got {len(row)}",
+                                         line=reader.line_num)
+                    yield reader.line_num, row
         except UnicodeDecodeError as exc:
             raise ParseError(f"file is not valid UTF-8: {exc.reason}") from None
         except csv.Error as exc:
             raise ParseError(str(exc), line=reader.line_num) from None
+
+
+def _converted(line, convert, cells) -> list:
+    """[convert(c) for c in cells]; a ValueError is a ParseError naming `line`."""
+    try:
+        return [convert(c) for c in cells]
+    except ValueError as exc:
+        raise ParseError(str(exc), line=line) from None
 
 
 def fmt6(x):
@@ -255,9 +246,10 @@ def _rounded(value):
 
 
 def write_json_report(path, payload: dict):
-    """Write payload as indented JSON, every float rounded by fmt6."""
-    Path(path).write_text(json.dumps(_rounded(payload), indent=2, ensure_ascii=False) + "\n",
-                          encoding="utf-8")
+    """Encode payload as indented JSON straight into the file, every float rounded by fmt6."""
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(_rounded(payload), handle, indent=2, ensure_ascii=False)
+        handle.write("\n")
 
 
 def write_csv(path, header, rows):

@@ -268,11 +268,15 @@ class SweepResult:
     max_variation: float
 
 
-def standardize_columns(x):
-    """Z-score per column; constant columns keep std 1 so they pass through."""
+def standardize_columns(x, labels):
+    """Z-score per column; constant columns keep std 1 so they pass through. A
+    column whose mean or std overflows is rejected, named by `labels`."""
     x = np.asarray(x, dtype=float)
-    means = x.mean(axis=0)
-    stds = x.std(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        means, stds = x.mean(axis=0), x.std(axis=0)
+    if (overflowed := ~np.isfinite(means) | ~np.isfinite(stds)).any():
+        raise ValidationError(f"indicator {labels[overflowed.argmax()]!r} overflows the float "
+                              "range when standardized")
     stds = np.where(stds == 0, 1.0, stds)
     return (x - means) / stds, means, stds
 
@@ -329,7 +333,7 @@ def sensitivity_sweep(inputs, targets, spec: LayerSpec = None, config: TrainConf
     if indicator_names is None:
         indicator_names = [f"x{j + 1}" for j in range(x.shape[1])]
 
-    x_std, _, _ = standardize_columns(x)
+    x_std, _, _ = standardize_columns(x, indicator_names)
     params, losses = train(x_std, targets, spec, config)
     sens = input_sensitivities(x_std, params)
     rows, variations = perturbation_sweep(params, x_std, span=span, points=points)

@@ -106,12 +106,15 @@ def forward(matrix: DecisionMatrix) -> np.ndarray:
 def normalize(x: np.ndarray, labels) -> np.ndarray:
     """Scale each column by its Euclidean norm: z_ij = x_ij / sqrt(sum_i x_ij^2).
 
-    `labels` names the columns; an all-zero column raises
-    DegenerateColumnError naming the first such label.
+    `labels` names the columns; an all-zero column, or one whose norm overflows
+    the float range, raises DegenerateColumnError naming the first such label.
     """
     if np.any(x < 0):
         raise ValidationError("normalize expects non-negative (forwarded) entries")
-    norms = np.sqrt((x * x).sum(axis=0))
+    with np.errstate(over="ignore"):
+        norms = np.sqrt((x * x).sum(axis=0))
+    if (overflowed := np.isinf(norms)).any():
+        raise DegenerateColumnError(labels[overflowed.argmax()], "norm overflows the float range")
     if not norms.all():
         raise DegenerateColumnError(labels[(norms == 0).argmax()])
     return x / norms

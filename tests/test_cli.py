@@ -423,8 +423,12 @@ def test_malformed_json_input_prints_error_json(runner, tmp_path, args, text, st
     (["weights", "--pairwise"], b",A,B\nA,1,1e400\nB,1,1\n", "weights"),
     (["correlate", "--indicators"],
      sample_path("indicators.csv").read_bytes().replace(b"0.6961", b"1e308", 1), "correlation"),
+    (["sensitivity", "--train", str(sample_path("train.json")), "--indicators"],
+     sample_path("indicators.csv").read_bytes().replace(b"0.6961", b"1e308", 1), "sensitivity"),
+    (["topsis", "--decision"], b"alt,a:benefit,b:benefit\nx,1e200,1\ny,1e200,2\n", "topsis"),
 ], ids=["pairwise-row-count", "not-utf8", "oversized-cell", "bad-mid-optimum",
-        "overflowing-ratio", "overflowing-indicator"])
+        "overflowing-ratio", "overflowing-indicator", "overflowing-indicator-sensitivity",
+        "overflowing-topsis-norm"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_malformed_csv_input_prints_error_json(runner, tmp_path, args, content, stage):
     bad = tmp_path / "bad.csv"

@@ -1,10 +1,11 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from equimine import io, pipeline
+from equimine import equity, io, pipeline
 from equimine.data import sample_dir, sample_path
 from equimine.errors import ParseError, ValidationError
 
@@ -233,6 +234,70 @@ def test_malformed_csv_input_is_parse_error(tmp_path, loader, content):
     path.write_bytes(content)
     with pytest.raises(ParseError):
         loader(path)
+
+
+@pytest.mark.parametrize("loader, text", [
+    (io.load_pairwise_csv, ",A,B\nA,1,2\n\n\nB,x,1\n"),
+    (io.load_decision_csv, "alt,a:benefit\nx,1\n\n\ny,z\n"),
+    (io.load_indicator_table, "country,year,ei,idg,cea,ma,hr,er,sa\nX,2020,1,1,1,1,1,1,1\n"
+                              " \n,,\nX,2021,1,1,x,1,1,1,1\n"),
+    (io.load_gdp_csv, "country,gdp\nA,1\n\n\nB,x\n"),
+    (io.load_gdp_csv, "country,gdp\n\n\n\nA,1,2\n"),
+    (io.load_gdp_csv, "\n\n\n\ncountry,gdp_usd\nA,1\n"),
+], ids=["pairwise", "decision", "indicators", "gdp", "ragged-row", "header"])
+def test_parse_errors_name_the_file_line_past_blank_lines(tmp_path, loader, text):
+    # blank rows, spaces-only and empty-cell rows included, are skipped but counted
+    path = tmp_path / "input.csv"
+    path.write_text(text)
+    with pytest.raises(ParseError, match="^line 5: "):
+        loader(path)
+
+
+def traced_peak(run):
+    """(run(), the peak traced allocation while it ran above what was traced at its start)."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = run()
+        return result, tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture
+def panel_5k(tmp_path):
+    """A seeded indicator CSV of 1,000 countries x 5 years: 5,000 records."""
+    rng = np.random.default_rng(2024)
+    lines = [",".join(("country", "year") + io.INDICATOR_COLUMNS)]
+    for c in range(1000):
+        lines += [f"C{c:04d},{year}," + ",".join(map(repr, rng.uniform(0.05, 1.0, 7).tolist()))
+                  for year in range(2016, 2021)]
+    path = tmp_path / "panel.csv"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+MiB = 2 ** 20
+
+
+class TestPanelScaleMemory:
+    # The loader streams rows into one flat list of floats and the writer encodes
+    # straight into the file, so neither holds a second copy of a 5,000-record
+    # panel: per-record lists and a dict of them, or the whole encoded text.
+    def test_load_indicator_table_peak(self, panel_5k):
+        table, peak = traced_peak(lambda: io.load_indicator_table(panel_5k))
+        assert table.values.shape == (1000, 5, 7)
+        assert peak < 4 * MiB
+
+    def test_write_json_report_peak(self, panel_5k, tmp_path):
+        panel = pipeline.score_panel(io.load_indicator_table(panel_5k),
+                                     equity.DEFAULT_SCORE_WEIGHTS)
+        payload = pipeline.equity_stage(panel)["equity.json"]
+        path = tmp_path / "equity.json"
+        _, peak = traced_peak(lambda: io.write_json_report(path, payload))
+        assert peak < 3 * MiB
+        assert path.read_text(encoding="utf-8") == json.dumps(
+            io._rounded(payload), indent=2, ensure_ascii=False) + "\n"
 
 
 class TestWriters:

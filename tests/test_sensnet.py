@@ -246,9 +246,17 @@ class TestSensitivitySweep:
 
     def test_standardize_handles_constant_column(self):
         x = np.array([[1.0, 5.0], [2.0, 5.0], [3.0, 5.0]])
-        out, means, stds = sensnet.standardize_columns(x)
+        out, means, stds = sensnet.standardize_columns(x, ["rising", "constant"])
         assert stds[1] == 1.0
         assert np.all(out[:, 1] == 0.0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("column", [[1e308, 1.0, 2.0], [1.5e308, 1.5e308, 1.0]],
+                             ids=["std-overflows", "mean-overflows"])
+    def test_standardize_rejects_an_overflowing_column_by_label(self, column):
+        x = np.column_stack([[1.0, 2.0, 3.0], column])
+        with pytest.raises(ValidationError, match="'ei' overflows"):
+            sensnet.standardize_columns(x, ["hr", "ei"])
 
     @pytest.mark.filterwarnings("error")  # forward silences the exp overflow
     def test_saturated_network_is_training_error(self, rng):

@@ -136,6 +136,17 @@ class TestNormalize:
         with pytest.raises(ValidationError):
             self._normalize([[1.0, -1.0]])
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_norm_is_rejected_by_label(self):
+        # 1e200 squared overflows: the norm would be inf and the column all zeros
+        with pytest.raises(DegenerateColumnError, match="'huge': norm overflows"):
+            self._normalize([[1e200, 1e200], [1.0, 2.0]], labels=["huge", "small"])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_large_norm_that_fits_keeps_its_bits(self):
+        x = np.array([[1e150, 1.0], [3e150, 2.0]])
+        assert np.array_equal(topsis.normalize(x, ["a", "b"]), x / np.sqrt((x * x).sum(axis=0)))
+
 
 class TestScore:
     def test_symmetric_two_by_two(self):
