@@ -38,20 +38,18 @@ class CountryShare:
 class AllocationResult:
     shares: list  # of CountryShare, input order preserved
     total_profit: float
-    mode: str
     over_allocation: float = field(init=False)
 
     def __post_init__(self):
         self.over_allocation = sum(s.raw_share for s in self.shares) - self.total_profit
 
 
-def poverty_multipliers(gdp: dict, policy: PovertyPolicy = None) -> dict:
+def poverty_multipliers(gdp: dict, policy: PovertyPolicy) -> dict:
     """Per-country multiplier: policy.multiplier for the bottom GDP group, else 1.0.
 
     Ties at the cutoff break by label lexicographic order so the bottom set is
     deterministic.
     """
-    policy = policy or PovertyPolicy()
     labels = list(gdp)
     if policy.bottom_count > len(labels):
         raise ValidationError(
@@ -102,4 +100,4 @@ def allocate(total_profit: float, scores: dict, gammas: dict,
                      conserved_share=float(conserved[i]))
         for i, c in enumerate(labels)
     ]
-    return AllocationResult(shares=shares, total_profit=total_profit, mode=mode)
+    return AllocationResult(shares=shares, total_profit=total_profit)

@@ -1,5 +1,5 @@
-"""Exception types shared across the toolkit, and the integer rule its
-loaders and parameter classes share."""
+"""Exception types shared across the toolkit, and the integer and real-number
+rules its loaders and parameter classes share."""
 
 import numbers
 
@@ -76,3 +76,11 @@ def as_integer(value, what="value") -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValidationError(f"{what} must be an integer, got {value!r}")
     return int(value)
+
+
+def as_real(value, what="value") -> float:
+    """`value` as a float: an int, float or numpy number that is not a bool. Anything
+    else, a numeric string included, raises ValidationError naming `what`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValidationError(f"{what} must be a real number, got {value!r}")
+    return float(value)

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError, ValidationError, as_integer
+from .errors import ParseError, ValidationError, as_integer, as_real
 from .mcda import PairwiseMatrix
 from .mining import (DEFAULT_DOF, DEFAULT_INCOME_MODE, DEFAULT_LOCATION, DEFAULT_SCALE,
                      DEFAULT_TOTAL_VALUE, INCOME_MODES, MiningCurveParams, RevenueWindow)
@@ -139,24 +139,24 @@ def read_json_object(path, what: str) -> dict:
 
 
 def json_field(raw: dict, what: str, key: str, default, convert):
-    """raw[key] (or default) passed through convert; a failure is a ParseError."""
+    """raw[key] (or default) passed through convert; any failure is a ParseError."""
     value = raw.get(key, default)
     try:
         return convert(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ParseError(f"{what} field {key!r} has a bad value {value!r}") from None
 
 
 def load_scenario(path):
     """Read a mining scenario JSON file.
 
-    Returns (MiningCurveParams, RevenueWindow, mode, metadata). Missing fields
+    Returns (MiningCurveParams, RevenueWindow, mode, name). Missing fields
     fall back to the module defaults; t2 may be the string "inf".
     """
     raw = read_json_object(path, "scenario")
 
     def number(key, default):
-        return json_field(raw, "scenario", key, default, float)
+        return json_field(raw, "scenario", key, default, as_real)
 
     params = MiningCurveParams(
         dof=number("dof", DEFAULT_DOF),
@@ -170,9 +170,7 @@ def load_scenario(path):
     mode = raw.get("mode", DEFAULT_INCOME_MODE)
     if mode not in INCOME_MODES:
         raise ParseError(f"scenario mode must be one of {', '.join(INCOME_MODES)}, got {mode!r}")
-    metadata = {k: v for k, v in raw.items()
-                if k not in ("dof", "location", "scale", "total_value", "t1", "t2", "cost", "mode")}
-    return params, window, mode, metadata
+    return params, window, mode, raw.get("name")
 
 
 def load_train_config(path):
@@ -185,7 +183,7 @@ def load_train_config(path):
     spec = LayerSpec(field("layer_sizes", DEFAULT_LAYER_SIZES,
                            lambda v: tuple(as_integer(s) for s in v)))
     config = TrainConfig(
-        learning_rate=field("learning_rate", TrainConfig.learning_rate, float),
+        learning_rate=field("learning_rate", TrainConfig.learning_rate, as_real),
         epochs=field("epochs", TrainConfig.epochs, as_integer),
         seed=field("seed", TrainConfig.seed, as_integer),
     )
@@ -213,7 +211,10 @@ def _rows(path):
 
 
 def _converted(line, convert, cells) -> list:
-    """[convert(c) for c in cells]; a ValueError is a ParseError naming `line`."""
+    """[convert(c) for c in cells]; a ValueError is a ParseError naming `line`. So is
+    a cell holding '_', a digit-group separator that float, int and Fraction accept."""
+    if underscored := [c for c in cells if "_" in c]:
+        raise ParseError(f"bad number {underscored[0]!r}: '_' is not allowed", line=line)
     try:
         return [convert(c) for c in cells]
     except ValueError as exc:

@@ -8,8 +8,8 @@ from .errors import ConvergenceError, ValidationError
 
 METHODS = ("arithmetic-mean", "geometric-mean", "eigenvalue")
 
-# Random consistency index by matrix order n = 1..10.
-DEFAULT_RI_TABLE = (0.00, 0.00, 0.58, 0.90, 1.12, 1.24, 1.32, 1.41, 1.45, 1.49)
+# Saaty's random consistency index by matrix order n = 1..10.
+RI_TABLE = (0.00, 0.00, 0.58, 0.90, 1.12, 1.24, 1.32, 1.41, 1.45, 1.49)
 
 _RECIPROCITY_RTOL = 1e-9
 _POWER_TOL = 1e-12
@@ -39,7 +39,8 @@ class PairwiseMatrix:
             raise ValidationError("comparison matrix entries must be finite and > 0")
         if np.any(np.diag(a) != 1.0):
             raise ValidationError("comparison matrix diagonal must be exactly 1")
-        products = a * a.T
+        with np.errstate(over="ignore"):  # an overflowing pair is not reciprocal either
+            products = a * a.T
         if np.any(np.abs(products - 1.0) > _RECIPROCITY_RTOL):
             i, j = np.unravel_index(np.argmax(np.abs(products - 1.0)), a.shape)
             raise ValidationError(
@@ -55,17 +56,12 @@ class PairwiseMatrix:
         elif len(self.labels) != n:
             raise ValidationError(f"expected {n} labels, got {len(self.labels)}")
 
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
-
 
 @dataclass
 class WeightVector:
-    """Normalized criterion weights plus the method that produced them."""
+    """Normalized criterion weights."""
 
     weights: np.ndarray
-    method: str
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
@@ -112,7 +108,7 @@ def derive_weights(matrix: PairwiseMatrix, method: str = "eigenvalue") -> Weight
     else:
         raise ValidationError(f"unknown weighting method {method!r}")
     w = w / w.sum()
-    return WeightVector(weights=w, method=method)
+    return WeightVector(weights=w)
 
 
 def _power_iteration(a: np.ndarray) -> np.ndarray:
@@ -135,27 +131,25 @@ def lambda_max(matrix: PairwiseMatrix) -> float:
     return float(np.mean((matrix.entries @ w) / w))
 
 
-def consistency_from_lambda(lam: float, n: int, ri_table=DEFAULT_RI_TABLE) -> ConsistencyReport:
+def consistency_from_lambda(lam: float, n: int) -> ConsistencyReport:
     """Build a consistency report from a known dominant eigenvalue.
 
     CI = (lambda - n)/(n - 1), CR = CI/RI. For n = 1 CI is defined as 0, and
-    whenever RI = 0 (n <= 2 in the default table) CR is defined as 0 since
+    whenever RI = 0 (n <= 2) CR is defined as 0 since
     such matrices are consistent by construction. lambda >= n holds for every
     positive reciprocal matrix, so a negative CI is rounding and is clamped
     to 0.
     """
     if n < 1:
         raise ValidationError("matrix order must be >= 1")
-    if n > len(ri_table):
-        raise ValidationError(
-            f"no RI value for n = {n}; supply a longer ri_table (default covers 1..{len(DEFAULT_RI_TABLE)})"
-        )
-    ri = float(ri_table[n - 1])
+    if n > len(RI_TABLE):
+        raise ValidationError(f"no RI value for n = {n}; the RI table covers 1..{len(RI_TABLE)}")
+    ri = float(RI_TABLE[n - 1])
     ci = 0.0 if n == 1 else max((lam - n) / (n - 1), 0.0)
     cr = ci / ri if ri > 0 else 0.0
     return ConsistencyReport(lambda_max=lam, ci=ci, ri=ri, cr=cr, passes=cr < 0.1)
 
 
-def consistency(matrix: PairwiseMatrix, ri_table=DEFAULT_RI_TABLE) -> ConsistencyReport:
+def consistency(matrix: PairwiseMatrix) -> ConsistencyReport:
     """Check a comparison matrix for acceptable consistency (CR < 0.1)."""
-    return consistency_from_lambda(lambda_max(matrix), matrix.n, ri_table)
+    return consistency_from_lambda(lambda_max(matrix), len(matrix.entries))

@@ -9,7 +9,7 @@ tail probability, `t_sf`.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -118,16 +118,16 @@ class MiningCurveParams:
     """Curve parameters: t-distribution dof, peak year, scale, total value.
 
     positive_mass caches the curve's mass on t in [0, inf) before
-    renormalization, t_sf(-location / scale), computed when not supplied. A dof
-    below MIN_DOF, or one whose density normalising constant overflows, is
-    rejected.
+    renormalization, t_sf(-location / scale); a mass that underflows to 0 is
+    rejected. So is a dof below MIN_DOF, or one whose density normalising
+    constant overflows.
     """
 
     dof: float = DEFAULT_DOF
     location: float = DEFAULT_LOCATION
     scale: float = DEFAULT_SCALE
     total_value: float = DEFAULT_TOTAL_VALUE
-    positive_mass: float = None
+    positive_mass: float = field(init=False)
 
     def __post_init__(self):
         if not (self.dof >= MIN_DOF and math.isfinite(self.dof)):
@@ -140,8 +140,7 @@ class MiningCurveParams:
             raise ValidationError("location must be finite")
         if not (self.total_value >= 0 and math.isfinite(self.total_value)):
             raise ValidationError("total_value must be >= 0")
-        if self.positive_mass is None:
-            self.positive_mass = t_sf(-self.location / self.scale, self.dof)
+        self.positive_mass = t_sf(-self.location / self.scale, self.dof)
         if not (0.0 < self.positive_mass <= 1.0 + 1e-12):
             raise ValidationError(f"positive_mass must be in (0, 1], got {self.positive_mass}")
 

@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import allocation, equity, io, mcda, mining, sensnet, stats, topsis
-from .errors import EquimineError, ParseError, PipelineError, ValidationError, as_integer
+from .errors import EquimineError, ParseError, PipelineError, ValidationError, as_integer, as_real
 
 log = logging.getLogger(__name__)
 
@@ -120,7 +120,7 @@ def load_run_config(path, **overrides) -> RunConfig:
         bottom_count=io.json_field(poverty, "run config poverty", "bottom_count",
                                    RunConfig.bottom_count, as_integer),
         multiplier=io.json_field(poverty, "run config poverty", "multiplier",
-                                 RunConfig.multiplier, float),
+                                 RunConfig.multiplier, as_real),
         seed=io.json_field(raw, "run config", "seed", None,
                            lambda v: None if v is None else as_integer(v)),
     )
@@ -279,12 +279,12 @@ def mining_stage(scenario, income_mode=None):
     The selected mode is `income_mode` when given, else the scenario's own
     mode. Returns (reports, profit in the selected mode).
     """
-    params, window, scenario_mode, metadata = scenario
+    params, window, scenario_mode, name = scenario
     selected = income_mode or scenario_mode
     incomes = {m: mining.income(window, params, m) for m in mining.INCOME_MODES}
     profits = {m: mining.profit(incomes[m], window.cost) for m in mining.INCOME_MODES}
     return {"mining.json": {
-        "scenario": metadata.get("name"),
+        "scenario": name,
         **asdict(params),
         "window": asdict(window),
         "income": incomes,
@@ -343,10 +343,9 @@ def sensitivity_stage(panel, train, seed=None):
     spec, train_config = train
     if seed is not None:
         train_config = replace(train_config, seed=seed)
-    sweep = sensnet.sensitivity_sweep(
-        x, scale_targets(series), spec, train_config, indicator_names=list(io.INDICATOR_COLUMNS)
-    )
-    named = [(n, float(v)) for n, v in zip(sweep.indicator_names, sweep.sensitivities)]
+    sweep = sensnet.sensitivity_sweep(x, scale_targets(series), spec, train_config,
+                                      io.INDICATOR_COLUMNS)
+    named = [(n, float(v)) for n, v in zip(io.INDICATOR_COLUMNS, sweep.sensitivities)]
     return {
         "sensitivity.csv": (("indicator", "value"), named),
         "perturbation.csv": (("weight_id", "w", "output"), sweep.perturbation_rows),

@@ -16,17 +16,17 @@ from .errors import TrainingError, ValidationError, as_integer
 
 DEFAULT_LAYER_SIZES = (7, 16, 1)
 INIT_HALF_RANGE = 0.5  # weights and biases start uniform in [-0.5, 0.5]
+SWEEP_SPAN = 0.1  # the weight sweep moves each weight across +/- 10% of its value
+SWEEP_POINTS = 11  # on 11 evenly spaced points
 
 
-def sigmoid(x, out=None):
-    """1 / (1 + exp(-x)) elementwise, written into `out` when it is given.
+def sigmoid(x, out):
+    """1 / (1 + exp(-x)) elementwise, written into `out`.
 
     exp(-x) overflows for x below about -709 and the result saturates to 0
     cleanly; callers that expect such inputs enter np.errstate(over="ignore")
     to silence numpy's warning, once per `forward`, `train` or sweep.
     """
-    if out is None:
-        out = np.empty(np.shape(x))
     np.negative(x, out=out)
     np.exp(out, out=out)
     out += 1.0
@@ -260,11 +260,9 @@ def input_sensitivities(inputs, params: NetworkParams) -> np.ndarray:
 
 @dataclass
 class SweepResult:
-    indicator_names: list
     sensitivities: np.ndarray  # per indicator, standardized-input space
     final_loss: float
     perturbation_rows: list  # (weight_id, weight_value, mean_output)
-    variations: dict  # weight_id -> relative output variation over its sweep
     max_variation: float
 
 
@@ -277,17 +275,16 @@ def standardize_columns(x, labels):
     if (overflowed := ~np.isfinite(means) | ~np.isfinite(stds)).any():
         raise ValidationError(f"indicator {labels[overflowed.argmax()]!r} overflows the float "
                               "range when standardized")
-    stds = np.where(stds == 0, 1.0, stds)
-    return (x - means) / stds, means, stds
+    return (x - means) / np.where(stds == 0, 1.0, stds)
 
 
-def perturbation_sweep(params: NetworkParams, inputs, span: float = 0.1, points: int = 11):
-    """Sweep every weight across +/- span (relative) around its trained value.
+def perturbation_sweep(params: NetworkParams, inputs):
+    """Sweep every weight across +/- SWEEP_SPAN (relative) around its trained value.
 
     For each weight the mean network output over `inputs` is recorded at each
     grid point; the per-weight variation is (max - min) / baseline output.
-    Weights exactly at zero sweep the absolute band [-span, span]. Returns
-    (rows, variations). Raises TrainingError when the baseline output is 0.
+    Weights exactly at zero sweep the absolute band [-SWEEP_SPAN, SWEEP_SPAN].
+    Returns (rows, variations). Raises TrainingError when the baseline output is 0.
 
     Moving w[j, k] of layer l changes only unit j there, so each pass recomputes
     that unit and the layers after it; one more pass per weight puts it back.
@@ -303,9 +300,9 @@ def perturbation_sweep(params: NetworkParams, inputs, span: float = 0.1, points:
         for l, w in enumerate(params.weights):
             for (j, k), center in np.ndenumerate(w):
                 weight_id = f"w{l + 1}[{j},{k}]"
-                half = abs(center) * span if center != 0 else span
+                half = abs(center) * SWEEP_SPAN if center != 0 else SWEEP_SPAN
                 outputs = []
-                for value in np.linspace(center - half, center + half, points):
+                for value in np.linspace(center - half, center + half, SWEEP_POINTS):
                     w[j, k] = value
                     out = float(_forward(x, params, trace, l, j).activations[-1].mean())
                     outputs.append(out)
@@ -316,8 +313,8 @@ def perturbation_sweep(params: NetworkParams, inputs, span: float = 0.1, points:
     return rows, variations
 
 
-def sensitivity_sweep(inputs, targets, spec: LayerSpec = None, config: TrainConfig = None,
-                      indicator_names=None, span: float = 0.1, points: int = 11) -> SweepResult:
+def sensitivity_sweep(inputs, targets, spec: LayerSpec, config: TrainConfig,
+                      indicator_names) -> SweepResult:
     """Train on (indicator table -> scores) and measure per-indicator sensitivity.
 
     Inputs are z-score standardized per indicator before training. Sensitivity
@@ -328,20 +325,13 @@ def sensitivity_sweep(inputs, targets, spec: LayerSpec = None, config: TrainConf
     x = np.asarray(inputs, dtype=float)
     if x.ndim != 2 or x.shape[0] < 10:
         raise ValidationError("need a 2-D indicator table with at least 10 samples")
-    spec = spec or LayerSpec((x.shape[1],) + DEFAULT_LAYER_SIZES[1:])
-    config = config or TrainConfig()
-    if indicator_names is None:
-        indicator_names = [f"x{j + 1}" for j in range(x.shape[1])]
-
-    x_std, _, _ = standardize_columns(x, indicator_names)
+    x_std = standardize_columns(x, indicator_names)
     params, losses = train(x_std, targets, spec, config)
     sens = input_sensitivities(x_std, params)
-    rows, variations = perturbation_sweep(params, x_std, span=span, points=points)
+    rows, variations = perturbation_sweep(params, x_std)
     return SweepResult(
-        indicator_names=list(indicator_names),
         sensitivities=sens,
         final_loss=losses[-1],
         perturbation_rows=rows,
-        variations=variations,
         max_variation=max(variations.values(), default=0.0),
     )

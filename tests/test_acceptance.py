@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from equimine import mcda, mining, pipeline, sensnet, stats, topsis
+from equimine import io, mcda, mining, pipeline, sensnet, stats, topsis
 from equimine.data import sample_path
 from equimine.mining import MiningCurveParams, RevenueWindow
 
@@ -35,7 +35,7 @@ def sample_run(tmp_path_factory):
 
 def test_c01_ci_cr_reproduction():
     start = time.perf_counter()
-    report = mcda.consistency_from_lambda(7.72, 7, ri_table=mcda.DEFAULT_RI_TABLE)
+    report = mcda.consistency_from_lambda(7.72, 7)
     elapsed = time.perf_counter() - start
     assert report.ci == pytest.approx(0.12, abs=1e-4)
     assert report.cr == pytest.approx(0.0909, abs=1e-4)
@@ -46,7 +46,7 @@ def test_c01_ci_cr_reproduction():
 
 def test_c02_ri_table_exact():
     expected = (0.00, 0.00, 0.58, 0.90, 1.12, 1.24, 1.32, 1.41, 1.45, 1.49)
-    assert mcda.DEFAULT_RI_TABLE == expected
+    assert mcda.RI_TABLE == expected
     for n, ri in enumerate(expected, start=1):
         assert mcda.consistency_from_lambda(float(n), n).ri == ri
     _report(2, "RI lookup exact for n = 1..10")
@@ -219,8 +219,7 @@ def test_c10_sensitivity_qualitative(sample_run):
         y = 0.3 + 0.4 * x[:, 0]
         sweep = sensnet.sensitivity_sweep(
             x, y, sensnet.LayerSpec((7, 16, 1)),
-            sensnet.TrainConfig(learning_rate=0.5, epochs=1500, seed=seed),
-            points=3,
+            sensnet.TrainConfig(learning_rate=0.5, epochs=1500, seed=seed), io.INDICATOR_COLUMNS,
         )
         if sweep.sensitivities[0] > sweep.sensitivities[1:].max():
             hits += 1

@@ -10,7 +10,7 @@ from equimine.errors import ValidationError
 class TestPovertyMultipliers:
     def test_bottom_group_gets_boost(self):
         gdp = {f"c{i}": float(100 + i) for i in range(25)}
-        gammas = poverty_multipliers(gdp)  # default bottom 20 at 1.2
+        gammas = poverty_multipliers(gdp, PovertyPolicy())  # default bottom 20 at 1.2
         boosted = [c for c, g in gammas.items() if g == 1.2]
         assert len(boosted) == 20
         assert set(boosted) == {f"c{i}" for i in range(20)}

@@ -254,6 +254,14 @@ INDICATORS = str(sample_path("indicators.csv"))
 SCENARIO = str(sample_path("scenario.json"))
 
 
+def sample_config(**fields) -> str:
+    """The sample run config, its input paths made absolute and `fields` set over it."""
+    config = json.loads(sample_path("config.json").read_text())
+    for key in ("indicators", "pairwise", "gdp", "scenario", "train"):
+        config[key] = str(sample_path(config[key]))
+    return json.dumps({**config, **fields})
+
+
 @pytest.fixture(scope="module")
 def sample_report(tmp_path_factory):
     out = tmp_path_factory.mktemp("report")
@@ -402,8 +410,19 @@ def test_topsis_subcommand_matches_report_with_decision(runner, tmp_path):
     (["sensitivity", "--indicators", INDICATORS, "--train"], '{"epochs": true}', "sensitivity"),
     (["sensitivity", "--indicators", INDICATORS, "--train"], '{"layer_sizes": [7, 16.9, 1]}',
      "sensitivity"),
+    (["simulate", "--scenario"], '{"dof": true}', "mining"),
+    (["simulate", "--scenario"], '{"cost": false}', "mining"),
+    (["simulate", "--scenario"], '{"dof": "5"}', "mining"),
+    (["simulate", "--scenario"], '{"total_value": "7_0e12"}', "mining"),
+    (["simulate", "--scenario"], '{"scale": 1' + "0" * 400 + '}', "mining"),
+    (["sensitivity", "--indicators", INDICATORS, "--train"], '{"learning_rate": true}',
+     "sensitivity"),
+    (["report", "--config"], sample_config(poverty={"bottom_count": 2, "multiplier": True}),
+     "config"),
 ], ids=["scenario", "train-config", "run-config", "negative-seed", "saturated-network",
-        "huge-dof", "tiny-dof", "fractional-epochs", "boolean-epochs", "fractional-width"])
+        "huge-dof", "tiny-dof", "fractional-epochs", "boolean-epochs", "fractional-width",
+        "boolean-dof", "boolean-cost", "string-dof", "string-total-value",
+        "integer-past-the-float-range", "boolean-learning-rate", "boolean-multiplier"])
 def test_malformed_json_input_prints_error_json(runner, tmp_path, args, text, stage):
     bad = tmp_path / "bad.json"
     bad.write_text(text)

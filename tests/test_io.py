@@ -148,12 +148,12 @@ class TestGdpCsv:
 
 class TestScenario:
     def test_loads_sample(self):
-        params, window, mode, metadata = io.load_scenario(sample_path("scenario.json"))
+        params, window, mode, name = io.load_scenario(sample_path("scenario.json"))
         assert params.total_value == 70e12
         assert window.t2 == 30.0
         assert window.cost == 5e12
         assert mode == "cumulative"
-        assert metadata["name"] == "baseline-70T"
+        assert name == "baseline-70T"
 
     def test_defaults_and_inf(self, tmp_path):
         path = tmp_path / "s.json"
@@ -164,13 +164,12 @@ class TestScenario:
         assert mode == "cumulative"
 
     def test_asteroid_valuation_scenario(self):
-        # sample built from the bundled asteroid valuations; the delta-v
-        # column rides along as metadata only
-        params, window, mode, metadata = io.load_scenario(sample_path("anteros.json"))
+        # sample built from the bundled asteroid valuations
+        params, window, mode, name = io.load_scenario(sample_path("anteros.json"))
         assert params.total_value == 5.57e12
         assert window.cost == 4.32e12
         assert math.isinf(window.t2)
-        assert metadata["delta_v_km_s"] == 5.44
+        assert name == "Anteros"
 
 
 class TestTrainConfigFile:
@@ -251,6 +250,33 @@ def test_parse_errors_name_the_file_line_past_blank_lines(tmp_path, loader, text
     path.write_text(text)
     with pytest.raises(ParseError, match="^line 5: "):
         loader(path)
+
+
+@pytest.mark.parametrize("loader, text, line", [
+    (io.load_pairwise_csv, ",A,B\nA,1,1_0/3\nB,3/10,1\n", 2),
+    (io.load_decision_csv, "alt,a:benefit\nx,1\ny,1_000\n", 3),
+    (io.load_decision_csv, "alt,a:mid=1_0\nx,1\ny,2\n", 1),
+    (io.load_indicator_table, "country,year,ei,idg,cea,ma,hr,er,sa\n"
+                              "X,2017,0_6961,1,1,1,1,1,1\n", 2),
+    (io.load_indicator_table, "country,year,ei,idg,cea,ma,hr,er,sa\n"
+                              "X,20_17,1,1,1,1,1,1,1\n", 2),
+    (io.load_gdp_csv, "country,gdp\nA,1\nB,1_000\n", 3),
+], ids=["pairwise-ratio", "decision-cell", "decision-mid", "indicator-cell", "indicator-year",
+        "gdp"])
+def test_digit_group_underscores_are_parse_errors(tmp_path, loader, text, line):
+    # float, int and Fraction read "0_6961" as 6961; no CSV number may hold '_'
+    path = tmp_path / "input.csv"
+    path.write_text(text)
+    with pytest.raises(ParseError, match=f"^line {line}: bad number .*'_'"):
+        loader(path)
+
+
+def test_underscores_in_labels_are_kept(tmp_path):
+    gdp, indicators = tmp_path / "gdp.csv", tmp_path / "indicators.csv"
+    gdp.write_text("country,gdp\nNew_Zealand,10.5\n")
+    indicators.write_text("country,year,ei,idg,cea,ma,hr,er,sa\nNew_Zealand,2017,1,1,1,1,1,1,1\n")
+    assert io.load_gdp_csv(gdp) == {"New_Zealand": 10.5}
+    assert io.load_indicator_table(indicators).countries == ["New_Zealand"]
 
 
 def traced_peak(run):

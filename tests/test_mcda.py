@@ -100,7 +100,7 @@ class TestConsistency:
 
     def test_ri_table_values(self):
         expected = (0.00, 0.00, 0.58, 0.90, 1.12, 1.24, 1.32, 1.41, 1.45, 1.49)
-        assert mcda.DEFAULT_RI_TABLE == expected
+        assert mcda.RI_TABLE == expected
         for n, ri in enumerate(expected, start=1):
             assert mcda.consistency_from_lambda(float(n), n).ri == ri
 
@@ -133,11 +133,8 @@ class TestConsistency:
         assert report.passes
 
     def test_n_outside_table(self):
-        with pytest.raises(ValidationError, match="ri_table"):
+        with pytest.raises(ValidationError, match="no RI value for n = 11"):
             mcda.consistency_from_lambda(12.0, 11)
-        # a user-supplied table covering n = 11 works
-        report = mcda.consistency_from_lambda(12.0, 11, ri_table=(0,) * 10 + (1.51,))
-        assert report.ci == pytest.approx(0.1)
 
     def test_reference_weight_constants(self):
         # spot values from the published per-method table

@@ -41,8 +41,6 @@ class TestCurveParams:
             MiningCurveParams(scale=-1.0)
         with pytest.raises(ValidationError):
             MiningCurveParams(total_value=-5.0)
-        with pytest.raises(ValidationError):
-            MiningCurveParams(positive_mass=1.5)
 
     def test_dof_below_minimum_rejected(self):
         with pytest.raises(ValidationError, match="dof must be"):

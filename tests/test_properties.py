@@ -17,7 +17,7 @@ SAATY = [1.0 / k for k in range(9, 1, -1)] + [float(k) for k in range(1, 10)]
 @st.composite
 def saaty_matrices(draw):
     """Reciprocal matrix from a random Saaty-scale upper triangle."""
-    n = draw(st.integers(2, len(mcda.DEFAULT_RI_TABLE)))
+    n = draw(st.integers(2, len(mcda.RI_TABLE)))
     iu, ju = np.triu_indices(n, k=1)
     a = np.ones((n, n))
     a[iu, ju] = draw(st.lists(st.sampled_from(SAATY), min_size=iu.size, max_size=iu.size))
@@ -28,7 +28,7 @@ def saaty_matrices(draw):
 @st.composite
 def consistent_matrices(draw):
     """Exactly consistent matrix a_ij = w_i / w_j."""
-    n = draw(st.integers(2, len(mcda.DEFAULT_RI_TABLE)))
+    n = draw(st.integers(2, len(mcda.RI_TABLE)))
     w = np.array(draw(st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n)))
     return w[:, None] / w[None, :]
 

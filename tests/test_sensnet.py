@@ -20,6 +20,8 @@ from equimine.sensnet import (
     train,
 )
 
+NAMES = [f"x{j + 1}" for j in range(7)]
+
 
 def forward_oracle(x, params):
     """Independent loop-based forward pass."""
@@ -65,7 +67,7 @@ class TestForward:
         params = NetworkParams.initialize(LayerSpec((4, 5, 3)), seed=1)
         trace = forward(rng.uniform(-1, 1, 4), params)
         for z, a in zip(trace.pre_activations, trace.activations[1:]):
-            assert np.allclose(a, sensnet.sigmoid(z))
+            assert np.allclose(a, sensnet.sigmoid(z, np.empty_like(z)))
 
     def test_shape_validation(self):
         params = NetworkParams.initialize(LayerSpec((4, 2)), seed=0)
@@ -237,17 +239,18 @@ class TestSensitivitySweep:
             y = 0.3 + 0.4 * x[:, 0]
             sweep = sensitivity_sweep(x, y, LayerSpec((7, 16, 1)),
                                       TrainConfig(learning_rate=0.5, epochs=1500, seed=seed),
-                                      points=3)
+                                      NAMES)
             assert sweep.sensitivities[0] > sweep.sensitivities[1:].max()
 
     def test_needs_ten_samples(self, rng):
         with pytest.raises(ValidationError):
-            sensitivity_sweep(rng.uniform(size=(5, 7)), np.zeros(5))
+            sensitivity_sweep(rng.uniform(size=(5, 7)), np.zeros(5), LayerSpec(), TrainConfig(),
+                              NAMES)
 
     def test_standardize_handles_constant_column(self):
         x = np.array([[1.0, 5.0], [2.0, 5.0], [3.0, 5.0]])
-        out, means, stds = sensnet.standardize_columns(x, ["rising", "constant"])
-        assert stds[1] == 1.0
+        out = sensnet.standardize_columns(x, ["rising", "constant"])
+        assert np.array_equal(out[:, 0], (x[:, 0] - 2.0) / x[:, 0].std())
         assert np.all(out[:, 1] == 0.0)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -263,18 +266,17 @@ class TestSensitivitySweep:
         params = NetworkParams(weights=[np.zeros((4, 3)), np.zeros((1, 4))],
                                biases=[np.zeros(4), np.array([-1000.0])])
         with pytest.raises(TrainingError):
-            perturbation_sweep(params, rng.uniform(0, 1, (12, 3)), points=3)
+            perturbation_sweep(params, rng.uniform(0, 1, (12, 3)))
 
     def test_perturbation_rows_cover_every_weight(self, rng):
         x = rng.uniform(0, 1, (12, 3))
         y = 0.4 + 0.2 * x[:, 1]
-        sweep = sensitivity_sweep(x, y, LayerSpec((3, 4, 1)),
-                                  TrainConfig(epochs=50, seed=0), points=5)
+        sweep = sensitivity_sweep(x, y, LayerSpec((3, 4, 1)), TrainConfig(epochs=50, seed=0),
+                                  ["a", "b", "c"])
         n_weights = 3 * 4 + 4 * 1
-        assert len(sweep.variations) == n_weights
-        assert len(sweep.perturbation_rows) == n_weights * 5
-        assert sweep.max_variation == max(sweep.variations.values())
-        assert all(v >= 0 for v in sweep.variations.values())
+        assert len({row[0] for row in sweep.perturbation_rows}) == n_weights
+        assert len(sweep.perturbation_rows) == n_weights * sensnet.SWEEP_POINTS
+        assert sweep.max_variation >= 0
 
 
 class TestOneNetworkPath:
@@ -291,7 +293,7 @@ class TestOneNetworkPath:
                 a = x
                 for l, (w, b) in enumerate(zip(params.weights, params.biases)):
                     z = w @ a + b
-                    a = sensnet.sigmoid(z)
+                    a = sensnet.sigmoid(z, np.empty_like(z))
                     assert np.array_equal(trace.pre_activations[l], z)
                     assert np.array_equal(trace.activations[l + 1], a)
                 batch = rng.uniform(-2, 2, (9, sizes[0]))
