@@ -13,13 +13,10 @@ class ValidationError(EquimineError, ValueError):
 
 
 class ParseError(EquimineError, ValueError):
-    """Malformed input file. Carries the 1-based line number when known."""
+    """Malformed input file. The message leads with the 1-based line number when known."""
 
     def __init__(self, message, line=None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
+        super().__init__(message if line is None else f"line {line}: {message}")
 
 
 class ConvergenceError(EquimineError, RuntimeError):
@@ -27,7 +24,6 @@ class ConvergenceError(EquimineError, RuntimeError):
 
     def __init__(self, message, iterations):
         super().__init__(f"{message} (after {iterations} iterations)")
-        self.iterations = iterations
 
 
 class DegenerateColumnError(ValidationError):
@@ -35,7 +31,6 @@ class DegenerateColumnError(ValidationError):
 
     def __init__(self, indicator, message="column is all zeros"):
         super().__init__(f"indicator {indicator!r}: {message}")
-        self.indicator = indicator
 
 
 class SingularityError(EquimineError, ZeroDivisionError):

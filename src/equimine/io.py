@@ -165,7 +165,7 @@ def load_scenario(path):
         total_value=number("total_value", DEFAULT_TOTAL_VALUE),
     )
     t2 = raw.get("t2", "inf")
-    t2 = math.inf if t2 in ("inf", None) else number("t2", None)
+    t2 = math.inf if t2 == "inf" else number("t2", None)
     window = RevenueWindow(t1=number("t1", 0.0), t2=t2, cost=number("cost", RevenueWindow.cost))
     mode = raw.get("mode", DEFAULT_INCOME_MODE)
     if mode not in INCOME_MODES:
@@ -212,9 +212,10 @@ def _rows(path):
 
 def _converted(line, convert, cells) -> list:
     """[convert(c) for c in cells]; a ValueError is a ParseError naming `line`. So is
-    a cell holding '_', a digit-group separator that float, int and Fraction accept."""
-    if underscored := [c for c in cells if "_" in c]:
-        raise ParseError(f"bad number {underscored[0]!r}: '_' is not allowed", line=line)
+    a cell holding what float, int and Fraction accept beyond ASCII digits: the
+    digit-group separator '_', and non-ASCII digits such as '١٠٠'."""
+    if bad := [c for c in cells if "_" in c or not c.isascii()]:
+        raise ParseError(f"bad number {bad[0]!r}: '_' and non-ASCII are not allowed", line=line)
     try:
         return [convert(c) for c in cells]
     except ValueError as exc:

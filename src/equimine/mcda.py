@@ -12,6 +12,7 @@ METHODS = ("arithmetic-mean", "geometric-mean", "eigenvalue")
 RI_TABLE = (0.00, 0.00, 0.58, 0.90, 1.12, 1.24, 1.32, 1.41, 1.45, 1.49)
 
 _RECIPROCITY_RTOL = 1e-9
+_ENTRY_MAX = 1e100  # past Saaty's 9, and no AHP sum can overflow nor weight reach 0
 _POWER_TOL = 1e-12
 _POWER_MAX_ITER = 10_000
 
@@ -20,9 +21,9 @@ _POWER_MAX_ITER = 10_000
 class PairwiseMatrix:
     """Square positive reciprocal comparison matrix.
 
-    Entries are validated (positivity, unit diagonal, reciprocity within
-    relative tolerance 1e-9) and then symmetrized from the upper triangle so
-    that a_ji = 1/a_ij holds exactly after construction.
+    Entries are validated (within [1e-100, 1e100], unit diagonal, reciprocity
+    within relative tolerance 1e-9) and then symmetrized from the upper triangle
+    so that a_ji = 1/a_ij holds exactly after construction.
     """
 
     entries: np.ndarray
@@ -35,12 +36,11 @@ class PairwiseMatrix:
         n = a.shape[0]
         if n < 2:
             raise ValidationError("comparison matrix needs at least 2 criteria")
-        if not np.all(np.isfinite(a)) or np.any(a <= 0):
-            raise ValidationError("comparison matrix entries must be finite and > 0")
+        if not np.all((a >= 1 / _ENTRY_MAX) & (a <= _ENTRY_MAX)):  # NaN fails too
+            raise ValidationError("comparison matrix entries must lie in [1e-100, 1e100]")
         if np.any(np.diag(a) != 1.0):
             raise ValidationError("comparison matrix diagonal must be exactly 1")
-        with np.errstate(over="ignore"):  # an overflowing pair is not reciprocal either
-            products = a * a.T
+        products = a * a.T
         if np.any(np.abs(products - 1.0) > _RECIPROCITY_RTOL):
             i, j = np.unravel_index(np.argmax(np.abs(products - 1.0)), a.shape)
             raise ValidationError(

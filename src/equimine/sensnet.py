@@ -86,8 +86,7 @@ class BackwardTrace:
     # one flat array that weight_grads then deltas view, laid out as `train` packs
     # the weights then the biases
     means: np.ndarray = field(default=None, repr=False)
-    # per-sample arrays _backward writes into: delta^1 .. delta^L,
-    # the loss gradients at a^1 .. a^(L-1), and the output error
+    # per-sample arrays _backward writes into: delta^1 .. delta^L, then the output error
     work: list = field(default_factory=list, repr=False)
 
 
@@ -109,6 +108,7 @@ def forward(x, params: NetworkParams) -> ForwardTrace:
 def _forward(a, params: NetworkParams, trace: ForwardTrace, start: int = 0,
              unit: int = None) -> ForwardTrace:
     """forward's arithmetic, into a trace sized for `a`, under the caller's errstate.
+    A trace whose z are its activations, as train's, takes each layer in place.
 
     With `unit`, layers before `start` are read from the trace, and layer
     `start` takes its full product (so the column has a full pass's bits) but
@@ -141,38 +141,43 @@ def backward(trace: ForwardTrace, target, params: NetworkParams) -> BackwardTrac
     if len(trace.pre_activations) != len(params.weights):
         raise ValidationError("trace depth does not match params")
     acts = [np.atleast_2d(a) for a in trace.activations]  # a vector is a one-row batch
+    acts[1:-1] = [a.copy() for a in acts[1:-1]]  # _backward overwrites them
+    return _backward(acts, np.atleast_2d(y), params, _gradients(params, acts))
+
+
+def _gradients(params: NetworkParams, acts: list) -> BackwardTrace:
+    """A BackwardTrace whose buffers fit the batch `acts`, for _backward to fill."""
     means, views = _packed(params.weights + params.biases)  # _backward overwrites it
     depth = len(params.weights)
-    grads = BackwardTrace(deltas=views[depth:], weight_grads=views[:depth], loss=None,
-                          means=means, work=[np.empty(a.shape) for a in acts[1:] * 2])
-    return _backward(acts, np.atleast_2d(y), params, grads)
+    return BackwardTrace(deltas=views[depth:], weight_grads=views[:depth], loss=None,
+                         means=means, work=[np.empty(a.shape) for a in acts[1:] + acts[-1:]])
 
 
 def _backward(acts: list, y, params: NetworkParams, grads: BackwardTrace) -> BackwardTrace:
     """backward's arithmetic on a batch's activations, into buffers sized for
-    them. A mean is a sum then a division by the row count, as ndarray.mean
-    does it, and `grads.means` takes them all in one division. delta @ W with
-    a one-row W is an einsum, bit-equal since each entry is one product."""
+    them. Once sigma' of a hidden a^l is taken, the loss gradient at it,
+    delta^(l+1) @ W^(l+1), overwrites a^l. A mean is a sum then a division by
+    the row count, as ndarray.mean does it, and `grads.means` takes them all in
+    one division. delta @ W with a one-row W is an einsum, bit-equal since each
+    entry is one product."""
     depth = len(params.weights)
-    samples = len(y)
-    sample_deltas, backs = grads.work[:depth], grads.work[depth:]
-    back = np.subtract(acts[-1], y, out=backs[-1])  # the output error
+    back = np.subtract(acts[-1], y, out=grads.work[-1])  # the output error
     for l in range(depth - 1, -1, -1):
-        delta = np.subtract(1.0, acts[l + 1], out=sample_deltas[l])
+        delta = np.subtract(1.0, acts[l + 1], out=grads.work[l])
         delta *= acts[l + 1]
+        if l < depth - 1:
+            w, below = params.weights[l + 1], grads.work[l + 1]
+            back = (np.einsum("ik,kj->ij", below, w, out=acts[l + 1]) if len(w) == 1
+                    else np.matmul(below, w, out=acts[l + 1]))
         delta *= back
         if delta.shape[1] > 1:  # einsum adds C-order rows in order, as add.reduce does
             np.einsum("ij->j", delta, out=grads.deltas[l])
         else:  # add.reduce sums a contiguous column pairwise, einsum would not
             np.add.reduce(delta, axis=0, out=grads.deltas[l])
         np.matmul(delta.T, acts[l], out=grads.weight_grads[l])
-        if l > 0:
-            w = params.weights[l]
-            back = (np.einsum("ik,kj->ij", delta, w, out=backs[l - 1]) if len(w) == 1
-                    else np.matmul(delta, w, out=backs[l - 1]))
-    grads.means /= samples
-    err = np.multiply(backs[-1], backs[-1], out=backs[-1])
-    grads.loss = 0.5 * float(np.add.reduce(err, axis=None)) / samples
+    grads.means /= len(y)
+    err = np.multiply(grads.work[-1], grads.work[-1], out=grads.work[-1])
+    grads.loss = 0.5 * float(np.add.reduce(err, axis=None)) / len(y)
     return grads
 
 
@@ -212,36 +217,35 @@ def _packed(arrays: list):
 
 
 def train(inputs, targets, spec: LayerSpec, config: TrainConfig):
-    """Full-batch gradient descent on the mean quadratic loss. The first pass
-    through `forward` and `backward` checks the data and allocates every buffer;
-    later epochs run the kernels into them and update the parameters, views into
-    one flat array laid out as the gradient means, in one in-place operation.
+    """Full-batch gradient descent on the mean quadratic loss. Every buffer is
+    allocated once: two (rows, width) arrays per layer, as the trace's z are its
+    activations, and the output error. An epoch runs the kernels into them and
+    updates the parameters, views into one flat array laid out as the gradient
+    means, in one in-place operation.
 
     Returns (trained NetworkParams, per-epoch loss list). Raises TrainingError
     with the epoch index if the loss stops being finite, and ValidationError if
-    layer_sizes do not fit the data's widths or cannot be allocated.
+    layer_sizes do not fit the data or cannot be allocated.
     """
     x = np.asarray(inputs, dtype=float)
     y = np.asarray(targets, dtype=float)
-    if y.ndim == 1:
-        y = y[:, None]
-    if spec.sizes[0] != x.shape[-1] or spec.sizes[-1] != y.shape[-1]:
-        raise ValidationError(f"layer_sizes must fit the data: {x.shape[-1]} in, {y.shape[-1]} out")
+    y = y[:, None] if y.ndim == 1 else y
+    if x.ndim != 2 or x.shape[1] != spec.sizes[0] or y.shape != (len(x), spec.sizes[-1]):
+        raise ValidationError(f"layer_sizes must fit the data: inputs {x.shape}, targets {y.shape}")
+    depth = len(spec.sizes) - 1
     try:
         initial = NetworkParams.initialize(spec, seed=config.seed)
+        theta, views = _packed(initial.weights + initial.biases)
+        params = NetworkParams(weights=views[:depth], biases=views[depth:])
+        acts = [x] + [np.empty((len(x), n)) for n in spec.sizes[1:]]
+        grads = _gradients(params, acts)
     except (MemoryError, ValueError) as exc:
         raise ValidationError(f"layer_sizes cannot be initialised: {exc}") from None
-    theta, views = _packed(initial.weights + initial.biases)
-    depth = len(initial.weights)
-    params = NetworkParams(weights=views[:depth], biases=views[depth:])
-    trace = forward(x, params)
-    grads = backward(trace, y, params)
-    lr = config.learning_rate
-    losses = []
+    trace = ForwardTrace(pre_activations=acts[1:], activations=acts)
+    lr, losses = config.learning_rate, []
     with np.errstate(over="ignore"):
         for epoch in range(config.epochs):
-            if epoch:
-                _backward(_forward(x, params, trace).activations, y, params, grads)
+            _backward(_forward(x, params, trace).activations, y, params, grads)
             if not math.isfinite(grads.loss):
                 raise TrainingError("training loss diverged", epoch)
             losses.append(grads.loss)

@@ -5,13 +5,17 @@ exception; `equimine report` on a mutated run config exits 0, or prints the
 error JSON and exits 1, never a traceback. A number field holding a bool or a
 string, and a CSV number holding a digit-group '_', must be rejected: both once
 loaded silently as another number, and are kept below as explicit examples.
+A generated near-reciprocal pairwise matrix either gives weights and CR or
+raises an EquimineError, with no RuntimeWarning.
 Runs are derandomized, so every run tries the same inputs.
 """
 
 import csv
 import io as stdio
 import json
+import math
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 from hypothesis import example, given, settings
@@ -21,6 +25,7 @@ from equimine import io
 from equimine.cli import main
 from equimine.data import sample_path
 from equimine.errors import EquimineError, ParseError
+from equimine.mcda import METHODS, PairwiseMatrix, consistency, derive_weights
 
 FUZZ = settings(max_examples=40, derandomize=True, database=None, deadline=None)
 
@@ -132,6 +137,42 @@ def test_mutated_json_fields_load_or_raise_a_toolkit_error(workdir, name, key, v
             loader(path)
     else:
         _loads_or_rejects(loader, path)
+
+
+# A 7x7 matrix's 21 upper entries: Saaty judgements or any ratio near 1, some scaled
+# by one magnitude per matrix, so a column can hold several huge or tiny entries.
+# Each lower entry is the reciprocal of its upper entry times 1 + a slip, on either
+# side of the 1e-9 reciprocity tolerance.
+UPPER = st.lists(st.sampled_from([1 / 9, 1 / 7, 1 / 5, 1 / 3, 1.0, 3.0, 5.0, 7.0, 9.0])
+                 | st.floats(1e-3, 1e3), min_size=21, max_size=21)
+SCALED = st.lists(st.booleans(), min_size=21, max_size=21)
+MAGNITUDES = st.sampled_from([1.0, 1e50, 1e99, 1e101, 1e154, 1e300, 1e308, 1e-99, 1e-300])
+SLIPS = st.lists(st.sampled_from([0.0, 1e-15, -1e-12, 5e-10, -9e-10, 1.1e-9, -2e-9, 1e-6]),
+                 min_size=21, max_size=21)
+
+
+@FUZZ
+@given(upper=UPPER, scaled=SCALED, magnitude=MAGNITUDES, slips=SLIPS)
+@example(upper=[1.0] * 21, scaled=[True] * 21, magnitude=1e308,
+         slips=[0.0] * 21).via("an overflowing column sum")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_near_reciprocal_matrices_give_weights_and_cr_or_a_toolkit_error(upper, scaled,
+                                                                         magnitude, slips):
+    # Python floats: a product past the float range is inf here, not a warning
+    upper = [u * magnitude if s else u for u, s in zip(upper, scaled)]
+    entries = np.ones((7, 7))
+    iu, ju = np.triu_indices(7, k=1)
+    entries[iu, ju] = upper
+    entries[ju, iu] = [(1 / u) * (1 + slip) for u, slip in zip(upper, slips)]
+    try:
+        matrix = PairwiseMatrix(entries)
+        report = consistency(matrix)
+        weights = [derive_weights(matrix, method).weights for method in METHODS]
+    except EquimineError:
+        return
+    assert 0 <= report.cr < math.inf
+    for w in weights:
+        assert np.all(w >= 0) and abs(w.sum() - 1) <= 1e-9
 
 
 # Run config fields with values a user might write, wrong ones included, plus any JSON.

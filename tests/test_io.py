@@ -163,6 +163,13 @@ class TestScenario:
         assert window.t1 == 0.0 and math.isinf(window.t2) and window.cost == 0.0
         assert mode == "cumulative"
 
+    def test_null_t2_is_a_parse_error_naming_it(self, tmp_path):
+        # t2 is a number or "inf"; null is not a spelling of an open window
+        path = tmp_path / "s.json"
+        path.write_text('{"t2": null}')
+        with pytest.raises(ParseError, match="field 't2' has a bad value None"):
+            io.load_scenario(path)
+
     def test_asteroid_valuation_scenario(self):
         # sample built from the bundled asteroid valuations
         params, window, mode, name = io.load_scenario(sample_path("anteros.json"))
@@ -268,6 +275,23 @@ def test_digit_group_underscores_are_parse_errors(tmp_path, loader, text, line):
     path = tmp_path / "input.csv"
     path.write_text(text)
     with pytest.raises(ParseError, match=f"^line {line}: bad number .*'_'"):
+        loader(path)
+
+
+@pytest.mark.parametrize("loader, text, line", [
+    (io.load_gdp_csv, "country,gdp\nA,1\nB,\u0661\u0660\u0660\n", 3),
+    (io.load_indicator_table, "country,year,ei,idg,cea,ma,hr,er,sa\n"
+                              "X,\u0662\u0660\u0661\u0667,1,1,1,1,1,1,1\n", 2),
+    (io.load_indicator_table, "country,year,ei,idg,cea,ma,hr,er,sa\n"
+                              "X,2017,\uff10.5,1,1,1,1,1,1\n", 2),
+    (io.load_pairwise_csv, ",A,B\nA,1,\u0663\nB,1/3,1\n", 2),
+], ids=["gdp-arabic-indic", "indicator-year-arabic-indic", "indicator-cell-fullwidth",
+        "pairwise-ratio-arabic-indic"])
+def test_non_ascii_digits_are_parse_errors(tmp_path, loader, text, line):
+    # float, int and Fraction read Arabic-Indic '\u0661\u0660\u0660' as 100; CSV numbers are ASCII
+    path = tmp_path / "input.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ParseError, match=f"^line {line}: bad number .*non-ASCII"):
         loader(path)
 
 

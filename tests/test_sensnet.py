@@ -161,6 +161,19 @@ class TestBackward:
         for g1, g2 in zip(base.weight_grads, scaled.weight_grads):
             assert np.allclose(g2, c * g1, rtol=1e-12, atol=1e-15)
 
+    def test_backward_leaves_the_callers_trace_unchanged(self, rng):
+        # _backward overwrites each hidden activation once it has used it; the public
+        # backward must hand it copies, for a batch and for one vector alike
+        for sizes in [(7, 16, 1), (5, 8, 6, 1)]:
+            params = NetworkParams.initialize(LayerSpec(sizes), seed=2)
+            for x in (rng.uniform(-1, 1, (9, sizes[0])), rng.uniform(-1, 1, sizes[0])):
+                trace = forward(x, params)
+                kept = copy.deepcopy(trace)
+                backward(trace, np.full(trace.activations[-1].shape, 0.5), params)
+                for got, want in zip(trace.activations + trace.pre_activations,
+                                     kept.activations + kept.pre_activations):
+                    assert np.array_equal(got, want)
+
     def test_target_shape_validated(self):
         params = NetworkParams.initialize(LayerSpec((3, 2)), seed=0)
         trace = forward(np.zeros(3), params)
@@ -222,9 +235,12 @@ class TestTrain:
         assert err.value.epoch == 1
 
     def test_shape_mismatch(self, rng):
-        with pytest.raises(ValidationError):
-            train(rng.uniform(size=(10, 3)), np.zeros(10), LayerSpec((4, 2, 1)),
-                  TrainConfig(epochs=1))
+        # a wrong width, a target row count that differs, one vector, a wrong target width
+        for x_shape, y_shape in [((10, 3), (10,)), ((10, 4), (12,)), ((4,), (1,)),
+                                 ((10, 4), (10, 2))]:
+            with pytest.raises(ValidationError, match="layer_sizes must fit the data"):
+                train(rng.uniform(size=x_shape), np.zeros(y_shape), LayerSpec((4, 2, 1)),
+                      TrainConfig(epochs=1))
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ValidationError):
@@ -381,6 +397,7 @@ class TestOutReuse:
         pytest.param((7, 16, 1), 3000, 40, id="7-16-1-3000-rows"),
         pytest.param((7, 1), 3000, 40, id="7-1-3000-rows"),
         pytest.param((7, 4, 1, 3, 1), 3000, 40, id="7-4-1-3-1-3000-rows"),
+        pytest.param((7, 16, 1), 5000, 20, id="7-16-1-5000-rows"),
     ])
     def test_train_is_bit_equal_to_allocating_loop(self, sizes, rows, epochs):
         rng = np.random.default_rng(77)
@@ -426,14 +443,13 @@ class TestOutReuse:
             finally:
                 tracemalloc.stop()
 
-        params = NetworkParams.initialize(spec, seed=0)
-        trace = forward(x, params)
-        grads = backward(trace, y, params)
-        buffers = sum(a.nbytes for a in trace.pre_activations + trace.activations[1:]
-                      + grads.work + grads.weight_grads + grads.deltas)
+        # two (samples, width) arrays per layer, the activation and the delta,
+        # plus the output error
+        buffers = sum(2 * samples * n * 8 for n in spec.sizes[1:]) + samples * spec.sizes[-1] * 8
         peaks = {epochs: peak_rise(lambda: train(x, y, spec, TrainConfig(epochs=epochs)))
                  for epochs in (5, 50)}
-        # more epochs hold no more memory, and no epoch needs more than the
-        # buffers the first, checked pass allocates
+        # more epochs hold no more memory, and training holds no more than those
+        # buffers: the slack, half a hidden-width array, covers the parameters and
+        # numpy's 8,192-double ufunc buffer for the broadcast bias add
         assert peaks[50] - peaks[5] < samples * 16 * 8
-        assert peaks[5] - buffers < samples * 16 * 8
+        assert peaks[5] - buffers < samples * 8 * 8
