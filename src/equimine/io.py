@@ -1,7 +1,7 @@
 """CSV and JSON input/output. All readers expect comma-delimited UTF-8 with a
 header row; all writers produce byte-stable output (fixed field order, '\n'
 line endings, full precision in CSV). JSON reports round every float to 6
-significant digits and write non-finite values as null (`write_json_report`)."""
+significant digits; only listed keys may hold an infinity, written as null."""
 
 import csv
 import hashlib
@@ -236,21 +236,27 @@ def config_digest(mapping: dict) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _rounded(value):
-    """The payload with fmt6 applied to every float at any depth."""
+def _rounded(value, infinite, key=None):
+    """The payload with fmt6 applied to every float at any depth. Only a float under
+    one of the keys `infinite` may be +/-inf; a NaN, or an infinity under any other
+    key, raises ValidationError naming the key it is under."""
     if isinstance(value, float):
+        if math.isnan(value) or (math.isinf(value) and key not in infinite):
+            raise ValidationError(f"{key!r} is {value}, not a finite number")
         return fmt6(value)
     if isinstance(value, dict):
-        return {k: _rounded(v) for k, v in value.items()}
+        return {k: _rounded(v, infinite, k) for k, v in value.items()}
     if isinstance(value, (list, tuple, np.ndarray)):
-        return [_rounded(v) for v in value]
+        return [_rounded(v, infinite, key) for v in value]
     return value
 
 
-def write_json_report(path, payload: dict):
-    """Encode payload as indented JSON straight into the file, every float rounded by fmt6."""
+def write_json_report(path, payload: dict, infinite):
+    """Encode payload as indented JSON straight into the file, every float rounded
+    by fmt6; only keys in `infinite` may hold an infinity, as `_rounded` checks."""
+    rounded = _rounded(payload, infinite)  # before the file is opened, if it raises
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(_rounded(payload), handle, indent=2, ensure_ascii=False)
+        json.dump(rounded, handle, indent=2, ensure_ascii=False)
         handle.write("\n")
 
 

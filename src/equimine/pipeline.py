@@ -51,6 +51,10 @@ REPORT_FILES = (
 
 ALLOC_BASES = ("equity", "topsis")
 
+# The only infinities a report may hold, written as null: an open scenario window's end,
+# and the t statistic of a correlation with |r| = 1. Any other non-finite value is an error.
+INFINITE_KEYS = {"mining.json": {"t2"}, "correlation.json": {"t_stat"}}
+
 # Columns of topsis.csv, and the keys of each alternative in topsis.json.
 TOPSIS_COLUMNS = ("label", "d_plus", "d_minus", "s", "s_normalized", "rank")
 
@@ -156,7 +160,8 @@ def write_reports(out_dir, digest: str, reports: dict) -> dict:
     """Write every report into out_dir, or none: each goes to a temporary name,
     and all are renamed into place once every one is written. JSON reports lead
     with the config digest. Returns {file name: Path}; an OSError, or a directory
-    holding a report's name, raises PipelineError("write", ...) naming out_dir."""
+    holding a report's name, raises PipelineError("write", ...) naming out_dir, and a
+    NaN, or an infinity outside INFINITE_KEYS, one naming the file and the key."""
     out = Path(out_dir)
     staged = {}  # final path -> temporary path, until renamed
     try:
@@ -166,7 +171,8 @@ def write_reports(out_dir, digest: str, reports: dict) -> dict:
             open(tmp, "x").close()  # claim the name: cleanup removes only files made here
             staged[out / name] = tmp
             if isinstance(content, dict):
-                io.write_json_report(tmp, {"config_digest": digest, **content})
+                io.write_json_report(tmp, {"config_digest": digest, **content},
+                                     INFINITE_KEYS.get(name, ()))
             else:
                 io.write_csv(tmp, *content)
         if blocked := [path.name for path in staged if path.is_dir()]:
@@ -176,6 +182,8 @@ def write_reports(out_dir, digest: str, reports: dict) -> dict:
             del staged[path]
     except OSError as exc:
         raise PipelineError("write", f"cannot write reports into {out}: {exc}") from exc
+    except ValidationError as exc:  # a non-finite value in report `name`
+        raise PipelineError("write", f"{name}: {exc}") from exc
     finally:  # after a failure, remove the temporaries not yet renamed
         for tmp in staged.values():
             with suppress(OSError):
@@ -295,12 +303,13 @@ def mining_stage(scenario, income_mode=None):
 
 def allocation_stage(basis_scores, gdp, total_profit, alloc_mode, bottom_count, multiplier,
                      basis=RunConfig.alloc_basis):
-    """Split total_profit by basis score with the poverty boost. Returns reports."""
+    """Split total_profit by basis score with the poverty boost. Returns reports.
+    A negative profit (a loss) allocates nothing: total_profit 0 and every share 0."""
     if set(gdp) != set(basis_scores):
         raise ValidationError("GDP table countries do not match the indicator table")
     policy = allocation.PovertyPolicy(bottom_count=bottom_count, multiplier=multiplier)
     gammas = allocation.poverty_multipliers(gdp, policy)
-    result = allocation.allocate(total_profit, basis_scores, gammas, mode=alloc_mode)
+    result = allocation.allocate(max(total_profit, 0.0), basis_scores, gammas, mode=alloc_mode)
     return {"allocation.json": {
         "basis": basis,
         "mode": alloc_mode,

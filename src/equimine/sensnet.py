@@ -1,11 +1,7 @@
-"""Small sigmoid feedforward network with hand-rolled backpropagation.
-
-Used to quantify how sensitive the development score is to each input
-indicator: train on (indicators -> score) pairs, then backpropagate to the
-input layer and average absolute gradients per indicator. A weight
-perturbation sweep records how much the output moves when individual weights
-are displaced from their trained values.
-"""
+"""Small sigmoid feedforward network with hand-rolled backpropagation: trained on
+(indicators -> score) pairs, its mean absolute input gradients rank the indicators,
+and a weight perturbation sweep records how much the output moves when single
+weights leave their trained values."""
 
 import math
 from dataclasses import dataclass, field
@@ -18,15 +14,14 @@ DEFAULT_LAYER_SIZES = (7, 16, 1)
 INIT_HALF_RANGE = 0.5  # weights and biases start uniform in [-0.5, 0.5]
 SWEEP_SPAN = 0.1  # the weight sweep moves each weight across +/- 10% of its value
 SWEEP_POINTS = 11  # on 11 evenly spaced points
+TILE_ROWS = 512  # from two tiles of rows on, a layer of 2+ units adds biases by tiles
+CONTIGUOUS_INPUTS = 16  # a product of 2+ rows into fewer inputs takes a contiguous W.T
 
 
 def sigmoid(x, out):
-    """1 / (1 + exp(-x)) elementwise, written into `out`.
-
-    exp(-x) overflows for x below about -709 and the result saturates to 0
-    cleanly; callers that expect such inputs enter np.errstate(over="ignore")
-    to silence numpy's warning, once per `forward`, `train` or sweep.
-    """
+    """1 / (1 + exp(-x)) elementwise, written into `out`. Below x = -709 exp(-x)
+    overflows and the result saturates to 0 cleanly; `forward`, `train` and the
+    sweep enter np.errstate(over="ignore") once around their passes."""
     np.negative(x, out=out)
     np.exp(out, out=out)
     out += 1.0
@@ -76,6 +71,7 @@ class NetworkParams:
 class ForwardTrace:
     pre_activations: list  # z^1 .. z^L
     activations: list  # a^0 (the input) .. a^L
+    tile: np.ndarray = field(default=None, repr=False)  # _forward's bias tile, if tiled
 
 
 @dataclass
@@ -83,11 +79,9 @@ class BackwardTrace:
     deltas: list  # delta^1 .. delta^L, batch means (also the bias gradients)
     weight_grads: list  # batch means
     loss: float  # batch mean
-    # one flat array that weight_grads then deltas view, laid out as `train` packs
-    # the weights then the biases
+    # one flat array that weight_grads then deltas view, laid out as `train` packs params
     means: np.ndarray = field(default=None, repr=False)
-    # per-sample arrays _backward writes into: delta^1 .. delta^L, then the output error
-    work: list = field(default_factory=list, repr=False)
+    work: list = field(default_factory=list, repr=False)  # per-sample deltas, output error
 
 
 def forward(x, params: NetworkParams) -> ForwardTrace:
@@ -98,42 +92,51 @@ def forward(x, params: NetworkParams) -> ForwardTrace:
     if a.ndim not in (1, 2) or a.shape[-1] != n_in:
         raise ValidationError(
             f"expected input of shape ({n_in},) or (samples, {n_in}), got {a.shape}")
-    shapes = [a.shape[:-1] + (w.shape[0],) for w in params.weights]
-    trace = ForwardTrace(pre_activations=[np.empty(s) for s in shapes],
-                         activations=[a] + [np.empty(s) for s in shapes])
+    trace = _trace(a, [len(w) for w in params.weights])
     with np.errstate(over="ignore"):
         return _forward(a, params, trace)
 
 
-def _forward(a, params: NetworkParams, trace: ForwardTrace, start: int = 0,
-             unit: int = None) -> ForwardTrace:
-    """forward's arithmetic, into a trace sized for `a`, under the caller's errstate.
-    A trace whose z are its activations, as train's, takes each layer in place.
+def _trace(a, widths, in_place=False) -> ForwardTrace:
+    """A trace for `a` through layers of these widths; with `in_place` its z are its
+    activations. A batch of two tiles or more gets its bias tile."""
+    acts = [a] + [np.empty(a.shape[:-1] + (n,)) for n in widths]
+    tile = np.empty((TILE_ROWS, max(widths))) if a.ndim == 2 and len(a) >= 2 * TILE_ROWS else None
+    return ForwardTrace(acts[1:] if in_place else [np.empty(z.shape) for z in acts[1:]], acts, tile)
 
-    With `unit`, layers before `start` are read from the trace, and layer
-    `start` takes its full product (so the column has a full pass's bits) but
-    biases and activates only that unit. The other units then keep unbiased
-    pre-activations: only the weight sweep does this, on a trace private to it.
-    """
+
+def _contiguous(a, w) -> bool:
+    """Whether _forward multiplies `a` by a contiguous w.T, which has the view's bits."""
+    return a.ndim == 2 and len(a) > 1 and w.shape[1] < CONTIGUOUS_INPUTS
+
+
+def _forward(a, params: NetworkParams, trace: ForwardTrace, start: int = 0) -> ForwardTrace:
+    """forward's arithmetic from layer `start` on (earlier layers are read from the trace),
+    into a trace sized for `a`, under the caller's errstate. A trace whose z are its
+    activations, as train's, takes each layer in place. Tiles add where they are faster."""
     trace.activations[0] = a
     for l in range(start, len(params.weights)):
-        z, a_next, b = trace.pre_activations[l], trace.activations[l + 1], params.biases[l]
-        np.matmul(trace.activations[l], params.weights[l].T, out=z)
-        if l == start and unit is not None:
-            z, a_next, b = z[..., unit], a_next[..., unit], b[unit]
-        z += b
-        sigmoid(z, out=a_next)
+        z, a_in = trace.pre_activations[l], trace.activations[l]
+        w, b = params.weights[l], params.biases[l]
+        np.matmul(a_in, np.ascontiguousarray(w.T) if _contiguous(a_in, w) else w.T, out=z)
+        if trace.tile is None or len(b) == 1:  # numpy's broadcast is the faster add there
+            z += b
+        else:  # z is C-contiguous, as _trace makes it, so `blocks` is a view
+            tile = trace.tile.ravel()[:TILE_ROWS * len(b)].reshape(TILE_ROWS, -1)
+            tile[...] = b
+            body = len(z) // TILE_ROWS * TILE_ROWS
+            blocks = z[:body].reshape(-1, TILE_ROWS, len(b))
+            blocks += tile
+            z[body:] += tile[:len(z) - body]
+        sigmoid(z, out=trace.activations[l + 1])
     return trace
 
 
 def backward(trace: ForwardTrace, target, params: NetworkParams) -> BackwardTrace:
-    """Backpropagate the quadratic loss C = 0.5 * ||a_out - target||^2.
-
-    Output layer: delta = (a - y) * sigma'(z). Hidden layers: delta =
-    (delta_next @ W_next) * sigma'(z), with sigma'(z) = a * (1 - a). Weight
-    gradient: delta^T a_prev. For a batch, gradients and loss are means over
-    the rows; one vector is taken as a batch of one row.
-    """
+    """Backpropagate the quadratic loss C = 0.5 * ||a_out - target||^2: delta =
+    (a - y) * sigma'(z) at the output and (delta_next @ W_next) * sigma'(z) below,
+    with sigma'(z) = a * (1 - a); weight gradient delta^T a_prev. A batch gives
+    means over its rows; one vector is taken as a batch of one row."""
     y = np.asarray(target, dtype=float)
     a_out = trace.activations[-1]
     if y.shape != a_out.shape:
@@ -158,7 +161,7 @@ def _backward(acts: list, y, params: NetworkParams, grads: BackwardTrace) -> Bac
     them. Once sigma' of a hidden a^l is taken, the loss gradient at it,
     delta^(l+1) @ W^(l+1), overwrites a^l. A mean is a sum then a division by
     the row count, as ndarray.mean does it, and `grads.means` takes them all in
-    one division. delta @ W with a one-row W is an einsum, bit-equal since each
+    one division. delta @ W with a one-row W is an np.dot, bit-equal since each
     entry is one product."""
     depth = len(params.weights)
     back = np.subtract(acts[-1], y, out=grads.work[-1])  # the output error
@@ -167,7 +170,7 @@ def _backward(acts: list, y, params: NetworkParams, grads: BackwardTrace) -> Bac
         delta *= acts[l + 1]
         if l < depth - 1:
             w, below = params.weights[l + 1], grads.work[l + 1]
-            back = (np.einsum("ik,kj->ij", below, w, out=acts[l + 1]) if len(w) == 1
+            back = (np.dot(below, w, out=acts[l + 1]) if len(w) == 1
                     else np.matmul(below, w, out=acts[l + 1]))
         delta *= back
         if delta.shape[1] > 1:  # einsum adds C-order rows in order, as add.reduce does
@@ -219,14 +222,12 @@ def _packed(arrays: list):
 def train(inputs, targets, spec: LayerSpec, config: TrainConfig):
     """Full-batch gradient descent on the mean quadratic loss. Every buffer is
     allocated once: two (rows, width) arrays per layer, as the trace's z are its
-    activations, and the output error. An epoch runs the kernels into them and
-    updates the parameters, views into one flat array laid out as the gradient
-    means, in one in-place operation.
-
-    Returns (trained NetworkParams, per-epoch loss list). Raises TrainingError
-    with the epoch index if the loss stops being finite, and ValidationError if
-    layer_sizes do not fit the data or cannot be allocated.
-    """
+    activations, the output error and the bias tile; only _forward's contiguous
+    copies of W.T are made anew each epoch. An epoch runs the kernels into them and
+    updates the parameters, views into one flat array laid out as the gradient means,
+    in one in-place operation. Returns (trained NetworkParams, per-epoch losses);
+    raises TrainingError with the epoch if the loss stops being finite, and
+    ValidationError if layer_sizes do not fit the data or memory."""
     x = np.asarray(inputs, dtype=float)
     y = np.asarray(targets, dtype=float)
     y = y[:, None] if y.ndim == 1 else y
@@ -237,11 +238,10 @@ def train(inputs, targets, spec: LayerSpec, config: TrainConfig):
         initial = NetworkParams.initialize(spec, seed=config.seed)
         theta, views = _packed(initial.weights + initial.biases)
         params = NetworkParams(weights=views[:depth], biases=views[depth:])
-        acts = [x] + [np.empty((len(x), n)) for n in spec.sizes[1:]]
-        grads = _gradients(params, acts)
+        trace = _trace(x, spec.sizes[1:], in_place=True)
+        grads = _gradients(params, trace.activations)
     except (MemoryError, ValueError) as exc:
         raise ValidationError(f"layer_sizes cannot be initialised: {exc}") from None
-    trace = ForwardTrace(pre_activations=acts[1:], activations=acts)
     lr, losses = config.learning_rate, []
     with np.errstate(over="ignore"):
         for epoch in range(config.epochs):
@@ -283,16 +283,15 @@ def standardize_columns(x, labels):
 
 
 def perturbation_sweep(params: NetworkParams, inputs):
-    """Sweep every weight across +/- SWEEP_SPAN (relative) around its trained value.
+    """Sweep every weight across +/- SWEEP_SPAN (relative) around its trained value,
+    recording the mean output over `inputs` at each grid point; the variation is
+    (max - min) / baseline output. A zero weight sweeps [-SWEEP_SPAN, SWEEP_SPAN].
+    Returns (rows, variations); raises TrainingError when the baseline output is 0.
 
-    For each weight the mean network output over `inputs` is recorded at each
-    grid point; the per-weight variation is (max - min) / baseline output.
-    Weights exactly at zero sweep the absolute band [-SWEEP_SPAN, SWEEP_SPAN].
-    Returns (rows, variations). Raises TrainingError when the baseline output is 0.
-
-    Moving w[j, k] of layer l changes only unit j there, so each pass recomputes
-    that unit and the layers after it; one more pass per weight puts it back.
-    """
+    Moving w[j, k] of layer l changes only unit j. Where _forward takes a contiguous
+    product into several units, one product by SWEEP_POINTS copies of W[j], w[j, k] set
+    to each grid value, gives unit j's column at every point with a full pass's bits;
+    the later layers then run. Elsewhere a point runs from layer l. A pass per unit resets."""
     x = np.asarray(inputs, dtype=float)
     trace = forward(x, params)
     baseline = float(trace.activations[-1].mean())
@@ -302,30 +301,40 @@ def perturbation_sweep(params: NetworkParams, inputs):
     rows, variations = [], {}
     with np.errstate(over="ignore"):
         for l, w in enumerate(params.weights):
+            a_in, a_next = trace.activations[l], trace.activations[l + 1]
+            if grid := len(w) > 1 and _contiguous(a_in, w):
+                units = NetworkParams([np.zeros((SWEEP_POINTS, w.shape[1]))],
+                                      [np.zeros(SWEEP_POINTS)])
+                units_trace = _trace(a_in, [SWEEP_POINTS], in_place=True)
             for (j, k), center in np.ndenumerate(w):
                 weight_id = f"w{l + 1}[{j},{k}]"
                 half = abs(center) * SWEEP_SPAN if center != 0 else SWEEP_SPAN
+                values = np.linspace(center - half, center + half, SWEEP_POINTS)
+                if grid:
+                    units.weights[0][:], units.biases[0][:] = w[j], params.biases[l][j]
+                    units.weights[0][:, k] = values
+                    columns = _forward(a_in, units, units_trace).activations[1]
                 outputs = []
-                for value in np.linspace(center - half, center + half, SWEEP_POINTS):
-                    w[j, k] = value
-                    out = float(_forward(x, params, trace, l, j).activations[-1].mean())
+                for i, value in enumerate(values):
+                    w[j, k] = value  # a grid pass, from layer l + 1, does not read it
+                    if grid:
+                        a_next[:, j] = columns[:, i]
+                    out = float(_forward(x, params, trace, l + grid).activations[-1].mean())
                     outputs.append(out)
                     rows.append((weight_id, float(value), out))
                 w[j, k] = center
-                _forward(x, params, trace, l, j)
+                if k == w.shape[1] - 1:
+                    _forward(x, params, trace, l)
                 variations[weight_id] = (max(outputs) - min(outputs)) / abs(baseline)
     return rows, variations
 
 
 def sensitivity_sweep(inputs, targets, spec: LayerSpec, config: TrainConfig,
                       indicator_names) -> SweepResult:
-    """Train on (indicator table -> scores) and measure per-indicator sensitivity.
-
-    Inputs are z-score standardized per indicator before training. Sensitivity
-    of an indicator is the mean over samples of the absolute gradient of the
-    network output with respect to that (standardized) input. Also runs the
-    weight perturbation sweep on the trained network.
-    """
+    """Train on (indicator table -> scores), inputs z-scored per indicator, and
+    measure each indicator's sensitivity: the mean over samples of the absolute
+    gradient of the output with respect to that standardized input. Also runs the
+    weight perturbation sweep on the trained network."""
     x = np.asarray(inputs, dtype=float)
     if x.ndim != 2 or x.shape[0] < 10:
         raise ValidationError("need a 2-D indicator table with at least 10 samples")

@@ -385,6 +385,26 @@ def test_income_mode_precedence(runner, tmp_path):
                        "allocate": literal}
 
 
+@pytest.mark.parametrize("alloc_basis", ["equity", "topsis"])
+@pytest.mark.parametrize("alloc_mode", ["conserve", "paper-literal"])
+@pytest.mark.parametrize("income_mode", ["cumulative", "paper-literal"])
+def test_every_mode_combination_reports_on_the_sample(runner, tmp_path, income_mode, alloc_mode,
+                                                      alloc_basis):
+    # the sample window [0, 30] is symmetric about the curve's peak, so the
+    # paper-literal income is 0 and its profit is minus the cost: a loss
+    # allocates nothing, while mining.json keeps the negative profit
+    result = runner.invoke(main, ["report", "--config", str(sample_path("config.json")),
+                                  "--out", str(tmp_path), "--income-mode", income_mode,
+                                  "--alloc-mode", alloc_mode, "--alloc-basis", alloc_basis])
+    assert result.exit_code == 0, result.output
+    profit = json.loads((tmp_path / "mining.json").read_text())["profit"][income_mode]
+    assert (profit < 0) == (income_mode == "paper-literal")
+    allocation_report = json.loads((tmp_path / "allocation.json").read_text())
+    assert allocation_report["total_profit"] == max(profit, 0.0)
+    shares = [s[k] for s in allocation_report["shares"] for k in ("raw_share", "conserved_share")]
+    assert all(v == 0 for v in shares) == (profit < 0)
+
+
 def test_topsis_subcommand_matches_report_with_decision(runner, tmp_path):
     decision = str(sample_path("asteroids.csv"))
     (tmp_path / "config.json").write_text(json.dumps(_sample_config(decision=decision)))
@@ -576,6 +596,32 @@ def test_write_error_before_the_first_rename_leaves_out_as_it_was(tmp_path, monk
         pipeline.write_reports(tmp_path, "digest", REPORTS)
     assert raised.value.stage == "write" and str(tmp_path) in raised.value.message
     assert _snapshot(tmp_path) == before
+
+
+@pytest.mark.parametrize("report, key", [
+    ({"weights.json": {"mean": [0.5, math.nan]}}, "mean"),
+    ({"mining.json": {"income": {"cumulative": math.inf}}}, "cumulative"),
+    ({"correlation.json": {"indicators": [{"r": math.nan, "t_stat": math.inf}]}}, "r"),
+], ids=["nan", "inf-outside-its-keys", "nan-beside-an-infinite-t-stat"])
+def test_non_finite_report_value_is_a_write_error_naming_file_and_key(tmp_path, report, key):
+    (tmp_path / "weights.json").write_text("stale\n")
+    before = _snapshot(tmp_path)
+    with pytest.raises(PipelineError) as raised:
+        pipeline.write_reports(tmp_path, "digest", {**REPORTS, **report})
+    [name] = report
+    assert raised.value.stage == "write"
+    assert raised.value.message.startswith(f"{name}: {key!r} is ")
+    assert _snapshot(tmp_path) == before
+
+
+def test_documented_infinities_are_written_as_null(tmp_path):
+    pipeline.write_reports(tmp_path, "digest", {
+        "mining.json": {"window": {"t1": 0.0, "t2": math.inf}},
+        "correlation.json": {"indicators": [{"r": -1.0, "t_stat": math.inf}]},
+    })
+    assert json.loads((tmp_path / "mining.json").read_text())["window"]["t2"] is None
+    [row] = json.loads((tmp_path / "correlation.json").read_text())["indicators"]
+    assert row == {"r": -1.0, "t_stat": None}
 
 
 def test_write_error_cleanup_removes_only_its_own_temporaries(tmp_path):

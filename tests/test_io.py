@@ -344,10 +344,10 @@ class TestPanelScaleMemory:
                                      equity.DEFAULT_SCORE_WEIGHTS)
         payload = pipeline.equity_stage(panel)["equity.json"]
         path = tmp_path / "equity.json"
-        _, peak = traced_peak(lambda: io.write_json_report(path, payload))
+        _, peak = traced_peak(lambda: io.write_json_report(path, payload, ()))
         assert peak < 3 * MiB
         assert path.read_text(encoding="utf-8") == json.dumps(
-            io._rounded(payload), indent=2, ensure_ascii=False) + "\n"
+            io._rounded(payload, ()), indent=2, ensure_ascii=False) + "\n"
 
 
 class TestWriters:
@@ -371,19 +371,27 @@ class TestWriters:
         assert text == f"name,value\nx,{value!r}\n"
         assert float(text.splitlines()[1].split(",")[1]) == value
 
+    # an infinity is written as null only under a key the caller allows; a NaN,
+    # or an infinity under any other key, is an error that writes no file
     def test_json_report_rounds_floats_only_and_nulls_non_finite(self, tmp_path):
         payload = {
-            "third": 1 / 3, "np": np.float64(2 / 3), "inf": math.inf, "nan": math.nan,
+            "third": 1 / 3, "np": np.float64(2 / 3), "inf": math.inf,
             "int": 123456789, "bool": True, "text": "0.123456789", "none": None,
             "nested": {"list": [1 / 7, -math.inf, 7, False, {"deep": 1e-7 / 3}],
                        "tuple": (np.float64(12345678.9), "x"),
                        "array": np.array([1 / 3, 2.0])},
         }
         path = tmp_path / "r.json"
-        io.write_json_report(path, payload)
+        infinite = {"inf", "list"}
+        for bad, key in [({"nan": math.nan}, "nan"), ({"deep": [math.inf]}, "deep"),
+                         ({"list": [np.float64("nan")]}, "list")]:
+            with pytest.raises(ValidationError, match=f"^{key!r} is "):
+                io.write_json_report(path, {**payload, **bad}, infinite)
+            assert not path.exists()
+        io.write_json_report(path, payload, infinite)
         got = json.loads(path.read_text())
         assert got == {
-            "third": 0.333333, "np": 0.666667, "inf": None, "nan": None,
+            "third": 0.333333, "np": 0.666667, "inf": None,
             "int": 123456789, "bool": True, "text": "0.123456789", "none": None,
             "nested": {"list": [0.142857, None, 7, False, {"deep": 3.33333e-08}],
                        "tuple": [12345700.0, "x"],
@@ -391,12 +399,12 @@ class TestWriters:
         }
         assert got["bool"] is True and got["nested"]["list"][3] is False
         text = path.read_text()
-        io.write_json_report(path, got)  # an already rounded payload is a fixed point
+        io.write_json_report(path, got, ())  # an already rounded payload is a fixed point
         assert path.read_text() == text
 
     def test_json_report_trailing_newline(self, tmp_path):
         path = tmp_path / "r.json"
-        io.write_json_report(path, {"a": 1})
+        io.write_json_report(path, {"a": 1}, ())
         text = path.read_text()
         assert text.endswith("}\n")
         assert json.loads(text) == {"a": 1}

@@ -323,6 +323,18 @@ class TestOneNetworkPath:
                     assert np.allclose(output_input_gradient(batch_trace, params), per_sample,
                                        rtol=1e-12, atol=1e-15)
 
+    # a batch of two rows or more into fewer than 16 inputs multiplies by a contiguous
+    # copy of W.T; one row, and a layer of 16 inputs or more, keep the view. Either way
+    # z has the bits of the plain expression
+    @pytest.mark.parametrize("sizes", [(7, 16, 1), (7, 16, 4, 1), (3, 20, 9, 2)],
+                             ids=["7-16-1", "7-16-4-1", "3-20-9-2"])
+    @pytest.mark.parametrize("rows", [1, 2])
+    def test_small_batches_are_bit_equal_to_the_plain_product(self, rng, sizes, rows):
+        params = NetworkParams.initialize(LayerSpec(sizes), seed=5)
+        trace = forward(rng.uniform(-2, 2, (rows, sizes[0])), params)
+        for l, (w, b) in enumerate(zip(params.weights, params.biases)):
+            assert np.array_equal(trace.pre_activations[l], trace.activations[l] @ w.T + b)
+
     def test_batch_backward_is_mean_of_per_sample(self, rng):
         for sizes in self.SHAPES:
             params = NetworkParams.initialize(LayerSpec(sizes), seed=3)
@@ -387,9 +399,12 @@ def allocating_train(x, y, spec, config):
 
 class TestOutReuse:
     # (7, 1) has no hidden layer; (7, 4, 1, 3, 1) backpropagates through a one-row W
-    # inside the network, where backward takes delta @ W through einsum. At 3,000
+    # inside the network, where backward takes delta @ W through np.dot. At 3,000
     # rows every delta wider than one column, whose column sums einsum takes, is
-    # past numpy's 8,192-element iterator buffer
+    # past numpy's 8,192-element iterator buffer. From 1,024 rows (two tiles) a layer
+    # of two units or more adds its bias a tile at a time: 1,023 rows stay below,
+    # 1,024 fill two tiles exactly and 1,537 leave a remainder. (7, 16, 4, 1) has a
+    # layer of 16 inputs, whose product keeps the W.T view
     @pytest.mark.parametrize("sizes, rows, epochs", [
         pytest.param((7, 16, 1), 500, 300, id="7-16-1"),
         pytest.param((7, 1), 500, 300, id="7-1"),
@@ -398,6 +413,10 @@ class TestOutReuse:
         pytest.param((7, 1), 3000, 40, id="7-1-3000-rows"),
         pytest.param((7, 4, 1, 3, 1), 3000, 40, id="7-4-1-3-1-3000-rows"),
         pytest.param((7, 16, 1), 5000, 20, id="7-16-1-5000-rows"),
+        pytest.param((7, 16, 1), 1023, 30, id="7-16-1-1023-rows"),
+        pytest.param((7, 16, 1), 1024, 30, id="7-16-1-1024-rows"),
+        pytest.param((7, 16, 1), 1537, 30, id="7-16-1-1537-rows"),
+        pytest.param((7, 16, 4, 1), 1537, 30, id="7-16-4-1-1537-rows"),
     ])
     def test_train_is_bit_equal_to_allocating_loop(self, sizes, rows, epochs):
         rng = np.random.default_rng(77)
@@ -411,14 +430,23 @@ class TestOutReuse:
                              want_params.weights + want_params.biases):
             assert np.array_equal(got, want)
 
-    # the sweep recomputes only the unit a moved weight feeds; its outputs must
-    # still carry the bits of full passes
-    @pytest.mark.parametrize("sizes", [(7, 16, 1), (7, 1), (7, 4, 1, 3, 1)],
-                             ids=["7-16-1", "7-1", "7-4-1-3-1"])
-    def test_sweep_is_bit_equal_to_full_forward_passes(self, sizes):
+    # the sweep takes all grid points of a unit from one product where it can, and
+    # recomputes only the layers after it; its outputs must still carry the bits of
+    # full passes. (7, 4, 2) writes the grid into the output layer; a layer of 16
+    # inputs or more, as in (7, 32, 3, 1), and a one-row input take a pass per grid point
+    @pytest.mark.parametrize("sizes, rows", [
+        pytest.param((7, 16, 1), 1200, id="7-16-1"),
+        pytest.param((7, 1), 1200, id="7-1"),
+        pytest.param((7, 4, 1, 3, 1), 1200, id="7-4-1-3-1"),
+        pytest.param((7, 4, 2), 1200, id="7-4-2"),
+        pytest.param((7, 32, 3, 1), 300, id="7-32-3-1"),
+        pytest.param((7, 16, 1), 1, id="7-16-1-one-row"),
+        pytest.param((7, 4, 2), 1, id="7-4-2-one-row"),
+    ])
+    def test_sweep_is_bit_equal_to_full_forward_passes(self, sizes, rows):
         rng = np.random.default_rng(21)
-        x = rng.uniform(-2, 2, (1200, 7))
-        y = rng.uniform(0.1, 0.9, (1200, 1))
+        x = rng.uniform(-2, 2, (rows, 7))
+        y = rng.uniform(0.1, 0.9, (rows, sizes[-1]))
         params, _ = train(x, y, LayerSpec(sizes), TrainConfig(learning_rate=0.5, epochs=20))
         params.weights[-1][0, 0] = 0.0  # a zero weight sweeps the absolute band
         trained = copy.deepcopy(params)
