@@ -87,19 +87,23 @@ class BackwardTrace:
 def forward(x, params: NetworkParams) -> ForwardTrace:
     """Run the network on one input vector (n_in,) or a batch of rows
     (samples, n_in), recording z and a per layer."""
-    a = np.asarray(x, dtype=float)
-    n_in = params.weights[0].shape[1]
-    if a.ndim not in (1, 2) or a.shape[-1] != n_in:
-        raise ValidationError(
-            f"expected input of shape ({n_in},) or (samples, {n_in}), got {a.shape}")
-    trace = _trace(a, [len(w) for w in params.weights])
     with np.errstate(over="ignore"):
-        return _forward(a, params, trace)
+        return _forward(params, _trace(_batch(x, params, vector=True), params))
 
 
-def _trace(a, widths, in_place=False) -> ForwardTrace:
-    """A trace for `a` through layers of these widths; with `in_place` its z are its
+def _batch(inputs, params: NetworkParams, vector=False) -> np.ndarray:
+    """`inputs` as floats, checked to be rows (samples >= 1, n_in), or with `vector` (n_in,)."""
+    a, n_in = np.asarray(inputs, dtype=float), params.weights[0].shape[1]
+    if a.ndim not in ((1, 2) if vector else (2,)) or a.shape[-1] != n_in or len(a) == 0:
+        raise ValidationError(f"expected input of shape {f'({n_in},) or ' if vector else ''}"
+                              f"(samples >= 1, {n_in}), got {a.shape}")
+    return a
+
+
+def _trace(a, params: NetworkParams, in_place=False) -> ForwardTrace:
+    """A trace for `a` through `params`; with `in_place` its z are its
     activations. A batch of two tiles or more gets its bias tile."""
+    widths = [len(w) for w in params.weights]
     acts = [a] + [np.empty(a.shape[:-1] + (n,)) for n in widths]
     tile = np.empty((TILE_ROWS, max(widths))) if a.ndim == 2 and len(a) >= 2 * TILE_ROWS else None
     return ForwardTrace(acts[1:] if in_place else [np.empty(z.shape) for z in acts[1:]], acts, tile)
@@ -110,11 +114,10 @@ def _contiguous(a, w) -> bool:
     return a.ndim == 2 and len(a) > 1 and w.shape[1] < CONTIGUOUS_INPUTS
 
 
-def _forward(a, params: NetworkParams, trace: ForwardTrace, start: int = 0) -> ForwardTrace:
-    """forward's arithmetic from layer `start` on (earlier layers are read from the trace),
-    into a trace sized for `a`, under the caller's errstate. A trace whose z are its
+def _forward(params: NetworkParams, trace: ForwardTrace, start: int = 0) -> ForwardTrace:
+    """forward's arithmetic on the trace's input from layer `start` on (earlier layers are
+    read from the trace), under the caller's errstate. A trace whose z are its
     activations, as train's, takes each layer in place. Tiles add where they are faster."""
-    trace.activations[0] = a
     for l in range(start, len(params.weights)):
         z, a_in = trace.pre_activations[l], trace.activations[l]
         w, b = params.weights[l], params.biases[l]
@@ -189,12 +192,10 @@ def output_input_gradient(trace: ForwardTrace, params: NetworkParams) -> np.ndar
     one row per sample for a batch trace."""
     if params.weights[-1].shape[0] != 1:
         raise ValidationError("output-input gradient is defined for a single output neuron")
-    out = trace.activations[-1]
-    d = out * (1.0 - out)
-    for l in range(len(params.weights) - 1, 0, -1):
-        a = trace.activations[l]
-        d = (d @ params.weights[l]) * (a * (1.0 - a))
-    return d @ params.weights[0]
+    d = 1.0
+    for w, a in zip(params.weights[::-1], trace.activations[:0:-1]):
+        d = (d * (a * (1.0 - a))) @ w  # sigma'(z) = a * (1 - a), then back through W
+    return d
 
 
 @dataclass
@@ -238,14 +239,14 @@ def train(inputs, targets, spec: LayerSpec, config: TrainConfig):
         initial = NetworkParams.initialize(spec, seed=config.seed)
         theta, views = _packed(initial.weights + initial.biases)
         params = NetworkParams(weights=views[:depth], biases=views[depth:])
-        trace = _trace(x, spec.sizes[1:], in_place=True)
+        trace = _trace(x, params, in_place=True)
         grads = _gradients(params, trace.activations)
     except (MemoryError, ValueError) as exc:
         raise ValidationError(f"layer_sizes cannot be initialised: {exc}") from None
     lr, losses = config.learning_rate, []
     with np.errstate(over="ignore"):
         for epoch in range(config.epochs):
-            _backward(_forward(x, params, trace).activations, y, params, grads)
+            _backward(_forward(params, trace).activations, y, params, grads)
             if not math.isfinite(grads.loss):
                 raise TrainingError("training loss diverged", epoch)
             losses.append(grads.loss)
@@ -254,12 +255,12 @@ def train(inputs, targets, spec: LayerSpec, config: TrainConfig):
 
 
 def input_sensitivities(inputs, params: NetworkParams) -> np.ndarray:
-    """Mean absolute output gradient per input component, over all samples."""
-    x = np.asarray(inputs, dtype=float)
-    trace = forward(x[0], params)
+    """Mean absolute output gradient per input component, over all samples, from one pass
+    on the rows stacked as one-row batches (samples, 1, n_in), which keep a vector's bits."""
+    x = _batch(inputs, params)[:, None]
     with np.errstate(over="ignore"):
-        grads = [output_input_gradient(_forward(row, params, trace), params) for row in x]
-    return np.abs(grads).mean(axis=0)
+        trace = _forward(params, _trace(x, params, in_place=True))
+    return np.abs(output_input_gradient(trace, params)[:, 0]).mean(axis=0)
 
 
 @dataclass
@@ -292,20 +293,19 @@ def perturbation_sweep(params: NetworkParams, inputs):
     product into several units, one product by SWEEP_POINTS copies of W[j], w[j, k] set
     to each grid value, gives unit j's column at every point with a full pass's bits;
     the later layers then run. Elsewhere a point runs from layer l. A pass per unit resets."""
-    x = np.asarray(inputs, dtype=float)
-    trace = forward(x, params)
-    baseline = float(trace.activations[-1].mean())
-    if baseline == 0:
-        raise TrainingError("trained network output is saturated at 0; relative weight "
-                            "variation is undefined")
+    trace = _trace(_batch(inputs, params), params, in_place=True)
     rows, variations = [], {}
     with np.errstate(over="ignore"):
+        baseline = float(_forward(params, trace).activations[-1].mean())
+        if baseline == 0:
+            raise TrainingError("trained network output is saturated at 0; relative weight "
+                                "variation is undefined")
         for l, w in enumerate(params.weights):
             a_in, a_next = trace.activations[l], trace.activations[l + 1]
             if grid := len(w) > 1 and _contiguous(a_in, w):
                 units = NetworkParams([np.zeros((SWEEP_POINTS, w.shape[1]))],
                                       [np.zeros(SWEEP_POINTS)])
-                units_trace = _trace(a_in, [SWEEP_POINTS], in_place=True)
+                units_trace = _trace(a_in, units, in_place=True)
             for (j, k), center in np.ndenumerate(w):
                 weight_id = f"w{l + 1}[{j},{k}]"
                 half = abs(center) * SWEEP_SPAN if center != 0 else SWEEP_SPAN
@@ -313,18 +313,18 @@ def perturbation_sweep(params: NetworkParams, inputs):
                 if grid:
                     units.weights[0][:], units.biases[0][:] = w[j], params.biases[l][j]
                     units.weights[0][:, k] = values
-                    columns = _forward(a_in, units, units_trace).activations[1]
+                    columns = _forward(units, units_trace).activations[1]
                 outputs = []
                 for i, value in enumerate(values):
                     w[j, k] = value  # a grid pass, from layer l + 1, does not read it
                     if grid:
                         a_next[:, j] = columns[:, i]
-                    out = float(_forward(x, params, trace, l + grid).activations[-1].mean())
+                    out = float(_forward(params, trace, l + grid).activations[-1].mean())
                     outputs.append(out)
                     rows.append((weight_id, float(value), out))
                 w[j, k] = center
                 if k == w.shape[1] - 1:
-                    _forward(x, params, trace, l)
+                    _forward(params, trace, l)
                 variations[weight_id] = (max(outputs) - min(outputs)) / abs(baseline)
     return rows, variations
 

@@ -85,6 +85,16 @@ def test_only_the_network_kernels_run_the_network():
     assert sorted(node.lineno for node in _network_ops(tree) - allowed) == []
 
 
+def test_input_sensitivities_holds_no_per_sample_loop():
+    # every row goes through one stacked pass, not a Python loop or comprehension
+    tree = ast.parse((SRC / "sensnet.py").read_text(encoding="utf-8"))
+    [owner] = [f for f in ast.walk(tree)
+               if isinstance(f, ast.FunctionDef) and f.name == "input_sensitivities"]
+    loops = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
+             ast.GeneratorExp)
+    assert [node.lineno for node in ast.walk(owner) if isinstance(node, loops)] == []
+
+
 # The one write path: pipeline.write_reports stages every report under a
 # temporary name and renames it into place; any other caller of the io writers
 # would put a report on disk unstaged.

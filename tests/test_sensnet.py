@@ -1,4 +1,5 @@
 import copy
+import re
 import tracemalloc
 
 import numpy as np
@@ -284,6 +285,20 @@ class TestSensitivitySweep:
         with pytest.raises(TrainingError):
             perturbation_sweep(params, rng.uniform(0, 1, (12, 3)))
 
+    # a batch that is not 2-D, has the wrong width or has no rows is refused by name,
+    # with no RuntimeWarning or NaN output
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("run, shape", [
+        pytest.param(input_sensitivities, (0, 7), id="input-grads-no-rows"),
+        pytest.param(input_sensitivities, (7,), id="input-grads-1d"),
+        pytest.param(input_sensitivities, (2, 1, 7), id="input-grads-3d"),
+        pytest.param(lambda x, p: perturbation_sweep(p, x), (0, 7), id="sweep-no-rows"),
+    ])
+    def test_malformed_batch_is_validation_error_naming_its_shape(self, run, shape):
+        params = NetworkParams.initialize(LayerSpec((7, 16, 1)), seed=0)
+        with pytest.raises(ValidationError, match=re.escape(f"got {shape}")):
+            run(np.zeros(shape), params)
+
     def test_perturbation_rows_cover_every_weight(self, rng):
         x = rng.uniform(0, 1, (12, 3))
         y = 0.4 + 0.2 * x[:, 1]
@@ -299,7 +314,7 @@ class TestOneNetworkPath:
     SHAPES = [(7, 16, 1), (3, 4, 2), (5, 8, 6, 1)]
 
     def test_one_vector_is_bit_equal_to_column_form(self, rng):
-        # input_sensitivities runs one vector at a time, so its bytes rely on
+        # input_sensitivities gives each row a vector's product, so its bytes rely on
         # the row form z = a @ W.T + b matching the column form W @ a + b
         for sizes in self.SHAPES:
             for seed in range(5):
@@ -334,6 +349,18 @@ class TestOneNetworkPath:
         trace = forward(rng.uniform(-2, 2, (rows, sizes[0])), params)
         for l, (w, b) in enumerate(zip(params.weights, params.biases)):
             assert np.array_equal(trace.pre_activations[l], trace.activations[l] @ w.T + b)
+
+    # input_sensitivities takes all rows in one pass stacked as one-row batches, where
+    # matmul runs each row's vector product. A plain 2-D batch pass moves bits: batch
+    # and vector products may sum in another order, as at the 32 inputs of (7, 32, 3, 1)
+    @pytest.mark.parametrize("sizes", [(7, 16, 1), (7, 16, 4, 1), (7, 32, 3, 1), (7, 1)],
+                             ids=["7-16-1", "7-16-4-1", "7-32-3-1", "7-1"])
+    @pytest.mark.parametrize("rows", [1, 2, 40, 1100])
+    def test_input_sensitivities_are_bit_equal_to_a_per_row_loop(self, rng, sizes, rows):
+        params = NetworkParams.initialize(LayerSpec(sizes), seed=6)
+        x = rng.uniform(-2, 2, (rows, sizes[0]))
+        per_row = [output_input_gradient(forward(row, params), params) for row in x]
+        assert np.array_equal(input_sensitivities(x, params), np.abs(per_row).mean(axis=0))
 
     def test_batch_backward_is_mean_of_per_sample(self, rng):
         for sizes in self.SHAPES:
@@ -478,6 +505,6 @@ class TestOutReuse:
                  for epochs in (5, 50)}
         # more epochs hold no more memory, and training holds no more than those
         # buffers: the slack, half a hidden-width array, covers the parameters and
-        # numpy's 8,192-double ufunc buffer for the broadcast bias add
+        # the 8,192-double bias tile that the trace allocates once for the hidden add
         assert peaks[50] - peaks[5] < samples * 16 * 8
         assert peaks[5] - buffers < samples * 8 * 8
