@@ -17,7 +17,7 @@ from .errors import ParseError, ValidationError, as_integer, as_real
 from .mcda import PairwiseMatrix
 from .mining import (DEFAULT_DOF, DEFAULT_INCOME_MODE, DEFAULT_LOCATION, DEFAULT_SCALE,
                      DEFAULT_TOTAL_VALUE, INCOME_MODES, MiningCurveParams, RevenueWindow)
-from .sensnet import DEFAULT_LAYER_SIZES, LayerSpec, TrainConfig
+from .sensnet import TrainConfig
 from .topsis import DecisionMatrix, IndicatorKind
 
 INDICATOR_COLUMNS = ("ei", "idg", "cea", "ma", "hr", "er", "sa")
@@ -128,9 +128,12 @@ def load_gdp_csv(path) -> dict:
 
 
 def read_json_object(path, what: str) -> dict:
-    """Parse a JSON file that must hold one object; anything else is a ParseError."""
+    """Parse a JSON file that must hold one object; anything else, a file that cannot
+    be read included, is a ParseError."""
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ParseError(f"cannot read {what} file {path}: {exc.strerror or exc}") from None
     except ValueError as exc:
         raise ParseError(f"{what} is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
@@ -173,30 +176,29 @@ def load_scenario(path):
     return params, window, mode, raw.get("name")
 
 
-def load_train_config(path):
-    """Read training settings; returns (LayerSpec, TrainConfig)."""
+def load_train_config(path) -> TrainConfig:
+    """Read training settings; a missing field takes TrainConfig's default."""
     raw = read_json_object(path, "train config")
 
-    def field(key, default, convert):
-        return json_field(raw, "train config", key, default, convert)
+    def field(key, convert):
+        return json_field(raw, "train config", key, getattr(TrainConfig, key), convert)
 
-    spec = LayerSpec(field("layer_sizes", DEFAULT_LAYER_SIZES,
-                           lambda v: tuple(as_integer(s) for s in v)))
-    config = TrainConfig(
-        learning_rate=field("learning_rate", TrainConfig.learning_rate, as_real),
-        epochs=field("epochs", TrainConfig.epochs, as_integer),
-        seed=field("seed", TrainConfig.seed, as_integer),
+    return TrainConfig(
+        layer_sizes=field("layer_sizes", lambda v: tuple(as_integer(s) for s in v)),
+        learning_rate=field("learning_rate", as_real),
+        epochs=field("epochs", as_integer),
+        seed=field("seed", as_integer),
     )
-    return spec, config
 
 
 def _rows(path):
     """Yield (line, row) for each non-blank row of a CSV file, `line` being the file line
-    it ends on. Bad UTF-8, CSV errors and rows ragged against the header are ParseErrors."""
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        width = None
-        try:
+    it ends on. A file that cannot be read, bad UTF-8, CSV errors and rows ragged against
+    the header are ParseErrors."""
+    try:
+        with open(path, newline="", encoding="utf-8") as handle:
+            reader = csv.reader(handle)
+            width = None
             for row in reader:
                 if any(c.strip() for c in row):
                     width = width or len(row)
@@ -204,10 +206,12 @@ def _rows(path):
                         raise ParseError(f"expected {width} cells, got {len(row)}",
                                          line=reader.line_num)
                     yield reader.line_num, row
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"file is not valid UTF-8: {exc.reason}") from None
-        except csv.Error as exc:
-            raise ParseError(str(exc), line=reader.line_num) from None
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"file is not valid UTF-8: {exc.reason}") from None
+    except csv.Error as exc:
+        raise ParseError(str(exc), line=reader.line_num) from None
 
 
 def _converted(line, convert, cells) -> list:

@@ -345,24 +345,21 @@ def sensitivity_stage(panel, train, seed=None):
     """Train the sensitivity network on (indicators -> scaled scores) and sweep
     its weights.
 
-    `train` is the (LayerSpec, TrainConfig) pair of a train config; `seed`
-    overrides its seed. Returns reports.
+    `train` is a TrainConfig; `seed` overrides its seed. Returns reports.
     """
     x, series = panel.records
-    spec, train_config = train
     if seed is not None:
-        train_config = replace(train_config, seed=seed)
-    sweep = sensnet.sensitivity_sweep(x, scale_targets(series), spec, train_config,
-                                      io.INDICATOR_COLUMNS)
+        train = replace(train, seed=seed)
+    sweep = sensnet.sensitivity_sweep(x, scale_targets(series), train, io.INDICATOR_COLUMNS)
     named = [(n, float(v)) for n, v in zip(io.INDICATOR_COLUMNS, sweep.sensitivities)]
     return {
         "sensitivity.csv": (("indicator", "value"), named),
         "perturbation.csv": (("weight_id", "w", "output"), sweep.perturbation_rows),
         "sensitivity.json": {
-            "seed": train_config.seed,
-            "epochs": train_config.epochs,
-            "learning_rate": train_config.learning_rate,
-            "layer_sizes": list(spec.sizes),
+            "seed": train.seed,
+            "epochs": train.epochs,
+            "learning_rate": train.learning_rate,
+            "layer_sizes": list(train.layer_sizes),
             "final_loss": sweep.final_loss,
             "sensitivities": [{"indicator": n, "value": v} for n, v in named],
             "max_output_variation": sweep.max_variation,

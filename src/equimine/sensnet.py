@@ -8,9 +8,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import TrainingError, ValidationError, as_integer
+from .errors import TrainingError, ValidationError, as_integer, as_real
 
-DEFAULT_LAYER_SIZES = (7, 16, 1)
 INIT_HALF_RANGE = 0.5  # weights and biases start uniform in [-0.5, 0.5]
 SWEEP_SPAN = 0.1  # the weight sweep moves each weight across +/- 10% of its value
 SWEEP_POINTS = 11  # on 11 evenly spaced points
@@ -29,15 +28,26 @@ def sigmoid(x, out):
 
 
 @dataclass
-class LayerSpec:
-    sizes: tuple = DEFAULT_LAYER_SIZES
+class TrainConfig:
+    layer_sizes: tuple = (7, 16, 1)  # widths from the input to the output layer
+    learning_rate: float = 0.1
+    epochs: int = 5000
+    seed: int = 0
 
     def __post_init__(self):
-        self.sizes = tuple(as_integer(s, "layer width") for s in self.sizes)
-        if len(self.sizes) < 2:
+        self.layer_sizes = tuple(as_integer(s, "layer width") for s in self.layer_sizes)
+        self.learning_rate = as_real(self.learning_rate, "learning_rate")
+        self.epochs, self.seed = as_integer(self.epochs, "epochs"), as_integer(self.seed, "seed")
+        if len(self.layer_sizes) < 2:
             raise ValidationError("need at least an input and an output layer")
-        if any(s < 1 for s in self.sizes):
+        if any(s < 1 for s in self.layer_sizes):
             raise ValidationError("layer widths must be >= 1")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValidationError("learning_rate must be positive and finite")
+        if self.epochs < 1:
+            raise ValidationError("epochs must be >= 1")
+        if self.seed < 0:
+            raise ValidationError("seed must be >= 0")
 
 
 @dataclass
@@ -57,11 +67,11 @@ class NetworkParams:
                 raise ValidationError(f"layer {l + 1}: parameters must be finite")
 
     @classmethod
-    def initialize(cls, spec: LayerSpec, seed: int = 0):
-        """Deterministic uniform init in [-0.5, 0.5] from the seed."""
-        rng = np.random.default_rng(seed)
+    def initialize(cls, config: TrainConfig):
+        """Deterministic uniform init in [-0.5, 0.5] of the config's layers from its seed."""
+        rng, sizes = np.random.default_rng(config.seed), config.layer_sizes
         weights, biases = [], []
-        for n_in, n_out in zip(spec.sizes, spec.sizes[1:]):
+        for n_in, n_out in zip(sizes, sizes[1:]):
             weights.append(rng.uniform(-INIT_HALF_RANGE, INIT_HALF_RANGE, size=(n_out, n_in)))
             biases.append(rng.uniform(-INIT_HALF_RANGE, INIT_HALF_RANGE, size=n_out))
         return cls(weights=weights, biases=biases)
@@ -69,8 +79,7 @@ class NetworkParams:
 
 @dataclass
 class ForwardTrace:
-    pre_activations: list  # z^1 .. z^L
-    activations: list  # a^0 (the input) .. a^L
+    activations: list  # a^0 (the input) .. a^L; _forward writes z^l into a^l first
     tile: np.ndarray = field(default=None, repr=False)  # _forward's bias tile, if tiled
 
 
@@ -86,7 +95,7 @@ class BackwardTrace:
 
 def forward(x, params: NetworkParams) -> ForwardTrace:
     """Run the network on one input vector (n_in,) or a batch of rows
-    (samples, n_in), recording z and a per layer."""
+    (samples, n_in), recording a per layer."""
     with np.errstate(over="ignore"):
         return _forward(params, _trace(_batch(x, params, vector=True), params))
 
@@ -100,13 +109,12 @@ def _batch(inputs, params: NetworkParams, vector=False) -> np.ndarray:
     return a
 
 
-def _trace(a, params: NetworkParams, in_place=False) -> ForwardTrace:
-    """A trace for `a` through `params`; with `in_place` its z are its
-    activations. A batch of two tiles or more gets its bias tile."""
+def _trace(a, params: NetworkParams) -> ForwardTrace:
+    """A trace for `a` through `params`: one buffer per layer, which takes the layer's z,
+    then its a. A batch of two tiles or more gets its bias tile."""
     widths = [len(w) for w in params.weights]
-    acts = [a] + [np.empty(a.shape[:-1] + (n,)) for n in widths]
     tile = np.empty((TILE_ROWS, max(widths))) if a.ndim == 2 and len(a) >= 2 * TILE_ROWS else None
-    return ForwardTrace(acts[1:] if in_place else [np.empty(z.shape) for z in acts[1:]], acts, tile)
+    return ForwardTrace([a] + [np.empty(a.shape[:-1] + (n,)) for n in widths], tile)
 
 
 def _contiguous(a, w) -> bool:
@@ -116,10 +124,10 @@ def _contiguous(a, w) -> bool:
 
 def _forward(params: NetworkParams, trace: ForwardTrace, start: int = 0) -> ForwardTrace:
     """forward's arithmetic on the trace's input from layer `start` on (earlier layers are
-    read from the trace), under the caller's errstate. A trace whose z are its
-    activations, as train's, takes each layer in place. Tiles add where they are faster."""
+    read from the trace), under the caller's errstate. Each layer's z is written into
+    its activation, and the sigmoid taken in place. Tiles add where they are faster."""
     for l in range(start, len(params.weights)):
-        z, a_in = trace.pre_activations[l], trace.activations[l]
+        a_in, z = trace.activations[l], trace.activations[l + 1]
         w, b = params.weights[l], params.biases[l]
         np.matmul(a_in, np.ascontiguousarray(w.T) if _contiguous(a_in, w) else w.T, out=z)
         if trace.tile is None or len(b) == 1:  # numpy's broadcast is the faster add there
@@ -131,7 +139,7 @@ def _forward(params: NetworkParams, trace: ForwardTrace, start: int = 0) -> Forw
             blocks = z[:body].reshape(-1, TILE_ROWS, len(b))
             blocks += tile
             z[body:] += tile[:len(z) - body]
-        sigmoid(z, out=trace.activations[l + 1])
+        sigmoid(z, out=z)
     return trace
 
 
@@ -144,7 +152,7 @@ def backward(trace: ForwardTrace, target, params: NetworkParams) -> BackwardTrac
     a_out = trace.activations[-1]
     if y.shape != a_out.shape:
         raise ValidationError(f"target shape {y.shape} does not match output {a_out.shape}")
-    if len(trace.pre_activations) != len(params.weights):
+    if len(trace.activations) != len(params.weights) + 1:
         raise ValidationError("trace depth does not match params")
     acts = [np.atleast_2d(a) for a in trace.activations]  # a vector is a one-row batch
     acts[1:-1] = [a.copy() for a in acts[1:-1]]  # _backward overwrites them
@@ -198,21 +206,6 @@ def output_input_gradient(trace: ForwardTrace, params: NetworkParams) -> np.ndar
     return d
 
 
-@dataclass
-class TrainConfig:
-    learning_rate: float = 0.1
-    epochs: int = 5000
-    seed: int = 0
-
-    def __post_init__(self):
-        if not 0 < self.learning_rate < math.inf:
-            raise ValidationError("learning_rate must be positive and finite")
-        if self.epochs < 1:
-            raise ValidationError("epochs must be >= 1")
-        if self.seed < 0:
-            raise ValidationError("seed must be >= 0")
-
-
 def _packed(arrays: list):
     """A flat copy of `arrays` laid end to end, and a view into it shaped like each."""
     flat = np.concatenate([np.ravel(a) for a in arrays], dtype=float)
@@ -220,7 +213,7 @@ def _packed(arrays: list):
     return flat, [part.reshape(np.shape(a)) for part, a in zip(parts, arrays)]
 
 
-def train(inputs, targets, spec: LayerSpec, config: TrainConfig):
+def train(inputs, targets, config: TrainConfig):
     """Full-batch gradient descent on the mean quadratic loss. Every buffer is
     allocated once: two (rows, width) arrays per layer, as the trace's z are its
     activations, the output error and the bias tile; only _forward's contiguous
@@ -228,19 +221,21 @@ def train(inputs, targets, spec: LayerSpec, config: TrainConfig):
     updates the parameters, views into one flat array laid out as the gradient means,
     in one in-place operation. Returns (trained NetworkParams, per-epoch losses);
     raises TrainingError with the epoch if the loss stops being finite, and
-    ValidationError if layer_sizes do not fit the data or memory."""
+    ValidationError if the batch has no rows or layer_sizes do not fit the data or memory."""
     x = np.asarray(inputs, dtype=float)
     y = np.asarray(targets, dtype=float)
     y = y[:, None] if y.ndim == 1 else y
-    if x.ndim != 2 or x.shape[1] != spec.sizes[0] or y.shape != (len(x), spec.sizes[-1]):
+    sizes, depth = config.layer_sizes, len(config.layer_sizes) - 1
+    if x.ndim != 2 or x.shape[1] != sizes[0] or y.shape != (len(x), sizes[-1]):
         raise ValidationError(f"layer_sizes must fit the data: inputs {x.shape}, targets {y.shape}")
-    depth = len(spec.sizes) - 1
     try:
-        initial = NetworkParams.initialize(spec, seed=config.seed)
+        initial = NetworkParams.initialize(config)
         theta, views = _packed(initial.weights + initial.biases)
         params = NetworkParams(weights=views[:depth], biases=views[depth:])
-        trace = _trace(x, params, in_place=True)
+        trace = _trace(_batch(x, params), params)
         grads = _gradients(params, trace.activations)
+    except ValidationError:  # from _batch: the batch has no rows
+        raise
     except (MemoryError, ValueError) as exc:
         raise ValidationError(f"layer_sizes cannot be initialised: {exc}") from None
     lr, losses = config.learning_rate, []
@@ -259,7 +254,7 @@ def input_sensitivities(inputs, params: NetworkParams) -> np.ndarray:
     on the rows stacked as one-row batches (samples, 1, n_in), which keep a vector's bits."""
     x = _batch(inputs, params)[:, None]
     with np.errstate(over="ignore"):
-        trace = _forward(params, _trace(x, params, in_place=True))
+        trace = _forward(params, _trace(x, params))
     return np.abs(output_input_gradient(trace, params)[:, 0]).mean(axis=0)
 
 
@@ -293,7 +288,7 @@ def perturbation_sweep(params: NetworkParams, inputs):
     product into several units, one product by SWEEP_POINTS copies of W[j], w[j, k] set
     to each grid value, gives unit j's column at every point with a full pass's bits;
     the later layers then run. Elsewhere a point runs from layer l. A pass per unit resets."""
-    trace = _trace(_batch(inputs, params), params, in_place=True)
+    trace = _trace(_batch(inputs, params), params)
     rows, variations = [], {}
     with np.errstate(over="ignore"):
         baseline = float(_forward(params, trace).activations[-1].mean())
@@ -305,7 +300,7 @@ def perturbation_sweep(params: NetworkParams, inputs):
             if grid := len(w) > 1 and _contiguous(a_in, w):
                 units = NetworkParams([np.zeros((SWEEP_POINTS, w.shape[1]))],
                                       [np.zeros(SWEEP_POINTS)])
-                units_trace = _trace(a_in, units, in_place=True)
+                units_trace = _trace(a_in, units)
             for (j, k), center in np.ndenumerate(w):
                 weight_id = f"w{l + 1}[{j},{k}]"
                 half = abs(center) * SWEEP_SPAN if center != 0 else SWEEP_SPAN
@@ -329,8 +324,7 @@ def perturbation_sweep(params: NetworkParams, inputs):
     return rows, variations
 
 
-def sensitivity_sweep(inputs, targets, spec: LayerSpec, config: TrainConfig,
-                      indicator_names) -> SweepResult:
+def sensitivity_sweep(inputs, targets, config: TrainConfig, indicator_names) -> SweepResult:
     """Train on (indicator table -> scores), inputs z-scored per indicator, and
     measure each indicator's sensitivity: the mean over samples of the absolute
     gradient of the output with respect to that standardized input. Also runs the
@@ -339,7 +333,7 @@ def sensitivity_sweep(inputs, targets, spec: LayerSpec, config: TrainConfig,
     if x.ndim != 2 or x.shape[0] < 10:
         raise ValidationError("need a 2-D indicator table with at least 10 samples")
     x_std = standardize_columns(x, indicator_names)
-    params, losses = train(x_std, targets, spec, config)
+    params, losses = train(x_std, targets, config)
     sens = input_sensitivities(x_std, params)
     rows, variations = perturbation_sweep(params, x_std)
     return SweepResult(

@@ -172,7 +172,7 @@ def test_c09_gradient_checks():
     h = 1e-5
     start = time.perf_counter()
     for seed in range(20):
-        params = sensnet.NetworkParams.initialize(sensnet.LayerSpec((7, 16, 1)), seed=seed)
+        params = sensnet.NetworkParams.initialize(sensnet.TrainConfig((7, 16, 1), seed=seed))
         rng = np.random.default_rng(900 + seed)
         x = rng.uniform(-1.5, 1.5, 7)
         y = rng.uniform(0.1, 0.9, 1)
@@ -218,8 +218,8 @@ def test_c10_sensitivity_qualitative(sample_run):
         x = rng.uniform(0.0, 1.0, (40, 7))
         y = 0.3 + 0.4 * x[:, 0]
         sweep = sensnet.sensitivity_sweep(
-            x, y, sensnet.LayerSpec((7, 16, 1)),
-            sensnet.TrainConfig(learning_rate=0.5, epochs=1500, seed=seed), io.INDICATOR_COLUMNS,
+            x, y, sensnet.TrainConfig((7, 16, 1), learning_rate=0.5, epochs=1500, seed=seed),
+            io.INDICATOR_COLUMNS,
         )
         if sweep.sensitivities[0] > sweep.sensitivities[1:].max():
             hits += 1

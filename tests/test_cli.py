@@ -478,6 +478,19 @@ def test_malformed_csv_input_prints_error_json(runner, tmp_path, args, content, 
     assert error["stage"] == stage
 
 
+@pytest.mark.parametrize("args, stage", [
+    (["equity", "--indicators"], "equity"),
+    (["sensitivity", "--indicators", INDICATORS, "--train"], "sensitivity"),
+    (["report", "--config"], "config"),
+], ids=["equity-indicators", "sensitivity-train", "report-config"])
+def test_directory_as_input_file_prints_error_json(runner, tmp_path, args, stage):
+    result = runner.invoke(main, args + [str(tmp_path), "--out", str(tmp_path / "out")])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)  # the error JSON, not a traceback
+    error = json.loads(result.output)["error"]
+    assert error["stage"] == stage and str(tmp_path) in error["message"]
+
+
 @pytest.mark.parametrize("sizes", ["[1e300, 16, 1]", "[7, 1e16, 1]", "[6, 16, 1]", "[7, 16, 2]"],
                          ids=["huge-input-width", "huge-hidden-width", "wrong-input-width",
                               "wrong-output-width"])

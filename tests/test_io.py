@@ -181,8 +181,8 @@ class TestScenario:
 
 class TestTrainConfigFile:
     def test_loads_sample(self):
-        spec, config = io.load_train_config(sample_path("train.json"))
-        assert spec.sizes == (7, 16, 1)
+        config = io.load_train_config(sample_path("train.json"))
+        assert config.layer_sizes == (7, 16, 1)
         assert config.learning_rate == 0.1
         assert config.epochs == 5000
         assert config.seed == 0
@@ -190,9 +190,9 @@ class TestTrainConfigFile:
     def test_integral_floats_are_integers(self, tmp_path):
         path = tmp_path / "train.json"
         path.write_text('{"epochs": 12.0, "seed": 3, "layer_sizes": [7, 4.0, 1]}')
-        spec, config = io.load_train_config(path)
-        assert (config.epochs, config.seed, spec.sizes) == (12, 3, (7, 4, 1))
-        assert all(type(v) is int for v in (config.epochs, config.seed, *spec.sizes))
+        config = io.load_train_config(path)
+        assert (config.epochs, config.seed, config.layer_sizes) == (12, 3, (7, 4, 1))
+        assert all(type(v) is int for v in (config.epochs, config.seed, *config.layer_sizes))
 
 
 PATHS = '"indicators": "a", "pairwise": "a", "gdp": "a", "scenario": "a", "train": "a"'

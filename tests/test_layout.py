@@ -153,7 +153,7 @@ def test_t_sf_is_the_one_t_cdf():
 
 
 # ROADMAP aim 2 tracks the size of src/; raise this budget only on purpose.
-SRC_LINE_BUDGET = 2174
+SRC_LINE_BUDGET = 2169
 
 
 def test_src_stays_within_its_line_budget():

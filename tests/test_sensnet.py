@@ -9,7 +9,6 @@ from equimine import sensnet
 from equimine.errors import TrainingError, ValidationError
 from equimine.sensnet import (
     BackwardTrace,
-    LayerSpec,
     NetworkParams,
     TrainConfig,
     backward,
@@ -45,7 +44,6 @@ def loss_of(params, x, y):
 
 class TestForward:
     def test_zero_params_give_half_everywhere(self):
-        spec = LayerSpec((3, 4, 2))
         params = NetworkParams(weights=[np.zeros((4, 3)), np.zeros((2, 4))],
                                biases=[np.zeros(4), np.zeros(2)])
         trace = forward(np.array([0.3, -1.0, 2.0]), params)
@@ -59,34 +57,47 @@ class TestForward:
 
     def test_matches_oracle_on_random(self, rng):
         for seed in range(5):
-            params = NetworkParams.initialize(LayerSpec((7, 16, 1)), seed=seed)
+            params = NetworkParams.initialize(TrainConfig((7, 16, 1), seed=seed))
             x = rng.uniform(-2, 2, 7)
             trace = forward(x, params)
             assert np.allclose(trace.activations[-1], forward_oracle(x, params), atol=1e-12)
 
     def test_trace_invariant(self, rng):
-        params = NetworkParams.initialize(LayerSpec((4, 5, 3)), seed=1)
+        params = NetworkParams.initialize(TrainConfig((4, 5, 3), seed=1))
         trace = forward(rng.uniform(-1, 1, 4), params)
-        for z, a in zip(trace.pre_activations, trace.activations[1:]):
-            assert np.allclose(a, sensnet.sigmoid(z, np.empty_like(z)))
+        for l, (w, b) in enumerate(zip(params.weights, params.biases)):
+            z = w @ trace.activations[l] + b
+            assert np.allclose(trace.activations[l + 1], sensnet.sigmoid(z, np.empty_like(z)))
 
     def test_shape_validation(self):
-        params = NetworkParams.initialize(LayerSpec((4, 2)), seed=0)
+        params = NetworkParams.initialize(TrainConfig((4, 2), seed=0))
         with pytest.raises(ValidationError):
             forward(np.zeros(3), params)
 
     @pytest.mark.parametrize("sizes", [(7, 16.9, 1), (7, True, 1), (7.5, 16, 1), (7, "16", 1)])
     def test_non_integer_layer_width_rejected(self, sizes):
         with pytest.raises(ValidationError, match="layer width"):
-            LayerSpec(sizes)
+            TrainConfig(sizes)
+
+    @pytest.mark.parametrize("field, value", [("epochs", 2.5), ("epochs", True), ("seed", 1.5),
+                                              ("learning_rate", "0.1"), ("learning_rate", True)])
+    def test_non_integer_count_or_non_real_rate_rejected(self, field, value):
+        with pytest.raises(ValidationError, match=f"{field} must be an? (integer|real number)"):
+            TrainConfig(**{field: value})
+
+    def test_integral_counts_and_numpy_rate_accepted(self):
+        config = TrainConfig(epochs=12.0, seed=np.int64(3), learning_rate=np.float32(0.5))
+        assert (config.epochs, config.seed, config.learning_rate) == (12, 3, 0.5)
+        assert [type(v) for v in (config.epochs, config.seed, config.learning_rate)] == [
+            int, int, float]
 
     def test_integral_layer_widths_accepted(self):
-        spec = LayerSpec((7, np.int64(16), 1.0))
-        assert spec.sizes == (7, 16, 1) and all(type(s) is int for s in spec.sizes)
+        config = TrainConfig((7, np.int64(16), 1.0))
+        assert config.layer_sizes == (7, 16, 1) and all(type(s) is int for s in config.layer_sizes)
 
     def test_deterministic_initialization(self):
-        a = NetworkParams.initialize(LayerSpec((7, 16, 1)), seed=9)
-        b = NetworkParams.initialize(LayerSpec((7, 16, 1)), seed=9)
+        a = NetworkParams.initialize(TrainConfig((7, 16, 1), seed=9))
+        b = NetworkParams.initialize(TrainConfig((7, 16, 1), seed=9))
         for wa, wb in zip(a.weights, b.weights):
             assert np.array_equal(wa, wb)
         assert all(np.all(np.abs(w) <= 0.5) for w in a.weights)
@@ -94,7 +105,7 @@ class TestForward:
 
 class TestBackward:
     def test_zero_error_gives_zero_gradients(self):
-        params = NetworkParams.initialize(LayerSpec((3, 4, 1)), seed=0)
+        params = NetworkParams.initialize(TrainConfig((3, 4, 1), seed=0))
         trace = forward(np.array([0.1, 0.2, 0.3]), params)
         bt = backward(trace, trace.activations[-1], params)
         assert bt.loss == 0.0
@@ -111,7 +122,7 @@ class TestBackward:
     def test_gradients_match_finite_differences(self, rng):
         h = 1e-5
         for seed in range(3):
-            params = NetworkParams.initialize(LayerSpec((5, 8, 1)), seed=seed)
+            params = NetworkParams.initialize(TrainConfig((5, 8, 1), seed=seed))
             x = rng.uniform(-1, 1, 5)
             y = rng.uniform(0.2, 0.8, 1)
             bt = backward(forward(x, params), y, params)
@@ -130,7 +141,7 @@ class TestBackward:
 
     def test_bias_gradients_are_deltas(self, rng):
         h = 1e-5
-        params = NetworkParams.initialize(LayerSpec((4, 6, 1)), seed=2)
+        params = NetworkParams.initialize(TrainConfig((4, 6, 1), seed=2))
         x = rng.uniform(-1, 1, 4)
         y = np.array([0.3])
         bt = backward(forward(x, params), y, params)
@@ -148,7 +159,7 @@ class TestBackward:
     def test_delta_linearity(self, rng):
         # scaling the output-layer error seed by c scales every delta and
         # gradient by c; realized by moving the target to c * (a - y)
-        params = NetworkParams.initialize(LayerSpec((6, 10, 1)), seed=4)
+        params = NetworkParams.initialize(TrainConfig((6, 10, 1), seed=4))
         x = rng.uniform(-1, 1, 6)
         y = np.array([0.25])
         trace = forward(x, params)
@@ -166,20 +177,19 @@ class TestBackward:
         # _backward overwrites each hidden activation once it has used it; the public
         # backward must hand it copies, for a batch and for one vector alike
         for sizes in [(7, 16, 1), (5, 8, 6, 1)]:
-            params = NetworkParams.initialize(LayerSpec(sizes), seed=2)
+            params = NetworkParams.initialize(TrainConfig(sizes, seed=2))
             for x in (rng.uniform(-1, 1, (9, sizes[0])), rng.uniform(-1, 1, sizes[0])):
                 trace = forward(x, params)
                 kept = copy.deepcopy(trace)
                 backward(trace, np.full(trace.activations[-1].shape, 0.5), params)
-                for got, want in zip(trace.activations + trace.pre_activations,
-                                     kept.activations + kept.pre_activations):
+                for got, want in zip(trace.activations, kept.activations):
                     assert np.array_equal(got, want)
 
     def test_target_shape_validated(self):
-        params = NetworkParams.initialize(LayerSpec((3, 2)), seed=0)
+        params = NetworkParams.initialize(TrainConfig((3, 2), seed=0))
         trace = forward(np.zeros(3), params)
         with pytest.raises(ValidationError):
-            backward(trace, np.zeros(2), NetworkParams.initialize(LayerSpec((3, 2, 2)), seed=0))
+            backward(trace, np.zeros(2), NetworkParams.initialize(TrainConfig((3, 2, 2), seed=0)))
         with pytest.raises(ValidationError):
             backward(trace, np.zeros(5), params)
 
@@ -187,7 +197,7 @@ class TestBackward:
 class TestOutputInputGradient:
     def test_matches_finite_differences(self, rng):
         h = 1e-6
-        params = NetworkParams.initialize(LayerSpec((5, 9, 1)), seed=7)
+        params = NetworkParams.initialize(TrainConfig((5, 9, 1), seed=7))
         x = rng.uniform(-1, 1, 5)
         grad = output_input_gradient(forward(x, params), params)
         for j in range(5):
@@ -200,7 +210,7 @@ class TestOutputInputGradient:
             assert grad[j] == pytest.approx(fd, rel=1e-6, abs=1e-10)
 
     def test_needs_scalar_output(self):
-        params = NetworkParams.initialize(LayerSpec((3, 4, 2)), seed=0)
+        params = NetworkParams.initialize(TrainConfig((3, 4, 2), seed=0))
         with pytest.raises(ValidationError):
             output_input_gradient(forward(np.zeros(3), params), params)
 
@@ -209,17 +219,15 @@ class TestTrain:
     def test_loss_decreases_on_learnable_data(self, rng):
         x = rng.uniform(0, 1, (20, 4))
         y = 0.3 + 0.4 * x[:, 0]
-        params, losses = train(x, y, LayerSpec((4, 8, 1)),
-                               TrainConfig(learning_rate=0.5, epochs=6000, seed=0))
+        params, losses = train(x, y, TrainConfig((4, 8, 1), learning_rate=0.5, epochs=6000))
         assert losses[-1] < losses[0] * 0.1
 
     def test_forward_determinism(self, rng):
         x = rng.uniform(0, 1, (15, 3))
         y = x.mean(axis=1) * 0.5 + 0.2
-        spec = LayerSpec((3, 5, 1))
-        config = TrainConfig(epochs=200, seed=11)
-        p1, l1 = train(x, y, spec, config)
-        p2, l2 = train(x, y, spec, config)
+        config = TrainConfig((3, 5, 1), epochs=200, seed=11)
+        p1, l1 = train(x, y, config)
+        p2, l2 = train(x, y, config)
         assert l1 == l2
         for w1, w2 in zip(p1.weights, p2.weights):
             assert np.array_equal(w1, w2)
@@ -231,8 +239,7 @@ class TestTrain:
         y = np.full(10, 1e6)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(TrainingError) as err:
-                train(x, y, LayerSpec((3, 4, 1)),
-                      TrainConfig(learning_rate=1e306, epochs=5, seed=0))
+                train(x, y, TrainConfig((3, 4, 1), learning_rate=1e306, epochs=5, seed=0))
         assert err.value.epoch == 1
 
     def test_shape_mismatch(self, rng):
@@ -240,8 +247,8 @@ class TestTrain:
         for x_shape, y_shape in [((10, 3), (10,)), ((10, 4), (12,)), ((4,), (1,)),
                                  ((10, 4), (10, 2))]:
             with pytest.raises(ValidationError, match="layer_sizes must fit the data"):
-                train(rng.uniform(size=x_shape), np.zeros(y_shape), LayerSpec((4, 2, 1)),
-                      TrainConfig(epochs=1))
+                train(rng.uniform(size=x_shape), np.zeros(y_shape),
+                      TrainConfig((4, 2, 1), epochs=1))
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ValidationError):
@@ -254,15 +261,13 @@ class TestSensitivitySweep:
             rng = np.random.default_rng(200 + seed)
             x = rng.uniform(0, 1, (40, 7))
             y = 0.3 + 0.4 * x[:, 0]
-            sweep = sensitivity_sweep(x, y, LayerSpec((7, 16, 1)),
-                                      TrainConfig(learning_rate=0.5, epochs=1500, seed=seed),
-                                      NAMES)
+            config = TrainConfig((7, 16, 1), learning_rate=0.5, epochs=1500, seed=seed)
+            sweep = sensitivity_sweep(x, y, config, NAMES)
             assert sweep.sensitivities[0] > sweep.sensitivities[1:].max()
 
     def test_needs_ten_samples(self, rng):
         with pytest.raises(ValidationError):
-            sensitivity_sweep(rng.uniform(size=(5, 7)), np.zeros(5), LayerSpec(), TrainConfig(),
-                              NAMES)
+            sensitivity_sweep(rng.uniform(size=(5, 7)), np.zeros(5), TrainConfig(), NAMES)
 
     def test_standardize_handles_constant_column(self):
         x = np.array([[1.0, 5.0], [2.0, 5.0], [3.0, 5.0]])
@@ -293,17 +298,18 @@ class TestSensitivitySweep:
         pytest.param(input_sensitivities, (7,), id="input-grads-1d"),
         pytest.param(input_sensitivities, (2, 1, 7), id="input-grads-3d"),
         pytest.param(lambda x, p: perturbation_sweep(p, x), (0, 7), id="sweep-no-rows"),
+        pytest.param(lambda x, p: train(x, np.empty(0), TrainConfig(epochs=3)), (0, 7),
+                     id="train-no-rows"),
     ])
     def test_malformed_batch_is_validation_error_naming_its_shape(self, run, shape):
-        params = NetworkParams.initialize(LayerSpec((7, 16, 1)), seed=0)
+        params = NetworkParams.initialize(TrainConfig((7, 16, 1), seed=0))
         with pytest.raises(ValidationError, match=re.escape(f"got {shape}")):
             run(np.zeros(shape), params)
 
     def test_perturbation_rows_cover_every_weight(self, rng):
         x = rng.uniform(0, 1, (12, 3))
         y = 0.4 + 0.2 * x[:, 1]
-        sweep = sensitivity_sweep(x, y, LayerSpec((3, 4, 1)), TrainConfig(epochs=50, seed=0),
-                                  ["a", "b", "c"])
+        sweep = sensitivity_sweep(x, y, TrainConfig((3, 4, 1), epochs=50), ["a", "b", "c"])
         n_weights = 3 * 4 + 4 * 1
         assert len({row[0] for row in sweep.perturbation_rows}) == n_weights
         assert len(sweep.perturbation_rows) == n_weights * sensnet.SWEEP_POINTS
@@ -318,14 +324,13 @@ class TestOneNetworkPath:
         # the row form z = a @ W.T + b matching the column form W @ a + b
         for sizes in self.SHAPES:
             for seed in range(5):
-                params = NetworkParams.initialize(LayerSpec(sizes), seed=seed)
+                params = NetworkParams.initialize(TrainConfig(sizes, seed=seed))
                 x = rng.uniform(-2, 2, sizes[0])
                 trace = forward(x, params)
                 a = x
                 for l, (w, b) in enumerate(zip(params.weights, params.biases)):
                     z = w @ a + b
                     a = sensnet.sigmoid(z, np.empty_like(z))
-                    assert np.array_equal(trace.pre_activations[l], z)
                     assert np.array_equal(trace.activations[l + 1], a)
                 batch = rng.uniform(-2, 2, (9, sizes[0]))
                 batch_trace = forward(batch, params)
@@ -340,15 +345,18 @@ class TestOneNetworkPath:
 
     # a batch of two rows or more into fewer than 16 inputs multiplies by a contiguous
     # copy of W.T; one row, and a layer of 16 inputs or more, keep the view. Either way
-    # z has the bits of the plain expression
+    # z has the bits of the plain expression. With the sigmoid made the identity, each
+    # layer's z stays in its activation buffer, where forward writes it first
     @pytest.mark.parametrize("sizes", [(7, 16, 1), (7, 16, 4, 1), (3, 20, 9, 2)],
                              ids=["7-16-1", "7-16-4-1", "3-20-9-2"])
     @pytest.mark.parametrize("rows", [1, 2])
-    def test_small_batches_are_bit_equal_to_the_plain_product(self, rng, sizes, rows):
-        params = NetworkParams.initialize(LayerSpec(sizes), seed=5)
+    def test_small_batches_are_bit_equal_to_the_plain_product(self, rng, monkeypatch, sizes,
+                                                              rows):
+        params = NetworkParams.initialize(TrainConfig(sizes, seed=5))
+        monkeypatch.setattr(sensnet, "sigmoid", lambda x, out: out)
         trace = forward(rng.uniform(-2, 2, (rows, sizes[0])), params)
         for l, (w, b) in enumerate(zip(params.weights, params.biases)):
-            assert np.array_equal(trace.pre_activations[l], trace.activations[l] @ w.T + b)
+            assert np.array_equal(trace.activations[l + 1], trace.activations[l] @ w.T + b)
 
     # input_sensitivities takes all rows in one pass stacked as one-row batches, where
     # matmul runs each row's vector product. A plain 2-D batch pass moves bits: batch
@@ -357,14 +365,14 @@ class TestOneNetworkPath:
                              ids=["7-16-1", "7-16-4-1", "7-32-3-1", "7-1"])
     @pytest.mark.parametrize("rows", [1, 2, 40, 1100])
     def test_input_sensitivities_are_bit_equal_to_a_per_row_loop(self, rng, sizes, rows):
-        params = NetworkParams.initialize(LayerSpec(sizes), seed=6)
+        params = NetworkParams.initialize(TrainConfig(sizes, seed=6))
         x = rng.uniform(-2, 2, (rows, sizes[0]))
         per_row = [output_input_gradient(forward(row, params), params) for row in x]
         assert np.array_equal(input_sensitivities(x, params), np.abs(per_row).mean(axis=0))
 
     def test_batch_backward_is_mean_of_per_sample(self, rng):
         for sizes in self.SHAPES:
-            params = NetworkParams.initialize(LayerSpec(sizes), seed=3)
+            params = NetworkParams.initialize(TrainConfig(sizes, seed=3))
             x = rng.uniform(-1, 1, (12, sizes[0]))
             y = rng.uniform(0.1, 0.9, (12, sizes[-1]))
             batch = backward(forward(x, params), y, params)
@@ -396,10 +404,10 @@ def full_pass_sweep(params, x, span=0.1, points=11):
     return rows, variations
 
 
-def allocating_train(x, y, spec, config):
+def allocating_train(x, y, config):
     """The training loop as it was before out= reuse: every epoch allocates a
     fresh trace and fresh gradients. Kept as the oracle for `train`."""
-    params = NetworkParams.initialize(spec, seed=config.seed)
+    params = NetworkParams.initialize(config)
     losses = []
     for _ in range(config.epochs):
         zs, acts = [], [x]
@@ -449,9 +457,9 @@ class TestOutReuse:
         rng = np.random.default_rng(77)
         x = rng.uniform(-1, 1, (rows, 7))
         y = rng.uniform(0.1, 0.9, (rows, 1))
-        spec, config = LayerSpec(sizes), TrainConfig(learning_rate=0.5, epochs=epochs, seed=4)
-        params, losses = train(x, y, spec, config)
-        want_params, want_losses = allocating_train(x, y, spec, config)
+        config = TrainConfig(sizes, learning_rate=0.5, epochs=epochs, seed=4)
+        params, losses = train(x, y, config)
+        want_params, want_losses = allocating_train(x, y, config)
         assert losses == want_losses
         for got, want in zip(params.weights + params.biases,
                              want_params.weights + want_params.biases):
@@ -474,7 +482,7 @@ class TestOutReuse:
         rng = np.random.default_rng(21)
         x = rng.uniform(-2, 2, (rows, 7))
         y = rng.uniform(0.1, 0.9, (rows, sizes[-1]))
-        params, _ = train(x, y, LayerSpec(sizes), TrainConfig(learning_rate=0.5, epochs=20))
+        params, _ = train(x, y, TrainConfig(sizes, learning_rate=0.5, epochs=20))
         params.weights[-1][0, 0] = 0.0  # a zero weight sweeps the absolute band
         trained = copy.deepcopy(params)
         rows, variations = perturbation_sweep(params, x)
@@ -487,7 +495,7 @@ class TestOutReuse:
         samples = 2000
         x = rng.uniform(-1, 1, (samples, 7))
         y = rng.uniform(0.1, 0.9, (samples, 1))
-        spec = LayerSpec((7, 16, 1))
+        sizes = (7, 16, 1)
 
         def peak_rise(run):
             tracemalloc.start()
@@ -500,8 +508,8 @@ class TestOutReuse:
 
         # two (samples, width) arrays per layer, the activation and the delta,
         # plus the output error
-        buffers = sum(2 * samples * n * 8 for n in spec.sizes[1:]) + samples * spec.sizes[-1] * 8
-        peaks = {epochs: peak_rise(lambda: train(x, y, spec, TrainConfig(epochs=epochs)))
+        buffers = sum(2 * samples * n * 8 for n in sizes[1:]) + samples * sizes[-1] * 8
+        peaks = {epochs: peak_rise(lambda: train(x, y, TrainConfig(sizes, epochs=epochs)))
                  for epochs in (5, 50)}
         # more epochs hold no more memory, and training holds no more than those
         # buffers: the slack, half a hidden-width array, covers the parameters and
