@@ -40,7 +40,7 @@ def _errors_as_json():
 
 
 def _input(*decls, help, required=True):
-    return click.option(*decls, required=required, type=click.Path(exists=True), help=help)
+    return click.option(*decls, required=required, type=click.Path(), help=help)
 
 
 OUT = click.option("--out", required=True, type=click.Path(), help="Output directory.")
@@ -115,11 +115,12 @@ def simulate(scenario, income_mode):
 
 @_stage_command("allocation", INDICATORS, GDP, SCENARIO, PAIRWISE, ALLOC_MODE, INCOME_MODE,
                 BOTTOM_COUNT, MULTIPLIER)
-def allocate(indicators, gdp, scenario, pairwise, income_mode, **policy):
+def allocate(indicators, gdp, scenario, pairwise, alloc_mode, income_mode, **poverty):
     """Split scenario profit across countries by development score."""
     basis_scores = pipeline.load_panel(indicators, pairwise).latest_scores()
     _, total_profit = pipeline.mining_stage(io.load_scenario(scenario), income_mode)
-    return pipeline.allocation_stage(basis_scores, io.load_gdp_csv(gdp), total_profit, **policy)
+    return pipeline.allocation_stage(basis_scores, io.load_gdp_csv(gdp), total_profit, alloc_mode,
+                                     PovertyPolicy(**poverty))  # --bottom-count, --multiplier
 
 
 @_stage_command("correlation", INDICATORS, PAIRWISE, ALPHA)

@@ -24,7 +24,7 @@ import logging
 import os
 import time
 from contextlib import contextmanager, suppress
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -59,6 +59,10 @@ INFINITE_KEYS = {"mining.json": {"t2"}, "correlation.json": {"t_stat"}}
 TOPSIS_COLUMNS = ("label", "d_plus", "d_minus", "s", "s_normalized", "rank")
 
 
+# The run config's input paths; all but `decision` are required.
+PATH_FIELDS = ("indicators", "pairwise", "gdp", "scenario", "train", "decision")
+
+
 @dataclass
 class RunConfig:
     indicators: Path
@@ -70,8 +74,7 @@ class RunConfig:
     income_mode: str = None  # None: the scenario's mode decides
     alloc_mode: str = allocation.DEFAULT_ALLOC_MODE
     alloc_basis: str = "equity"
-    bottom_count: int = allocation.PovertyPolicy.bottom_count
-    multiplier: float = allocation.PovertyPolicy.multiplier
+    poverty: allocation.PovertyPolicy = field(default_factory=allocation.PovertyPolicy)
     seed: int = None
 
     def __post_init__(self):
@@ -81,57 +84,48 @@ class RunConfig:
             raise ValidationError(f"unknown allocation mode {self.alloc_mode!r}")
         if self.alloc_basis not in ALLOC_BASES:
             raise ValidationError(f"unknown allocation basis {self.alloc_basis!r}")
+        if self.seed is not None:
+            sensnet.TrainConfig(seed=self.seed)  # the training seed's own rule
 
     def digest(self) -> str:
-        return io.config_digest(asdict(self))
+        """The digest of the flat settings: the poverty fields sit at the top level."""
+        settings = asdict(self)
+        settings |= settings.pop("poverty")
+        return io.config_digest(settings)
 
 
 def load_run_config(path, **overrides) -> RunConfig:
-    """Read a JSON run config; relative paths resolve against the file's dir.
-
-    Keyword overrides (income_mode, alloc_mode, alloc_basis, seed, ...) win
-    over file values when not None. Malformed JSON or field values raise
-    ParseError.
-    """
+    """Read a JSON run config and check every setting: paths (resolved against the
+    file's dir; each must name a file), modes, poverty policy and seed. Keyword
+    overrides (income_mode, alloc_mode, alloc_basis, seed, ...) win over file values
+    when not None. Malformed JSON or mistyped values raise ParseError, other bad
+    settings ValidationError; input file contents wait for the stages reading them."""
     path = Path(path)
     raw = io.read_json_object(path, "run config")
-    base = path.parent
-
-    def resolve(key, required=True):
-        value = raw.get(key)
-        if value is None:
-            if required:
-                raise ValidationError(f"run config is missing {key!r}")
-            return None
-        if not isinstance(value, str):
+    paths = {}
+    for key in PATH_FIELDS:
+        if (value := raw.get(key)) is None and key != "decision":
+            raise ValidationError(f"run config is missing {key!r}")
+        if not isinstance(value, (str, type(None))):
             raise ParseError(f"run config field {key!r} must be a path, got {value!r}")
-        p = Path(value)
-        return p if p.is_absolute() else base / p
-
+        paths[key] = None if value is None else path.parent / value
     poverty = raw.get("poverty", {})
     if not isinstance(poverty, dict):
         raise ParseError(f"run config field 'poverty' must be an object, got {poverty!r}")
     config = RunConfig(
-        indicators=resolve("indicators"),
-        pairwise=resolve("pairwise"),
-        gdp=resolve("gdp"),
-        scenario=resolve("scenario"),
-        train=resolve("train"),
-        decision=resolve("decision", required=False),
+        **paths,
         income_mode=raw.get("income_mode"),
         alloc_mode=raw.get("alloc_mode", RunConfig.alloc_mode),
         alloc_basis=raw.get("alloc_basis", RunConfig.alloc_basis),
-        bottom_count=io.json_field(poverty, "run config poverty", "bottom_count",
-                                   RunConfig.bottom_count, as_integer),
-        multiplier=io.json_field(poverty, "run config poverty", "multiplier",
-                                 RunConfig.multiplier, as_real),
+        poverty=allocation.PovertyPolicy(**{
+            key: io.json_field(poverty, "run config poverty", key,
+                               getattr(allocation.PovertyPolicy, key), convert)
+            for key, convert in (("bottom_count", as_integer), ("multiplier", as_real))}),
         seed=io.json_field(raw, "run config", "seed", None,
                            lambda v: None if v is None else as_integer(v)),
     )
-    updates = {k: v for k, v in overrides.items() if v is not None}
-    if updates:
-        config = replace(config, **updates)
-    for name in ("indicators", "pairwise", "gdp", "scenario", "train", "decision"):
+    config = replace(config, **{k: v for k, v in overrides.items() if v is not None})
+    for name in PATH_FIELDS:
         p = getattr(config, name)
         if p is not None and not Path(p).is_file():
             raise ValidationError(f"{name} file not found: {p}")
@@ -301,14 +295,13 @@ def mining_stage(scenario, income_mode=None):
     }}, profits[selected]
 
 
-def allocation_stage(basis_scores, gdp, total_profit, alloc_mode, bottom_count, multiplier,
+def allocation_stage(basis_scores, gdp, total_profit, alloc_mode, poverty,
                      basis=RunConfig.alloc_basis):
-    """Split total_profit by basis score with the poverty boost. Returns reports.
-    A negative profit (a loss) allocates nothing: total_profit 0 and every share 0."""
+    """Split total_profit by basis score, boosted by the PovertyPolicy `poverty`. Returns
+    reports. A loss allocates nothing: total_profit 0 and every share 0."""
     if set(gdp) != set(basis_scores):
         raise ValidationError("GDP table countries do not match the indicator table")
-    policy = allocation.PovertyPolicy(bottom_count=bottom_count, multiplier=multiplier)
-    gammas = allocation.poverty_multipliers(gdp, policy)
+    gammas = allocation.poverty_multipliers(gdp, poverty)
     result = allocation.allocate(max(total_profit, 0.0), basis_scores, gammas, mode=alloc_mode)
     return {"allocation.json": {
         "basis": basis,
@@ -426,7 +419,7 @@ def run_pipeline(config: RunConfig, out_dir) -> dict:
                     "allocation basis 'topsis' needs the ranking to cover the same countries"
                 )
         report_set |= allocation_stage(basis_scores, gdp, total_profit, config.alloc_mode,
-                                       config.bottom_count, config.multiplier, config.alloc_basis)
+                                       config.poverty, config.alloc_basis)
 
     with _stage("correlation"):
         report_set |= correlation_stage(panel)

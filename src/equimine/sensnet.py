@@ -35,7 +35,11 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        self.layer_sizes = tuple(as_integer(s, "layer width") for s in self.layer_sizes)
+        try:
+            self.layer_sizes = tuple(as_integer(s, "layer width") for s in self.layer_sizes)
+        except TypeError:
+            raise ValidationError(
+                f"layer_sizes must be an integer sequence, got {self.layer_sizes!r}") from None
         self.learning_rate = as_real(self.learning_rate, "learning_rate")
         self.epochs, self.seed = as_integer(self.epochs, "epochs"), as_integer(self.seed, "seed")
         if len(self.layer_sizes) < 2:

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -489,6 +490,88 @@ def test_directory_as_input_file_prints_error_json(runner, tmp_path, args, stage
     assert isinstance(result.exception, SystemExit)  # the error JSON, not a traceback
     error = json.loads(result.output)["error"]
     assert error["stage"] == stage and str(tmp_path) in error["message"]
+
+
+# Each subcommand's stage and a valid value for every input flag it takes.
+INPUT_FLAGS = {
+    "weights": ("weights", {"--pairwise": PAIRWISE}),
+    "consistency": ("consistency", {"--pairwise": PAIRWISE}),
+    "topsis": ("topsis", {"--decision": str(sample_path("asteroids.csv")), "--pairwise": PAIRWISE}),
+    "equity": ("equity", {"--indicators": INDICATORS, "--pairwise": PAIRWISE}),
+    "simulate": ("mining", {"--scenario": SCENARIO}),
+    "allocate": ("allocation", {"--indicators": INDICATORS, "--gdp": str(sample_path("gdp.csv")),
+                                "--scenario": SCENARIO, "--pairwise": PAIRWISE}),
+    "correlate": ("correlation", {"--indicators": INDICATORS, "--pairwise": PAIRWISE}),
+    "sensitivity": ("sensitivity", {"--indicators": INDICATORS,
+                                    "--train": str(sample_path("train.json")),
+                                    "--pairwise": PAIRWISE}),
+    "report": ("config", {"--config": str(sample_path("config.json"))}),
+}
+MISSING_INPUTS = [(command, flag) for command, (_, flags) in INPUT_FLAGS.items() for flag in flags]
+
+
+def test_every_input_flag_has_a_missing_input_case():
+    paths = {(name, option) for name, command in main.commands.items() for param in command.params
+             if isinstance(param.type, click.Path) for option in param.opts if option != "--out"}
+    assert paths == set(MISSING_INPUTS)
+
+
+@pytest.mark.parametrize("command, flag", MISSING_INPUTS,
+                         ids=[f"{command}{flag}" for command, flag in MISSING_INPUTS])
+def test_missing_input_file_prints_error_json(runner, tmp_path, command, flag):
+    # io reports the path it cannot read, in the stage reading it; not click's usage error
+    stage, flags = INPUT_FLAGS[command]
+    missing = str(tmp_path / "missing.file")
+    args = [part for option, value in {**flags, flag: missing}.items() for part in (option, value)]
+    result = runner.invoke(main, [command, *args, "--out", str(tmp_path / "out")])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)  # the error JSON, not a traceback
+    error = json.loads(result.output)["error"]
+    assert error["stage"] == stage and missing in error["message"]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("fields, flags, field", [
+    ({"poverty": {"bottom_count": 0, "multiplier": 1.2}}, [], "bottom_count"),
+    ({"poverty": {"bottom_count": 2, "multiplier": 0.5}}, [], "multiplier"),
+    ({"seed": -1}, [], "seed"),
+    ({}, ["--seed", "-1"], "seed"),
+], ids=["zero-bottom-count", "multiplier-below-one", "negative-seed", "negative-seed-flag"])
+def test_bad_run_setting_stops_report_in_config(runner, tmp_path, caplog, monkeypatch, fields,
+                                                flags, field):
+    monkeypatch.setenv("EQUIMINE_LOG", "INFO")
+    (tmp_path / "config.json").write_text(sample_config(**fields))
+    with caplog.at_level(logging.INFO, logger="equimine.pipeline"):
+        result = runner.invoke(main, ["report", "--config", str(tmp_path / "config.json"), *flags,
+                                      "--out", str(tmp_path / "out")])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)  # the error JSON, not a traceback
+    error = json.loads(result.output)["error"]
+    assert error["stage"] == "config" and field in error["message"]
+    started = [r.getMessage() for r in caplog.records if r.getMessage().endswith(" started")]
+    assert started == ["stage config started"]
+
+
+def test_allocate_policy_error_keeps_stage_allocation(runner, tmp_path):
+    # the subcommand builds its poverty policy from its flags inside its own stage
+    result = runner.invoke(main, ["allocate", "--indicators", INDICATORS, "--gdp",
+                                  str(sample_path("gdp.csv")), "--scenario", SCENARIO,
+                                  "--bottom-count", "0", "--out", str(tmp_path / "out")])
+    assert result.exit_code == 1
+    error = json.loads(result.output)["error"]
+    assert error["stage"] == "allocation" and "bottom_count" in error["message"]
+
+
+def test_run_config_digest_hashes_the_flat_settings(tmp_path):
+    # config_digest in every report keeps hashing the settings as one flat mapping
+    (tmp_path / "config.json").write_text(
+        sample_config(poverty={"bottom_count": 3, "multiplier": 1.5}, seed=7))
+    config = pipeline.load_run_config(tmp_path / "config.json")
+    flat = {name: sample_path(f"{name}.csv") for name in ("indicators", "pairwise", "gdp")}
+    flat |= {"scenario": sample_path("scenario.json"), "train": sample_path("train.json"),
+             "decision": None, "income_mode": "cumulative", "alloc_mode": "conserve",
+             "alloc_basis": "equity", "bottom_count": 3, "multiplier": 1.5, "seed": 7}
+    assert config.digest() == io.config_digest(flat)
 
 
 @pytest.mark.parametrize("sizes", ["[1e300, 16, 1]", "[7, 1e16, 1]", "[6, 16, 1]", "[7, 16, 2]"],

@@ -152,8 +152,16 @@ def test_t_sf_is_the_one_t_cdf():
                    for n in ast.walk(function)), (module, name)
 
 
+def test_cli_leaves_unreadable_inputs_to_io():
+    # io turns an input it cannot read into the error JSON of the stage reading it;
+    # click's Path(exists=True) would print its usage text and exit 2 first
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    assert [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.keyword) and node.arg == "exists"] == []
+
+
 # ROADMAP aim 2 tracks the size of src/; raise this budget only on purpose.
-SRC_LINE_BUDGET = 2169
+SRC_LINE_BUDGET = 2167
 
 
 def test_src_stays_within_its_line_budget():

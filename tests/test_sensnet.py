@@ -80,7 +80,8 @@ class TestForward:
             TrainConfig(sizes)
 
     @pytest.mark.parametrize("field, value", [("epochs", 2.5), ("epochs", True), ("seed", 1.5),
-                                              ("learning_rate", "0.1"), ("learning_rate", True)])
+                                              ("learning_rate", "0.1"), ("learning_rate", True),
+                                              ("layer_sizes", 7), ("layer_sizes", None)])
     def test_non_integer_count_or_non_real_rate_rejected(self, field, value):
         with pytest.raises(ValidationError, match=f"{field} must be an? (integer|real number)"):
             TrainConfig(**{field: value})
