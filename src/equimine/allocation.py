@@ -52,14 +52,11 @@ def poverty_multipliers(gdp: dict, policy: PovertyPolicy) -> dict:
     """
     labels = list(gdp)
     if policy.bottom_count > len(labels):
-        raise ValidationError(
-            f"bottom_count {policy.bottom_count} exceeds {len(labels)} countries"
-        )
+        raise ValidationError(f"bottom_count {policy.bottom_count} exceeds {len(labels)} countries")
     for label, value in gdp.items():
         if not (math.isfinite(value) and value >= 0):
             raise ValidationError(f"GDP for {label!r} must be finite and >= 0")
-    poorest = sorted(labels, key=lambda c: (gdp[c], c))[: policy.bottom_count]
-    poorest = set(poorest)
+    poorest = set(sorted(labels, key=lambda c: (gdp[c], c))[: policy.bottom_count])
     return {c: (policy.multiplier if c in poorest else 1.0) for c in labels}
 
 

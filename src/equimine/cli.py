@@ -13,7 +13,7 @@ from contextlib import contextmanager
 import click
 
 from . import io, pipeline
-from .allocation import ALLOC_MODES, PovertyPolicy
+from .allocation import ALLOC_MODES, PovertyPolicy, poverty_multipliers
 from .errors import PipelineError
 from .mining import INCOME_MODES
 from .stats import DEFAULT_ALPHA
@@ -39,7 +39,7 @@ def _errors_as_json():
         sys.exit(1)
 
 
-def _input(*decls, help, required=True):
+def _input(*decls, help, required=True):  # a subcommand loads the dests in pipeline.INPUT_FILES
     return click.option(*decls, required=required, type=click.Path(), help=help)
 
 
@@ -51,8 +51,7 @@ INDICATORS = _input("--indicators", help="Indicator CSV (country, year, ei..sa).
 DECISION = _input("--decision", help="Decision matrix CSV with kind-annotated headers.")
 SCENARIO = _input("--scenario", help="Mining scenario JSON.")
 GDP = _input("--gdp", help="GDP CSV (country, gdp).")
-TRAIN = _input("--train", "train_path",
-               help="Training config JSON (learning_rate, epochs, seed, layer_sizes).")
+TRAIN = _input("--train", help="Training config JSON (learning_rate, epochs, seed, layer_sizes).")
 INCOME_MODE = click.option("--income-mode", type=click.Choice(INCOME_MODES), default=None,
                            help="Override the run config's and the scenario's income mode.")
 BOTTOM_COUNT = click.option("--bottom-count", type=int, default=PovertyPolicy.bottom_count,
@@ -66,14 +65,16 @@ SEED = click.option("--seed", type=int, default=None, help="Override the trainin
 
 
 def _stage_command(stage, *options):
-    """Register body as a subcommand taking `options` and --out. The body runs under
-    `stage`'s error handling; its reports are written under a digest of its flags."""
+    """Register body as a subcommand taking `options` and --out. In stage `stage`,
+    load_inputs reads its input files for the body; the digest hashes them and the flags."""
     def register(body):
         def command(out, **flags):
+            paths = {name: flags.pop(name) for name in pipeline.INPUT_FILES if name in flags}
             with _errors_as_json():
                 with pipeline._stage(stage):
-                    reports = body(**flags)
-                written = pipeline.write_reports(out, io.config_digest(flags), reports)
+                    inputs, sha256 = pipeline.load_inputs(paths)
+                    reports = body(**inputs, **flags)
+                written = pipeline.write_reports(out, io.config_digest(flags | sha256), reports)
             click.echo("wrote " + ", ".join(str(p) for p in written.values()))
         for option in reversed((*options, OUT)):
             command = option(command)
@@ -84,71 +85,68 @@ def _stage_command(stage, *options):
 @_stage_command("weights", MATRIX)
 def weights(pairwise):
     """Derive criterion weights by all three methods."""
-    return pipeline.weights_stage(io.load_pairwise_csv(pairwise))[0]
+    return pipeline.weights_stage(pairwise)[0]
 
 
 @_stage_command("consistency", MATRIX)
 def consistency(pairwise):
     """Check a comparison matrix for consistency (CR < 0.1)."""
-    return pipeline.consistency_stage(io.load_pairwise_csv(pairwise))[0]
+    return pipeline.consistency_stage(pairwise)[0]
 
 
 @_stage_command("topsis", DECISION, PAIRWISE)
 def topsis(decision, pairwise):
     """Rank alternatives by closeness to the ideal solution."""
-    weights = pipeline.matrix_weights(pairwise, default=None)  # equal weights without a matrix
-    reports, rows = pipeline.topsis_stage(io.load_decision_csv(decision), weights)
+    weights = None if pairwise is None else pipeline.weights_stage(pairwise)[1]  # None: equal
+    reports, rows = pipeline.topsis_stage(decision, weights)
     return {**reports, "topsis.csv": (pipeline.TOPSIS_COLUMNS, rows)}
 
 
 @_stage_command("equity", INDICATORS, PAIRWISE)
 def equity(indicators, pairwise):
     """Per-country development scores and the global equity index."""
-    return pipeline.equity_stage(pipeline.load_panel(indicators, pairwise))
+    return pipeline.equity_stage(pipeline.weighted_panel(indicators, pairwise))
 
 
 @_stage_command("mining", SCENARIO, INCOME_MODE)
 def simulate(scenario, income_mode):
     """Income and profit for a mining scenario, both income modes side by side."""
-    return pipeline.mining_stage(io.load_scenario(scenario), income_mode)[0]
+    return pipeline.mining_stage(scenario, income_mode)[0]
 
 
 @_stage_command("allocation", INDICATORS, GDP, SCENARIO, PAIRWISE, ALLOC_MODE, INCOME_MODE,
                 BOTTOM_COUNT, MULTIPLIER)
 def allocate(indicators, gdp, scenario, pairwise, alloc_mode, income_mode, **poverty):
     """Split scenario profit across countries by development score."""
-    basis_scores = pipeline.load_panel(indicators, pairwise).latest_scores()
-    _, total_profit = pipeline.mining_stage(io.load_scenario(scenario), income_mode)
-    return pipeline.allocation_stage(basis_scores, io.load_gdp_csv(gdp), total_profit, alloc_mode,
-                                     PovertyPolicy(**poverty))  # --bottom-count, --multiplier
+    basis_scores = pipeline.weighted_panel(indicators, pairwise).latest_scores()
+    _, total_profit = pipeline.mining_stage(scenario, income_mode)
+    gammas = poverty_multipliers(gdp, PovertyPolicy(**poverty))  # --bottom-count, --multiplier
+    return pipeline.allocation_stage(basis_scores, gammas, total_profit, alloc_mode)
 
 
 @_stage_command("correlation", INDICATORS, PAIRWISE, ALPHA)
 def correlate(indicators, pairwise, alpha):
     """Correlate each indicator with the development score across all records."""
-    return pipeline.correlation_stage(pipeline.load_panel(indicators, pairwise), alpha)
+    return pipeline.correlation_stage(pipeline.weighted_panel(indicators, pairwise), alpha)
 
 
 @_stage_command("sensitivity", INDICATORS, TRAIN, PAIRWISE, SEED)
-def sensitivity(indicators, train_path, pairwise, seed):
+def sensitivity(indicators, train, pairwise, seed):
     """Train the sensitivity network and sweep trained weights."""
-    panel = pipeline.load_panel(indicators, pairwise)
-    return pipeline.sensitivity_stage(panel, io.load_train_config(train_path), seed)
+    return pipeline.sensitivity_stage(pipeline.weighted_panel(indicators, pairwise), train, seed)
 
 
 @main.command()
-@_input("--config", "config_path", help="Run config JSON naming every input file.")
+@_input("--config", help="Run config JSON naming every input file.")
 @OUT
 @INCOME_MODE
 @click.option("--alloc-mode", type=click.Choice(ALLOC_MODES), default=None)
 @click.option("--alloc-basis", type=click.Choice(pipeline.ALLOC_BASES), default=None)
 @SEED
-def report(config_path, out, **overrides):
+def report(config, out, **overrides):
     """Run the full pipeline and write every report artifact."""
     with _errors_as_json():
-        with pipeline._stage("config"):
-            config = pipeline.load_run_config(config_path, **overrides)
-        written = pipeline.run_pipeline(config, out)
+        written = pipeline._run_stages(lambda: pipeline.load_run_config(config, **overrides), out)
     click.echo(f"wrote {len(written)} artifacts to {out}")
 
 

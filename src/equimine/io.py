@@ -9,7 +9,6 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 
@@ -31,9 +30,9 @@ def parse_ratio(text: str) -> float:
         raise ParseError(f"bad ratio {text!r}: {exc}") from None
 
 
-def load_pairwise_csv(path) -> PairwiseMatrix:
+def load_pairwise_csv(path, hasher=None) -> PairwiseMatrix:
     """Read a comparison matrix: header and first column carry the labels."""
-    rows = list(_rows(path))  # a few short rows; the row count is checked first
+    rows = list(_rows(path, hasher))  # a few short rows; the row count is checked first
     if len(rows) < 2:
         raise ParseError("pairwise matrix file needs a header and body", line=1)
     header_line, header = rows[0]
@@ -50,10 +49,10 @@ def load_pairwise_csv(path) -> PairwiseMatrix:
     return PairwiseMatrix(entries=entries, labels=labels)
 
 
-def load_decision_csv(path) -> DecisionMatrix:
+def load_decision_csv(path, hasher=None) -> DecisionMatrix:
     """Read a decision matrix; header cells are 'name:kind' with kind one of
     benefit, cost or mid=<x_best>; first column holds alternative labels."""
-    rows = _rows(path)
+    rows = _rows(path, hasher)
     header_line, header = next(rows, (1, []))
     names, kinds = [], []
     for cell in header[1:]:
@@ -82,10 +81,10 @@ class IndicatorTable:
     values: np.ndarray  # (countries, years, 7)
 
 
-def load_indicator_table(path) -> IndicatorTable:
+def load_indicator_table(path, hasher=None) -> IndicatorTable:
     """Read a complete panel of per-(country, year) indicator records, rejecting
     duplicates, non-finite cells and missing (country, year) records."""
-    rows = _rows(path)
+    rows = _rows(path, hasher)
     expected = ("country", "year") + INDICATOR_COLUMNS
     header_line, header = next(rows, (1, []))
     if tuple(c.strip().lower() for c in header) != expected:
@@ -112,9 +111,9 @@ def load_indicator_table(path) -> IndicatorTable:
     return IndicatorTable(countries, years, values.reshape(len(countries), len(years), -1))
 
 
-def load_gdp_csv(path) -> dict:
+def load_gdp_csv(path, hasher=None) -> dict:
     """Read (country, gdp) pairs into a dict, preserving file order."""
-    rows = _rows(path)
+    rows = _rows(path, hasher)
     header_line, header = next(rows, (1, []))
     if tuple(c.strip().lower() for c in header) != ("country", "gdp"):
         raise ParseError("header must be country,gdp", line=header_line)
@@ -127,14 +126,12 @@ def load_gdp_csv(path) -> dict:
     return gdp
 
 
-def read_json_object(path, what: str) -> dict:
-    """Parse a JSON file that must hold one object; anything else, a file that cannot
-    be read included, is a ParseError."""
+def read_json_object(path, what: str, hasher=None) -> dict:
+    """Parse a JSON file that must hold one object (`hasher` as for _lines); anything
+    else, a file that cannot be read included, is a ParseError."""
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ParseError(f"cannot read {what} file {path}: {exc.strerror or exc}") from None
-    except ValueError as exc:
+        raw = json.loads("".join(_lines(path, hasher)))
+    except json.JSONDecodeError as exc:  # not _lines' ParseError, a ValueError too
         raise ParseError(f"{what} is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ParseError(f"{what} file must hold a JSON object")
@@ -150,13 +147,13 @@ def json_field(raw: dict, what: str, key: str, default, convert):
         raise ParseError(f"{what} field {key!r} has a bad value {value!r}") from None
 
 
-def load_scenario(path):
+def load_scenario(path, hasher=None):
     """Read a mining scenario JSON file.
 
     Returns (MiningCurveParams, RevenueWindow, mode, name). Missing fields
     fall back to the module defaults; t2 may be the string "inf".
     """
-    raw = read_json_object(path, "scenario")
+    raw = read_json_object(path, "scenario", hasher)
 
     def number(key, default):
         return json_field(raw, "scenario", key, default, as_real)
@@ -176,9 +173,9 @@ def load_scenario(path):
     return params, window, mode, raw.get("name")
 
 
-def load_train_config(path) -> TrainConfig:
+def load_train_config(path, hasher=None) -> TrainConfig:
     """Read training settings; a missing field takes TrainConfig's default."""
-    raw = read_json_object(path, "train config")
+    raw = read_json_object(path, "train config", hasher)
 
     def field(key, convert):
         return json_field(raw, "train config", key, getattr(TrainConfig, key), convert)
@@ -191,25 +188,35 @@ def load_train_config(path) -> TrainConfig:
     )
 
 
-def _rows(path):
-    """Yield (line, row) for each non-blank row of a CSV file, `line` being the file line
-    it ends on. A file that cannot be read, bad UTF-8, CSV errors and rows ragged against
-    the header are ParseErrors."""
+def _lines(path, hasher=None):
+    """Yield a UTF-8 file's lines, each fed to `hasher` (a hashlib object) if given: strict
+    and untranslated, they hash as the file's bytes. Unreadable or bad UTF-8: ParseError."""
     try:
         with open(path, newline="", encoding="utf-8") as handle:
-            reader = csv.reader(handle)
-            width = None
-            for row in reader:
-                if any(c.strip() for c in row):
-                    width = width or len(row)
-                    if len(row) != width:
-                        raise ParseError(f"expected {width} cells, got {len(row)}",
-                                         line=reader.line_num)
-                    yield reader.line_num, row
+            for line in handle:
+                if hasher is not None:
+                    hasher.update(line.encode("utf-8"))
+                yield line
     except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc.strerror or exc}") from None
+        reason = "not found" if isinstance(exc, FileNotFoundError) else exc.strerror or exc
+        raise ParseError(f"cannot read {path}: {reason}") from None
     except UnicodeDecodeError as exc:
         raise ParseError(f"file is not valid UTF-8: {exc.reason}") from None
+
+
+def _rows(path, hasher=None):
+    """Yield (line, row) for each non-blank row of a CSV file read by _lines, `line` being
+    the file line it ends on. CSV errors and rows ragged against the header are ParseErrors."""
+    reader = csv.reader(_lines(path, hasher))
+    width = None
+    try:
+        for row in reader:
+            if any(c.strip() for c in row):
+                width = width or len(row)
+                if len(row) != width:
+                    raise ParseError(f"expected {width} cells, got {len(row)}",
+                                     line=reader.line_num)
+                yield reader.line_num, row
     except csv.Error as exc:
         raise ParseError(str(exc), line=reader.line_num) from None
 
@@ -236,7 +243,7 @@ def fmt6(x):
 
 def config_digest(mapping: dict) -> str:
     """Stable sha256 over a canonical JSON encoding of the mapping."""
-    canonical = json.dumps(mapping, sort_keys=True, separators=(",", ":"), default=str)
+    canonical = json.dumps(mapping, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 

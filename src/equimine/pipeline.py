@@ -1,6 +1,6 @@
 """Batch pipeline: one function per stage, chained by `run_pipeline`.
 
-Each stage function takes loaded inputs and returns its reports, keyed by file
+Each stage function takes parsed inputs and returns its reports, keyed by file
 name, plus any values later stages need. A JSON report is a dict of raw values,
 which `io.write_json_report` rounds; a CSV report is a (header, rows) pair.
 `run_pipeline` (the `report` command) chains the stage functions, and every CLI
@@ -9,8 +9,10 @@ payloads.
 
 Shared policies:
 
+* Inputs: `load_inputs` reads each input file once and hashes its bytes, which a
+  config digest hashes with the settings, never a path; `report` reads in `config`.
 * Weights: the mean of a comparison matrix's AHP weights when a matrix is
-  given, the shipped defaults otherwise (`matrix_weights`).
+  given, the shipped defaults otherwise (`weighted_panel`).
 * Record order: panel order, i.e. countries in file order x sorted years
   (`Panel`).
 * Income mode: an explicit mode (the --income-mode flag, else the run
@@ -20,6 +22,7 @@ Shared policies:
   inside it and logs the stage to the `equimine.pipeline` logger.
 """
 
+import hashlib
 import logging
 import os
 import time
@@ -59,18 +62,15 @@ INFINITE_KEYS = {"mining.json": {"t2"}, "correlation.json": {"t_stat"}}
 TOPSIS_COLUMNS = ("label", "d_plus", "d_minus", "s", "s_normalized", "rank")
 
 
-# The run config's input paths; all but `decision` are required.
-PATH_FIELDS = ("indicators", "pairwise", "gdp", "scenario", "train", "decision")
+# Each input file's io loader, in stage order; a run config names all but `decision`.
+INPUT_FILES = {"pairwise": "load_pairwise_csv", "indicators": "load_indicator_table",
+               "decision": "load_decision_csv", "scenario": "load_scenario",
+               "gdp": "load_gdp_csv", "train": "load_train_config"}
 
 
 @dataclass
 class RunConfig:
-    indicators: Path
-    pairwise: Path
-    gdp: Path
-    scenario: Path
-    train: Path
-    decision: Path = None
+    paths: dict  # input name (INPUT_FILES) -> Path; None for an absent decision
     income_mode: str = None  # None: the scenario's mode decides
     alloc_mode: str = allocation.DEFAULT_ALLOC_MODE
     alloc_basis: str = "equity"
@@ -87,23 +87,24 @@ class RunConfig:
         if self.seed is not None:
             sensnet.TrainConfig(seed=self.seed)  # the training seed's own rule
 
-    def digest(self) -> str:
-        """The digest of the flat settings: the poverty fields sit at the top level."""
-        settings = asdict(self)
-        settings |= settings.pop("poverty")
+    def digest(self, sha256: dict) -> str:
+        """The digest of the flat settings (the poverty fields at the top level) and
+        `sha256`, each input's hash of its bytes, in place of the paths."""
+        settings = asdict(replace(self, paths=sha256))
+        settings |= settings.pop("poverty") | settings.pop("paths")
         return io.config_digest(settings)
 
 
 def load_run_config(path, **overrides) -> RunConfig:
     """Read a JSON run config and check every setting: paths (resolved against the
-    file's dir; each must name a file), modes, poverty policy and seed. Keyword
-    overrides (income_mode, alloc_mode, alloc_basis, seed, ...) win over file values
-    when not None. Malformed JSON or mistyped values raise ParseError, other bad
-    settings ValidationError; input file contents wait for the stages reading them."""
+    file's dir), modes, poverty policy and seed. Keyword overrides (income_mode,
+    alloc_mode, alloc_basis, seed, ...) win over file values when not None. Malformed
+    JSON or mistyped values raise ParseError, other bad settings ValidationError; the
+    input files are read by run_pipeline."""
     path = Path(path)
     raw = io.read_json_object(path, "run config")
     paths = {}
-    for key in PATH_FIELDS:
+    for key in INPUT_FILES:
         if (value := raw.get(key)) is None and key != "decision":
             raise ValidationError(f"run config is missing {key!r}")
         if not isinstance(value, (str, type(None))):
@@ -113,7 +114,7 @@ def load_run_config(path, **overrides) -> RunConfig:
     if not isinstance(poverty, dict):
         raise ParseError(f"run config field 'poverty' must be an object, got {poverty!r}")
     config = RunConfig(
-        **paths,
+        paths,
         income_mode=raw.get("income_mode"),
         alloc_mode=raw.get("alloc_mode", RunConfig.alloc_mode),
         alloc_basis=raw.get("alloc_basis", RunConfig.alloc_basis),
@@ -124,12 +125,19 @@ def load_run_config(path, **overrides) -> RunConfig:
         seed=io.json_field(raw, "run config", "seed", None,
                            lambda v: None if v is None else as_integer(v)),
     )
-    config = replace(config, **{k: v for k, v in overrides.items() if v is not None})
-    for name in PATH_FIELDS:
-        p = getattr(config, name)
-        if p is not None and not Path(p).is_file():
-            raise ValidationError(f"{name} file not found: {p}")
-    return config
+    return replace(config, **{k: v for k, v in overrides.items() if v is not None})
+
+
+def load_inputs(paths: dict) -> tuple:
+    """Read each file of `paths` (input name -> path, or None) once, in that order, with
+    its INPUT_FILES loader, looked up on io per call. Returns ({name: parsed input},
+    {name: sha256 of the file's bytes}), None for an input without a path."""
+    inputs, sha256 = {}, {}
+    for name, path in paths.items():
+        hasher = hashlib.sha256()
+        inputs[name] = None if path is None else getattr(io, INPUT_FILES[name])(path, hasher)
+        sha256[name] = None if path is None else hasher.hexdigest()
+    return inputs, sha256
 
 
 @contextmanager
@@ -202,14 +210,6 @@ def weights_stage(matrix):
     }}, mean_weights
 
 
-def matrix_weights(pairwise_path, default=equity.DEFAULT_SCORE_WEIGHTS):
-    """The weights policy: the mean AHP weights of the comparison matrix at
-    pairwise_path, or `default` when no matrix is given."""
-    if pairwise_path is None:
-        return default
-    return weights_stage(io.load_pairwise_csv(pairwise_path))[1]
-
-
 @dataclass
 class Panel:
     """A complete indicator panel scored under one weight vector: scores[c, t]
@@ -233,10 +233,11 @@ def score_panel(table, weights) -> Panel:
     return Panel(table, equity.development_scores(table.values, weights))
 
 
-def load_panel(indicators_path, pairwise_path=None) -> Panel:
-    """Load an indicator table and score it under the weights policy."""
-    table = io.load_indicator_table(indicators_path)
-    return score_panel(table, matrix_weights(pairwise_path))
+def weighted_panel(table, matrix=None) -> Panel:
+    """Score an indicator table under the weights policy: the mean AHP weights of a
+    comparison matrix, or the shipped defaults without one."""
+    weights = equity.DEFAULT_SCORE_WEIGHTS if matrix is None else weights_stage(matrix)[1]
+    return score_panel(table, weights)
 
 
 def equity_stage(panel):
@@ -276,11 +277,8 @@ def topsis_stage(decision, weights=None):
 
 
 def mining_stage(scenario, income_mode=None):
-    """Income and profit in both income modes for a loaded scenario.
-
-    The selected mode is `income_mode` when given, else the scenario's own
-    mode. Returns (reports, profit in the selected mode).
-    """
+    """Income and profit in both income modes for a parsed scenario. The selected mode
+    is `income_mode` when given, else the scenario's own. Returns (reports, its profit)."""
     params, window, scenario_mode, name = scenario
     selected = income_mode or scenario_mode
     incomes = {m: mining.income(window, params, m) for m in mining.INCOME_MODES}
@@ -295,13 +293,11 @@ def mining_stage(scenario, income_mode=None):
     }}, profits[selected]
 
 
-def allocation_stage(basis_scores, gdp, total_profit, alloc_mode, poverty,
-                     basis=RunConfig.alloc_basis):
-    """Split total_profit by basis score, boosted by the PovertyPolicy `poverty`. Returns
-    reports. A loss allocates nothing: total_profit 0 and every share 0."""
-    if set(gdp) != set(basis_scores):
+def allocation_stage(basis_scores, gammas, total_profit, alloc_mode, basis=RunConfig.alloc_basis):
+    """Split total_profit by basis score, boosted by the poverty multipliers `gammas`.
+    Returns reports. A loss allocates nothing: total_profit 0 and every share 0."""
+    if set(gammas) != set(basis_scores):
         raise ValidationError("GDP table countries do not match the indicator table")
-    gammas = allocation.poverty_multipliers(gdp, poverty)
     result = allocation.allocate(max(total_profit, 0.0), basis_scores, gammas, mode=alloc_mode)
     return {"allocation.json": {
         "basis": basis,
@@ -335,11 +331,8 @@ def correlation_stage(panel, alpha=stats.DEFAULT_ALPHA):
 
 
 def sensitivity_stage(panel, train, seed=None):
-    """Train the sensitivity network on (indicators -> scaled scores) and sweep
-    its weights.
-
-    `train` is a TrainConfig; `seed` overrides its seed. Returns reports.
-    """
+    """Train the sensitivity network on (indicators -> scaled scores) and sweep its
+    weights. `train` is a TrainConfig; `seed` overrides its seed. Returns reports."""
     x, series = panel.records
     if seed is not None:
         train = replace(train, seed=seed)
@@ -363,16 +356,23 @@ def sensitivity_stage(panel, train, seed=None):
 
 
 def run_pipeline(config: RunConfig, out_dir) -> dict:
-    """Run every stage, then write the REPORT_FILES into out_dir at once.
-
+    """Run every stage, then write the REPORT_FILES into out_dir at once. Stage `config`
+    reads every input file and applies the poverty policy before any stage computes.
     Returns {artifact name: Path}. Raises PipelineError carrying the failing
-    stage's name; a failed run, a CR failure included, leaves out_dir as it was.
-    """
+    stage's name; a failed run, a CR failure included, leaves out_dir as it was."""
+    return _run_stages(lambda: config, out_dir)
+
+
+def _run_stages(read_config, out_dir) -> dict:
+    # run_pipeline's stages; `equimine report` reads its run config in stage `config`
+    with _stage("config"):
+        config = read_config()
+        inputs, sha256 = load_inputs(config.paths)
+        gammas = allocation.poverty_multipliers(inputs["gdp"], config.poverty)
     report_set = {}
 
     with _stage("consistency"):
-        matrix = io.load_pairwise_csv(config.pairwise)
-        reports, report = consistency_stage(matrix)
+        reports, report = consistency_stage(inputs["pairwise"])
         report_set |= reports
         if not report.passes:
             raise PipelineError(
@@ -382,16 +382,16 @@ def run_pipeline(config: RunConfig, out_dir) -> dict:
             )
 
     with _stage("weights"):
-        reports, mean_weights = weights_stage(matrix)
+        reports, mean_weights = weights_stage(inputs["pairwise"])
         report_set |= reports
 
     with _stage("equity"):
-        panel = score_panel(io.load_indicator_table(config.indicators), mean_weights)
+        panel = score_panel(inputs["indicators"], mean_weights)
         report_set |= equity_stage(panel)
 
     with _stage("topsis"):
-        if config.decision is not None:
-            reports, rows = topsis_stage(io.load_decision_csv(config.decision))
+        if inputs["decision"] is not None:
+            reports, rows = topsis_stage(inputs["decision"])
         else:
             # Rank countries on their latest-year indicators, AHP-weighted.
             decision = topsis.DecisionMatrix(
@@ -404,12 +404,10 @@ def run_pipeline(config: RunConfig, out_dir) -> dict:
         report_set |= reports
 
     with _stage("mining"):
-        reports, total_profit = mining_stage(io.load_scenario(config.scenario),
-                                             config.income_mode)
+        reports, total_profit = mining_stage(inputs["scenario"], config.income_mode)
         report_set |= reports
 
     with _stage("allocation"):
-        gdp = io.load_gdp_csv(config.gdp)
         if config.alloc_basis == "equity":
             basis_scores = panel.latest_scores()
         else:
@@ -418,16 +416,16 @@ def run_pipeline(config: RunConfig, out_dir) -> dict:
                 raise ValidationError(
                     "allocation basis 'topsis' needs the ranking to cover the same countries"
                 )
-        report_set |= allocation_stage(basis_scores, gdp, total_profit, config.alloc_mode,
-                                       config.poverty, config.alloc_basis)
+        report_set |= allocation_stage(basis_scores, gammas, total_profit, config.alloc_mode,
+                                       config.alloc_basis)
 
     with _stage("correlation"):
         report_set |= correlation_stage(panel)
 
     with _stage("sensitivity"):
-        report_set |= sensitivity_stage(panel, io.load_train_config(config.train), config.seed)
+        report_set |= sensitivity_stage(panel, inputs["train"], config.seed)
 
-    return write_reports(out_dir, config.digest(), report_set)
+    return write_reports(out_dir, config.digest(sha256), report_set)
 
 
 def scale_targets(y: np.ndarray) -> np.ndarray:

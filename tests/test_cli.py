@@ -1,3 +1,4 @@
+import hashlib
 import json
 import logging
 import math
@@ -536,7 +537,9 @@ def test_missing_input_file_prints_error_json(runner, tmp_path, command, flag):
     ({"poverty": {"bottom_count": 2, "multiplier": 0.5}}, [], "multiplier"),
     ({"seed": -1}, [], "seed"),
     ({}, ["--seed", "-1"], "seed"),
-], ids=["zero-bottom-count", "multiplier-below-one", "negative-seed", "negative-seed-flag"])
+    ({"poverty": {"bottom_count": 99, "multiplier": 1.2}}, [], "bottom_count"),
+], ids=["zero-bottom-count", "multiplier-below-one", "negative-seed", "negative-seed-flag",
+        "bottom-count-past-the-gdp-table"])
 def test_bad_run_setting_stops_report_in_config(runner, tmp_path, caplog, monkeypatch, fields,
                                                 flags, field):
     monkeypatch.setenv("EQUIMINE_LOG", "INFO")
@@ -562,16 +565,142 @@ def test_allocate_policy_error_keeps_stage_allocation(runner, tmp_path):
     assert error["stage"] == "allocation" and "bottom_count" in error["message"]
 
 
-def test_run_config_digest_hashes_the_flat_settings(tmp_path):
-    # config_digest in every report keeps hashing the settings as one flat mapping
+# A malformed file for each input; report reads them all in stage config.
+MALFORMED_INPUTS = {
+    "pairwise": b",A,B\nA,1,2\nB,1/2,1\nC,1,1\n",
+    "indicators": b"country,year\nA,2020\n",
+    "decision": b"alt,x\nA,1\n",
+    "scenario": b'{"t2": "soon"}',
+    "gdp": b"country,gdp\nArcadia,x\n",
+    "train": b'{"epochs": true}',
+}
+
+
+@pytest.mark.parametrize("name", pipeline.INPUT_FILES)
+def test_malformed_input_stops_report_in_config(runner, tmp_path, caplog, name):
+    # the last input in stage order fails as early as the first: before any stage computes
+    (tmp_path / "bad").write_bytes(MALFORMED_INPUTS[name])
+    (tmp_path / "config.json").write_text(sample_config(**{name: str(tmp_path / "bad")}))
+    with caplog.at_level(logging.INFO, logger="equimine.pipeline"):
+        result = runner.invoke(main, ["report", "--config", str(tmp_path / "config.json"),
+                                      "--out", str(tmp_path / "out")])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)  # the error JSON, not a traceback
+    assert json.loads(result.output)["error"]["stage"] == "config"
+    started = [r.getMessage() for r in caplog.records if r.getMessage().endswith(" started")]
+    assert started == ["stage config started"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_pipeline_reads_its_inputs_in_config(tmp_path):
+    # run_pipeline, given a RunConfig, reads every input in its own config stage
+    (tmp_path / "train.json").write_bytes(MALFORMED_INPUTS["train"])
+    config = pipeline.load_run_config(sample_path("config.json"))
+    config.paths["train"] = tmp_path / "train.json"
+    with pytest.raises(PipelineError) as failed:
+        pipeline.run_pipeline(config, tmp_path / "out")
+    assert failed.value.stage == "config"
+    assert not (tmp_path / "out").exists()
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def test_run_config_digest_hashes_the_settings_and_input_bytes(tmp_path):
+    # the flat settings, each input's path replaced by the sha256 of the file's bytes
     (tmp_path / "config.json").write_text(
         sample_config(poverty={"bottom_count": 3, "multiplier": 1.5}, seed=7))
     config = pipeline.load_run_config(tmp_path / "config.json")
-    flat = {name: sample_path(f"{name}.csv") for name in ("indicators", "pairwise", "gdp")}
-    flat |= {"scenario": sample_path("scenario.json"), "train": sample_path("train.json"),
+    _, sha256 = pipeline.load_inputs(config.paths)
+    flat = {name: _sha256(sample_path(f"{name}.csv")) for name in ("indicators", "pairwise", "gdp")}
+    flat |= {"scenario": _sha256(sample_path("scenario.json")),
+             "train": _sha256(sample_path("train.json")),
              "decision": None, "income_mode": "cumulative", "alloc_mode": "conserve",
              "alloc_basis": "equity", "bottom_count": 3, "multiplier": 1.5, "seed": 7}
-    assert config.digest() == io.config_digest(flat)
+    assert sha256 == {name: flat[name] for name in pipeline.INPUT_FILES}
+    assert config.digest(sha256) == io.config_digest(flat)
+
+
+# The file of each input in `run_inputs`, and the inputs each subcommand reads.
+INPUT_FILE_NAMES = {"pairwise": "pairwise.csv", "indicators": "indicators.csv",
+                    "decision": "asteroids.csv", "scenario": "scenario.json", "gdp": "gdp.csv",
+                    "train": "train.json"}
+SUBCOMMAND_READS = {"weights": ["pairwise"], "consistency": ["pairwise"], "topsis": ["decision"],
+                    "equity": ["indicators", "pairwise"], "simulate": ["scenario"],
+                    "allocate": ["indicators", "gdp", "scenario", "pairwise"],
+                    "correlate": ["indicators", "pairwise"],
+                    "sensitivity": ["indicators", "train", "pairwise"]}
+
+
+@pytest.fixture
+def run_inputs(tmp_path):
+    """The sample inputs, train.json cut to 5 epochs, and a run config with a
+    decision matrix, in one directory; returns the directory."""
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    for file in INPUT_FILE_NAMES.values():
+        shutil.copy(sample_path(file), inputs / file)
+    train = json.loads(sample_path("train.json").read_text())
+    (inputs / "train.json").write_text(json.dumps({**train, "epochs": 5}, indent=2))
+    config = json.loads(sample_path("config.json").read_text())
+    (inputs / "config.json").write_text(json.dumps({**config, "decision": "asteroids.csv"}))
+    return inputs
+
+
+def _subcommand_args(command, inputs) -> list:
+    args = [command]
+    for name in SUBCOMMAND_READS[command]:
+        args += [f"--{name}", str(inputs / INPUT_FILE_NAMES[name])]
+    return args + (["--bottom-count", "2"] if command == "allocate" else [])
+
+
+def _digests(runner, inputs, out) -> dict:
+    """{(command, report name): config_digest} of report and every subcommand."""
+    runs = {"report": ["report", "--config", str(inputs / "config.json")]}
+    runs |= {command: _subcommand_args(command, inputs) for command in SUBCOMMAND_READS}
+    digests = {}
+    for command, args in runs.items():
+        result = runner.invoke(main, args + ["--out", str(out / command)])
+        assert result.exit_code == 0, result.output
+        digests |= {(command, p.name): json.loads(p.read_text())["config_digest"]
+                    for p in (out / command).glob("*.json")}
+    return digests
+
+
+# One byte changed in each input; the run still succeeds.
+ONE_BYTE_EDITS = {
+    "pairwise": ("pairwise.csv", b"indicator,", b"Indicator,"),
+    "indicators": ("indicators.csv", b"0.6961", b"0.6962"),
+    "decision": ("asteroids.csv", b"Didymos,62", b"Didymos,63"),
+    "scenario": ("scenario.json", b"baseline-70T", b"baseline-70U"),
+    "gdp": ("gdp.csv", b"2150.0", b"2150.5"),
+    "train": ("train.json", b' "', b'\t"'),  # whitespace: the same parsed config
+}
+
+
+@pytest.mark.parametrize("name", pipeline.INPUT_FILES)
+def test_editing_one_byte_of_an_input_changes_every_digest_over_it(runner, tmp_path,
+                                                                   run_inputs, name):
+    before = _digests(runner, run_inputs, tmp_path / "before")
+    file, old, new = ONE_BYTE_EDITS[name]
+    path = run_inputs / file
+    path.write_bytes(path.read_bytes().replace(old, new, 1))
+    after = _digests(runner, run_inputs, tmp_path / "after")
+    readers = {"report"} | {c for c, names in SUBCOMMAND_READS.items() if name in names}
+    assert {key for key in before if before[key] != after[key]} == {
+        key for key in before if key[0] in readers}
+
+
+def test_moving_the_inputs_keeps_every_report_byte_identical(runner, tmp_path, run_inputs):
+    moved = shutil.copytree(run_inputs, tmp_path / "elsewhere" / "inputs")
+    for inputs in (run_inputs, moved):
+        _digests(runner, inputs, inputs.parent / "out")
+    a, b = run_inputs.parent / "out", moved.parent / "out"
+    assert sorted(p.relative_to(a) for p in a.rglob("*")) == sorted(
+        p.relative_to(b) for p in b.rglob("*"))
+    for path in a.rglob("*.*"):
+        assert path.read_bytes() == (b / path.relative_to(a)).read_bytes(), path
 
 
 @pytest.mark.parametrize("sizes", ["[1e300, 16, 1]", "[7, 1e16, 1]", "[6, 16, 1]", "[7, 16, 2]"],
@@ -658,7 +787,7 @@ def test_failed_report_leaves_out_as_it_was(runner, tmp_path):
     result = runner.invoke(main, ["report", "--config", str(tmp_path / "config.json"),
                                   "--out", str(out)])
     assert result.exit_code == 1
-    assert json.loads(result.output)["error"]["stage"] == "sensitivity"
+    assert json.loads(result.output)["error"]["stage"] == "config"
     assert _snapshot(out) == before
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import tracemalloc
@@ -348,6 +349,28 @@ class TestPanelScaleMemory:
         assert peak < 3 * MiB
         assert path.read_text(encoding="utf-8") == json.dumps(
             io._rounded(payload, ()), indent=2, ensure_ascii=False) + "\n"
+
+
+# pipeline.load_inputs hashes each file as io streams it, line by line for a CSV:
+# CRLF line ends and multi-byte UTF-8 cells hash as the file's own bytes
+@pytest.mark.parametrize("name, content", [
+    ("pairwise", sample_path("pairwise.csv").read_bytes().replace(b"\n", b"\r\n")),
+    ("indicators", sample_path("indicators.csv").read_bytes().replace(b"\n", b"\r\n")),
+    ("decision", sample_path("asteroids.csv").read_bytes().replace(b"\n", b"\r\n")),
+    ("scenario", sample_path("scenario.json").read_bytes().replace(b"\n", b"\r\n")),
+    ("gdp", "country,gdp\r\n\u00c5lborg,10\r\nK\u00f8ge,20\r\n".encode("utf-8")),
+    ("train", sample_path("train.json").read_bytes().replace(b"\n", b"\r\n")),
+], ids=["pairwise", "indicators", "decision", "scenario", "gdp-non-ascii", "train"])
+def test_load_inputs_hashes_the_file_bytes(tmp_path, name, content):
+    path = tmp_path / "input"
+    path.write_bytes(content)
+    inputs, sha256 = pipeline.load_inputs({name: path})
+    assert sha256 == {name: hashlib.sha256(content).hexdigest()}
+    assert inputs[name] is not None
+
+
+def test_load_inputs_passes_an_input_not_given():
+    assert pipeline.load_inputs({"decision": None}) == ({"decision": None}, {"decision": None})
 
 
 class TestWriters:

@@ -152,6 +152,27 @@ def test_t_sf_is_the_one_t_cdf():
                    for n in ast.walk(function)), (module, name)
 
 
+# The one loader: pipeline.load_inputs reads every input file with the io loader
+# INPUT_FILES names for it, and hashes its bytes; a stage or a CLI body reading a
+# file itself would leave the file out of the config digest.
+def test_only_the_one_loader_uses_the_io_loaders():
+    from equimine import io as equimine_io, pipeline
+    loaders = {name for name in vars(equimine_io) if name.startswith("load_")}
+    assert set(pipeline.INPUT_FILES.values()) == loaders
+    named, fetched = [], []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if ({getattr(node, "attr", None), getattr(node, "id", None)} & loaders
+                    or isinstance(node, ast.ImportFrom) and {a.name for a in node.names} & loaders):
+                named.append((path.name, node.lineno))
+            if isinstance(node, ast.FunctionDef):
+                fetched += [(path.name, node.name) for call in ast.walk(node)
+                            if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "getattr"
+                            and getattr(call.args[0], "id", None) == "io"]
+    assert named == []
+    assert fetched == [("pipeline.py", "load_inputs")]
+
+
 def test_cli_leaves_unreadable_inputs_to_io():
     # io turns an input it cannot read into the error JSON of the stage reading it;
     # click's Path(exists=True) would print its usage text and exit 2 first
