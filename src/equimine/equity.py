@@ -1,5 +1,6 @@
 """Country development scores and the leave-one-out global equity index."""
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +27,12 @@ class IndicatorVector:
     sa: float
 
     def __post_init__(self):
-        if not all(np.isfinite(v) for v in self.as_array()):
+        fields = (self.ei, self.idg, self.cea, self.ma, self.hr, self.er, self.sa)
+        try:  # plain float tests: this runs once per record
+            finite = all(map(math.isfinite, fields))
+        except (TypeError, OverflowError):  # not a number, or an int past the float range
+            finite = False
+        if not finite:
             raise ValidationError("all seven indicators must be finite")
 
     def as_array(self) -> np.ndarray:

@@ -318,15 +318,9 @@ def correlation_stage(panel, alpha=stats.DEFAULT_ALPHA):
     per_indicator = []
     for j, name in enumerate(io.INDICATOR_COLUMNS):
         result = stats.t_test(stats.pearson(np.array(x[:, j]), series), len(series), alpha=alpha)
-        per_indicator.append({
-            "indicator": name,
-            "r": result.r,
-            "t_stat": result.t_stat,
-            "critical_value": result.critical_value,
-            "significant": result.significant,
-            "strength": result.strength,
-            "direction": "positive" if result.r > 0 else ("negative" if result.r < 0 else "zero"),
-        })
+        fields = {k: v for k, v in asdict(result).items() if k != "n"}  # n: once, at the top
+        direction = "positive" if result.r > 0 else ("negative" if result.r < 0 else "zero")
+        per_indicator.append({"indicator": name, **fields, "direction": direction})
     return {"correlation.json": {"alpha": alpha, "n": len(series), "indicators": per_indicator}}
 
 
@@ -357,7 +351,8 @@ def sensitivity_stage(panel, train, seed=None):
 
 def run_pipeline(config: RunConfig, out_dir) -> dict:
     """Run every stage, then write the REPORT_FILES into out_dir at once. Stage `config`
-    reads every input file and applies the poverty policy before any stage computes.
+    reads every input file, applies the poverty policy and checks the panel holds the
+    sensnet.MIN_SAMPLES records sensitivity needs, before any stage computes.
     Returns {artifact name: Path}. Raises PipelineError carrying the failing
     stage's name; a failed run, a CR failure included, leaves out_dir as it was."""
     return _run_stages(lambda: config, out_dir)
@@ -369,6 +364,9 @@ def _run_stages(read_config, out_dir) -> dict:
         config = read_config()
         inputs, sha256 = load_inputs(config.paths)
         gammas = allocation.poverty_multipliers(inputs["gdp"], config.poverty)
+        if (records := inputs["indicators"].values[..., 0].size) < sensnet.MIN_SAMPLES:
+            raise ValidationError(f"the indicator table has {records} records; the sensitivity "
+                                  f"network needs at least {sensnet.MIN_SAMPLES}")
     report_set = {}
 
     with _stage("consistency"):

@@ -15,6 +15,7 @@ SWEEP_SPAN = 0.1  # the weight sweep moves each weight across +/- 10% of its val
 SWEEP_POINTS = 11  # on 11 evenly spaced points
 TILE_ROWS = 512  # from two tiles of rows on, a layer of 2+ units adds biases by tiles
 CONTIGUOUS_INPUTS = 16  # a product of 2+ rows into fewer inputs takes a contiguous W.T
+MIN_SAMPLES = 10  # the fewest indicator records sensitivity_sweep trains on
 
 
 def sigmoid(x, out):
@@ -334,8 +335,8 @@ def sensitivity_sweep(inputs, targets, config: TrainConfig, indicator_names) -> 
     gradient of the output with respect to that standardized input. Also runs the
     weight perturbation sweep on the trained network."""
     x = np.asarray(inputs, dtype=float)
-    if x.ndim != 2 or x.shape[0] < 10:
-        raise ValidationError("need a 2-D indicator table with at least 10 samples")
+    if x.ndim != 2 or x.shape[0] < MIN_SAMPLES:
+        raise ValidationError(f"need a 2-D indicator table with at least {MIN_SAMPLES} samples")
     x_std = standardize_columns(x, indicator_names)
     params, losses = train(x_std, targets, config)
     sens = input_sensitivities(x_std, params)

@@ -97,8 +97,7 @@ def t_test(r: float, n: int, alpha: float = DEFAULT_ALPHA) -> CorrelationResult:
     """
     if n < 3:
         raise ValidationError("need n >= 3 for the t test")
-    if abs(r) > 1 + 1e-12:
-        raise ValidationError(f"|r| must be <= 1, got {r}")
+    strength = classify_strength(r)  # also the |r| <= 1 check
     df = n - 2
     critical = t_upper_critical(df, alpha / 2)
     if abs(r) >= 1:
@@ -111,7 +110,7 @@ def t_test(r: float, n: int, alpha: float = DEFAULT_ALPHA) -> CorrelationResult:
         t_stat=t_stat,
         critical_value=critical,
         significant=t_stat > critical,
-        strength=classify_strength(r),
+        strength=strength,
     )
 
 

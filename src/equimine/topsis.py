@@ -141,19 +141,14 @@ def score(z: np.ndarray, weights=None) -> TopsisScores:
             raise ValidationError("weights must be finite and > 0")
         z = z * w
 
-    if n == 1:
-        s = np.array([1.0])
-        return TopsisScores(
-            d_plus=np.zeros(1), d_minus=np.zeros(1), s=s, s_normalized=s.copy(), ranking=[0]
-        )
-
     z_plus = z.max(axis=0)
     z_minus = z.min(axis=0)
     d_plus = np.sqrt(((z_plus - z) ** 2).sum(axis=1))
     d_minus = np.sqrt(((z - z_minus) ** 2).sum(axis=1))
 
     denom = d_plus + d_minus
-    s = np.divide(d_minus, denom, out=np.full(n, 0.5), where=denom != 0)
+    # zero distance to both ideals: S = 1 for a lone alternative, else 0.5
+    s = np.divide(d_minus, denom, out=np.full(n, 1.0 if n == 1 else 0.5), where=denom != 0)
     s_normalized = s / s.sum()
     ranking = [int(i) for i in np.argsort(-s, kind="stable")]
     return TopsisScores(

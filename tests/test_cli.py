@@ -592,6 +592,36 @@ def test_malformed_input_stops_report_in_config(runner, tmp_path, caplog, name):
     assert not (tmp_path / "out").exists()
 
 
+def test_panel_too_small_to_train_on_stops_report_in_config(runner, tmp_path, caplog):
+    # a valid 3-country x 1-year panel has fewer records than the sensitivity network
+    # trains on; report finds that before any stage computes, the subcommand in its stage
+    header, *rows = sample_path("indicators.csv").read_text().splitlines()
+    rows = [row for row in rows if row.split(",")[1] == "2020"][:3]
+    countries = {row.split(",")[0] for row in rows}
+    gdp_header, *gdp_rows = sample_path("gdp.csv").read_text().splitlines()
+    (tmp_path / "indicators.csv").write_text("\n".join([header, *rows]) + "\n")
+    (tmp_path / "gdp.csv").write_text(
+        "\n".join([gdp_header, *(r for r in gdp_rows if r.split(",")[0] in countries)]) + "\n")
+    (tmp_path / "config.json").write_text(sample_config(indicators=str(tmp_path / "indicators.csv"),
+                                                        gdp=str(tmp_path / "gdp.csv")))
+    with caplog.at_level(logging.INFO, logger="equimine.pipeline"):
+        result = runner.invoke(main, ["report", "--config", str(tmp_path / "config.json"),
+                                      "--out", str(tmp_path / "out")])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)  # the error JSON, not a traceback
+    error = json.loads(result.output)["error"]
+    assert error["stage"] == "config" and "3 records" in error["message"]
+    assert "at least 10" in error["message"]
+    started = [r.getMessage() for r in caplog.records if r.getMessage().endswith(" started")]
+    assert started == ["stage config started"]
+    assert not (tmp_path / "out").exists()
+    result = runner.invoke(main, ["sensitivity", "--indicators", str(tmp_path / "indicators.csv"),
+                                  "--train", str(sample_path("train.json")),
+                                  "--out", str(tmp_path / "out")])
+    assert result.exit_code == 1
+    assert json.loads(result.output)["error"]["stage"] == "sensitivity"
+
+
 def test_run_pipeline_reads_its_inputs_in_config(tmp_path):
     # run_pipeline, given a RunConfig, reads every input in its own config stage
     (tmp_path / "train.json").write_bytes(MALFORMED_INPUTS["train"])

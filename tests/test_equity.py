@@ -31,9 +31,28 @@ class TestCountryScore:
         with pytest.raises(ValidationError):
             country_score(IndicatorVector(1, 0, 0, 0, 0, 0, 0), [0.5, 0.5])
 
-    def test_non_finite_indicator_rejected(self):
-        with pytest.raises(ValidationError):
-            IndicatorVector(1, np.nan, 0, 0, 0, 0, 0)
+    @pytest.mark.parametrize("position", range(7))
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_indicator_rejected(self, value, position):
+        fields = [0.5] * 7
+        fields[position] = value
+        with pytest.raises(ValidationError, match="finite"):
+            IndicatorVector(*fields)
+
+    @pytest.mark.parametrize("value", [None, "1", 10**400, [1.0, 2.0]],
+                             ids=["none", "string", "int-past-float-range", "list"])
+    def test_non_numeric_indicator_rejected(self, value):
+        with pytest.raises(ValidationError, match="finite"):
+            IndicatorVector(0.5, 0.5, 0.5, value, 0.5, 0.5, 0.5)
+
+    @pytest.mark.parametrize("fields", [
+        (1, 0, 2, 0, 3, 0, 4),
+        (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 1e300),
+        tuple(np.linspace(0.0, 1.0, 7)),  # numpy float64 scalars, as a panel row unpacks
+    ], ids=["int", "float", "float64"])
+    def test_finite_numbers_accepted(self, fields):
+        assert country_score(IndicatorVector(*fields)) == float(
+            equity.development_scores(np.array(fields, dtype=float)))
 
     def test_default_weights_frozen(self):
         assert DEFAULT_SCORE_WEIGHTS == (0.187, 0.387, 0.097, 0.0436, 0.086, 0.0831, 0.117)

@@ -26,6 +26,15 @@ def test_panel_modules_hold_no_per_record_objects():
     assert offenders == []
 
 
+def test_the_record_check_makes_no_numpy_call():
+    # IndicatorVector.__post_init__ runs once per record: plain float tests, which cost a
+    # fraction of a numpy scalar ufunc call each
+    tree = ast.parse((SRC / "equity.py").read_text(encoding="utf-8"))
+    owner = _function(tree, "IndicatorVector", "__post_init__")
+    assert [node.lineno for node in ast.walk(owner)
+            if isinstance(node, ast.Name) and node.id in ("np", "numpy")] == []
+
+
 def test_topsis_builds_no_decision_matrix():
     # a DecisionMatrix is validated once, by whoever builds it; forward,
     # normalize and score pass plain arrays rather than rebuilding one
