@@ -1,7 +1,8 @@
-"""Command line front end: parse flags, call the pipeline's stages, write reports.
+"""Command line front end: parse flags, run the pipeline, print what it wrote.
 
-Each subcommand writes exactly the reports `report` writes for its stage
-(`topsis` also writes topsis.csv). Failures print the error JSON and exit 1.
+Each subcommand runs one stage of `pipeline.STAGES` and writes exactly the reports
+`report` writes for it (`topsis` also writes topsis.csv). Failures print the error
+JSON and exit 1.
 """
 
 import json
@@ -12,8 +13,8 @@ from contextlib import contextmanager
 
 import click
 
-from . import io, pipeline
-from .allocation import ALLOC_MODES, PovertyPolicy, poverty_multipliers
+from . import pipeline
+from .allocation import ALLOC_MODES, PovertyPolicy
 from .errors import PipelineError
 from .mining import INCOME_MODES
 from .stats import DEFAULT_ALPHA
@@ -39,7 +40,7 @@ def _errors_as_json():
         sys.exit(1)
 
 
-def _input(*decls, help, required=True):  # a subcommand loads the dests in pipeline.INPUT_FILES
+def _input(*decls, help, required=True):  # its dest names an input of pipeline.INPUT_FILES
     return click.option(*decls, required=required, type=click.Path(), help=help)
 
 
@@ -64,76 +65,41 @@ ALPHA = click.option("--alpha", type=float, default=DEFAULT_ALPHA, show_default=
 SEED = click.option("--seed", type=int, default=None, help="Override the training seed.")
 
 
-def _stage_command(stage, *options):
-    """Register body as a subcommand taking `options` and --out. In stage `stage`,
-    load_inputs reads its input files for the body; the digest hashes them and the flags."""
-    def register(body):
-        def command(out, **flags):
-            paths = {name: flags.pop(name) for name in pipeline.INPUT_FILES if name in flags}
-            with _errors_as_json():
-                with pipeline._stage(stage):
-                    inputs, sha256 = pipeline.load_inputs(paths)
-                    reports = body(**inputs, **flags)
-                written = pipeline.write_reports(out, io.config_digest(flags | sha256), reports)
-            click.echo("wrote " + ", ".join(str(p) for p in written.values()))
-        for option in reversed((*options, OUT)):
-            command = option(command)
-        return main.command(name=body.__name__, help=body.__doc__)(command)
-    return register
+# Each subcommand's stage (a key of pipeline.STAGES), help text and flags besides --out.
+SUBCOMMANDS = {
+    "weights": ("weights", "Derive criterion weights by all three methods.", MATRIX),
+    "consistency": ("consistency", "Check a comparison matrix for consistency (CR < 0.1).",
+                    MATRIX),
+    "topsis": ("topsis", "Rank alternatives by closeness to the ideal solution.", DECISION),
+    "equity": ("equity", "Per-country development scores and the global equity index.",
+               INDICATORS, PAIRWISE),
+    "simulate": ("mining", "Income and profit for a mining scenario, both income modes side "
+                 "by side.", SCENARIO, INCOME_MODE),
+    "allocate": ("allocation", "Split scenario profit across countries by development score.",
+                 INDICATORS, GDP, SCENARIO, PAIRWISE, ALLOC_MODE, INCOME_MODE, BOTTOM_COUNT,
+                 MULTIPLIER),
+    "correlate": ("correlation", "Correlate each indicator with the development score across "
+                  "all records.", INDICATORS, PAIRWISE, ALPHA),
+    "sensitivity": ("sensitivity", "Train the sensitivity network and sweep trained weights.",
+                    INDICATORS, TRAIN, PAIRWISE, SEED),
+}
 
 
-@_stage_command("weights", MATRIX)
-def weights(pairwise):
-    """Derive criterion weights by all three methods."""
-    return pipeline.weights_stage(pairwise)[0]
+def _subcommand(name):
+    """Register subcommand `name` of SUBCOMMANDS: it runs its stage on its flags."""
+    stage, help, *options = SUBCOMMANDS[name]
+
+    def command(out, **flags):
+        with _errors_as_json():
+            written = pipeline.run_stage(stage, flags, out)
+        click.echo("wrote " + ", ".join(str(p) for p in written.values()))
+    for option in reversed((*options, OUT)):
+        command = option(command)
+    main.command(name=name, help=help)(command)
 
 
-@_stage_command("consistency", MATRIX)
-def consistency(pairwise):
-    """Check a comparison matrix for consistency (CR < 0.1)."""
-    return pipeline.consistency_stage(pairwise)[0]
-
-
-@_stage_command("topsis", DECISION, PAIRWISE)
-def topsis(decision, pairwise):
-    """Rank alternatives by closeness to the ideal solution."""
-    weights = None if pairwise is None else pipeline.weights_stage(pairwise)[1]  # None: equal
-    reports, rows = pipeline.topsis_stage(decision, weights)
-    return {**reports, "topsis.csv": (pipeline.TOPSIS_COLUMNS, rows)}
-
-
-@_stage_command("equity", INDICATORS, PAIRWISE)
-def equity(indicators, pairwise):
-    """Per-country development scores and the global equity index."""
-    return pipeline.equity_stage(pipeline.weighted_panel(indicators, pairwise))
-
-
-@_stage_command("mining", SCENARIO, INCOME_MODE)
-def simulate(scenario, income_mode):
-    """Income and profit for a mining scenario, both income modes side by side."""
-    return pipeline.mining_stage(scenario, income_mode)[0]
-
-
-@_stage_command("allocation", INDICATORS, GDP, SCENARIO, PAIRWISE, ALLOC_MODE, INCOME_MODE,
-                BOTTOM_COUNT, MULTIPLIER)
-def allocate(indicators, gdp, scenario, pairwise, alloc_mode, income_mode, **poverty):
-    """Split scenario profit across countries by development score."""
-    basis_scores = pipeline.weighted_panel(indicators, pairwise).latest_scores()
-    _, total_profit = pipeline.mining_stage(scenario, income_mode)
-    gammas = poverty_multipliers(gdp, PovertyPolicy(**poverty))  # --bottom-count, --multiplier
-    return pipeline.allocation_stage(basis_scores, gammas, total_profit, alloc_mode)
-
-
-@_stage_command("correlation", INDICATORS, PAIRWISE, ALPHA)
-def correlate(indicators, pairwise, alpha):
-    """Correlate each indicator with the development score across all records."""
-    return pipeline.correlation_stage(pipeline.weighted_panel(indicators, pairwise), alpha)
-
-
-@_stage_command("sensitivity", INDICATORS, TRAIN, PAIRWISE, SEED)
-def sensitivity(indicators, train, pairwise, seed):
-    """Train the sensitivity network and sweep trained weights."""
-    return pipeline.sensitivity_stage(pipeline.weighted_panel(indicators, pairwise), train, seed)
+for name in SUBCOMMANDS:
+    _subcommand(name)
 
 
 @main.command()

@@ -1,23 +1,21 @@
-"""Batch pipeline: one function per stage, chained by `run_pipeline`.
+"""Batch pipeline: one run object, and one function per stage over it.
 
-Each stage function takes parsed inputs and returns its reports, keyed by file
-name, plus any values later stages need. A JSON report is a dict of raw values,
-which `io.write_json_report` rounds; a CSV report is a (header, rows) pair.
-`run_pipeline` (the `report` command) chains the stage functions, and every CLI
-subcommand calls the same function for its stage, so both write the same
-payloads.
-
-Shared policies:
+`Run` holds a run's parsed inputs, `RunConfig` and correlation alpha, and owns each
+policy below. Each stage function takes a `Run` and returns its reports by file name
+(a JSON report is a dict of raw values, which `io.write_json_report` rounds; a CSV
+report a (header, rows) pair). `report` runs stage `config`, then `STAGES` in order;
+a subcommand runs one of them through `run_stage`, so both write the same payloads.
 
 * Inputs: `load_inputs` reads each input file once and hashes its bytes, which a
   config digest hashes with the settings, never a path; `report` reads in `config`.
-* Weights: the mean of a comparison matrix's AHP weights when a matrix is
-  given, the shipped defaults otherwise (`weighted_panel`).
-* Record order: panel order, i.e. countries in file order x sorted years
-  (`Panel`).
-* Income mode: an explicit mode (the --income-mode flag, else the run
-  config's `income_mode`), else the scenario's `mode`, which defaults to
-  cumulative (`mining_stage`).
+* Weights: the mean of a comparison matrix's AHP weights when a matrix is given,
+  the shipped defaults otherwise (`Run.weights`).
+* Record order: countries in file order x sorted years (`Run.scores`, `Run.records`).
+* Ranking: a given decision matrix under equal weights, else the countries' latest
+  year under the AHP weights (`Run.ranking`).
+* Income mode: the --income-mode flag, else the run config's `income_mode`, else
+  the scenario's `mode`, which defaults to cumulative (`Run.revenue`).
+* Poverty: multipliers of a GDP table holding the panel's countries (`Run.gammas`).
 * Stage boundaries: `_stage` names the stage of any toolkit error raised
   inside it and logs the stage to the `equimine.pipeline` logger.
 """
@@ -28,6 +26,7 @@ import os
 import time
 from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -193,114 +192,146 @@ def write_reports(out_dir, digest: str, reports: dict) -> dict:
     return {name: out / name for name in reports}
 
 
-def consistency_stage(matrix):
-    """CI/CR consistency check. Returns (reports, ConsistencyReport)."""
-    report = mcda.consistency(matrix)
-    return {"consistency.json": {"labels": matrix.labels, **asdict(report)}}, report
+class Run:
+    """A run's parsed inputs (input name -> parsed input, None if not given), its RunConfig
+    and the correlation alpha; each value the stages share is computed on first use."""
 
+    def __init__(self, inputs: dict, config: RunConfig, alpha=stats.DEFAULT_ALPHA):
+        self.inputs, self.config, self.alpha = dict.fromkeys(INPUT_FILES) | inputs, config, alpha
 
-def weights_stage(matrix):
-    """Weights by every AHP method. Returns (reports, mean weight vector)."""
-    by_method = {m: mcda.derive_weights(matrix, m).weights for m in mcda.METHODS}
-    mean_weights = np.mean(list(by_method.values()), axis=0)
-    return {"weights.json": {
-        "labels": matrix.labels,
-        "methods": by_method,
-        "mean": mean_weights,
-    }}, mean_weights
+    @cached_property
+    def consistency(self):  # the comparison matrix's CI and CR
+        return mcda.consistency(self.inputs["pairwise"])
 
+    @cached_property
+    def weights_by_method(self) -> dict:  # the comparison matrix's weights by each AHP method
+        return {m: mcda.derive_weights(self.inputs["pairwise"], m).weights for m in mcda.METHODS}
 
-@dataclass
-class Panel:
-    """A complete indicator panel scored under one weight vector: scores[c, t]
-    is the development score of table.countries[c] in table.years[t]."""
+    @cached_property
+    def weights(self):
+        """The mean AHP weights of the comparison matrix; the shipped defaults without one."""
+        if self.inputs["pairwise"] is None:
+            return equity.DEFAULT_SCORE_WEIGHTS
+        return np.mean(list(self.weights_by_method.values()), axis=0)
 
-    table: io.IndicatorTable
-    scores: np.ndarray  # (countries, years)
-
-    def latest_scores(self) -> dict:
-        """Each country's score in the panel's latest year."""
-        return dict(zip(self.table.countries, self.scores[:, -1].tolist()))
+    @cached_property
+    def scores(self) -> np.ndarray:
+        """scores[c, t]: the development score of the panel's countries[c] in years[t]."""
+        return equity.development_scores(self.inputs["indicators"].values, self.weights)
 
     @property
-    def records(self):
+    def records(self) -> tuple:
         """(indicator rows, score series) of every record, in panel order."""
-        return self.table.values.reshape(-1, len(io.INDICATOR_COLUMNS)), self.scores.ravel()
+        values = self.inputs["indicators"].values
+        return values.reshape(-1, len(io.INDICATOR_COLUMNS)), self.scores.ravel()
+
+    @cached_property
+    def ranking(self) -> tuple:
+        """(decision matrix, TopsisScores): a given decision matrix under equal weights,
+        else the countries' latest-year indicators under the AHP weights."""
+        decision, weights = self.inputs["decision"], None  # None: equal weights
+        if decision is None:
+            table, weights = self.inputs["indicators"], self.weights
+            decision = topsis.DecisionMatrix(
+                values=table.values[:, -1],
+                alternative_labels=table.countries,
+                indicator_kinds=[topsis.IndicatorKind("benefit")] * len(io.INDICATOR_COLUMNS),
+                indicator_labels=list(io.INDICATOR_COLUMNS),
+            )
+        return decision, topsis.rank_alternatives(decision, weights=weights)
+
+    @cached_property
+    def revenue(self) -> dict:
+        """Income and profit by mode, and the selected mode: the config's, else the scenario's."""
+        params, window, scenario_mode, _ = self.inputs["scenario"]
+        incomes = {m: mining.income(window, params, m) for m in mining.INCOME_MODES}
+        return {"income": incomes,
+                "profit": {m: mining.profit(incomes[m], window.cost) for m in mining.INCOME_MODES},
+                "selected_mode": self.config.income_mode or scenario_mode}
+
+    @cached_property
+    def gammas(self) -> dict:
+        """Each country's poverty multiplier; the GDP table must hold the panel's countries."""
+        gammas = allocation.poverty_multipliers(self.inputs["gdp"], self.config.poverty)
+        if set(gammas) != set(self.inputs["indicators"].countries):
+            raise ValidationError("GDP table countries do not match the indicator table")
+        return gammas
+
+    @property
+    def basis(self) -> dict:
+        """Each country's latest-year score ('equity') or scaled TOPSIS closeness ('topsis')."""
+        countries = self.inputs["indicators"].countries
+        if self.config.alloc_basis == "equity":
+            return dict(zip(countries, self.scores[:, -1].tolist()))
+        decision, ranked = self.ranking
+        basis = dict(zip(decision.alternative_labels, ranked.s_normalized.tolist()))
+        if set(basis) != set(countries):
+            raise ValidationError(
+                "allocation basis 'topsis' needs the ranking to cover the same countries"
+            )
+        return basis
 
 
-def score_panel(table, weights) -> Panel:
-    """Score every record of a complete panel with the given weights."""
-    return Panel(table, equity.development_scores(table.values, weights))
+def consistency_stage(run):
+    """CI/CR consistency check of the comparison matrix."""
+    return {"consistency.json": {"labels": run.inputs["pairwise"].labels,
+                                 **asdict(run.consistency)}}
 
 
-def weighted_panel(table, matrix=None) -> Panel:
-    """Score an indicator table under the weights policy: the mean AHP weights of a
-    comparison matrix, or the shipped defaults without one."""
-    weights = equity.DEFAULT_SCORE_WEIGHTS if matrix is None else weights_stage(matrix)[1]
-    return score_panel(table, weights)
+def weights_stage(run):
+    """Weights by every AHP method, and their mean."""
+    return {"weights.json": {
+        "labels": run.inputs["pairwise"].labels,
+        "methods": run.weights_by_method,
+        "mean": run.weights,
+    }}
 
 
-def equity_stage(panel):
-    """Per-country score series and the global equity index. Returns reports."""
-    countries, years = panel.table.countries, panel.table.years
-    ge = equity.global_equity_index(panel.scores.T, countries=countries, years=years)
+def equity_stage(run):
+    """Per-country score series and the global equity index."""
+    countries, years = run.inputs["indicators"].countries, run.inputs["indicators"].years
+    ge = equity.global_equity_index(run.scores.T, countries=countries, years=years)
     return {"equity.json": {
         "countries": countries,
         "years": years,
         "scores": [
             {"country": c,
              "series": [{"year": y, "score": score} for y, score in zip(years, series)]}
-            for c, series in zip(countries, panel.scores.tolist())
+            for c, series in zip(countries, run.scores.tolist())
         ],
         "global_equity_index": ge,
     }}
 
 
-def topsis_stage(decision, weights=None):
-    """Rank alternatives by closeness to the ideal solution.
-
-    Returns (reports, rows): one full-precision row per alternative, in input
-    order, with the fields of TOPSIS_COLUMNS.
-    """
-    ranked = topsis.rank_alternatives(decision, weights=weights)
-    order = {i: pos + 1 for pos, i in enumerate(ranked.ranking)}
-    rows = [
-        (label, float(ranked.d_plus[i]), float(ranked.d_minus[i]), float(ranked.s[i]),
-         float(ranked.s_normalized[i]), order[i])
-        for i, label in enumerate(decision.alternative_labels)
-    ]
+def topsis_stage(run):
+    """Alternatives ranked by closeness to the ideal solution; topsis.csv, which only the
+    subcommand writes, holds each alternative's TOPSIS_COLUMNS at full precision."""
+    decision, ranked = run.ranking
+    ranks = (np.argsort(ranked.ranking) + 1).tolist()  # each alternative's place in the ranking
+    rows = list(zip(decision.alternative_labels, ranked.d_plus.tolist(), ranked.d_minus.tolist(),
+                    ranked.s.tolist(), ranked.s_normalized.tolist(), ranks))
     return {"topsis.json": {
         "indicators": decision.indicator_labels,
         "alternatives": [dict(zip(TOPSIS_COLUMNS, r)) for r in rows],
         "ranking": [decision.alternative_labels[i] for i in ranked.ranking],
-    }}, rows
+    }, "topsis.csv": (TOPSIS_COLUMNS, rows)}
 
 
-def mining_stage(scenario, income_mode=None):
-    """Income and profit in both income modes for a parsed scenario. The selected mode
-    is `income_mode` when given, else the scenario's own. Returns (reports, its profit)."""
-    params, window, scenario_mode, name = scenario
-    selected = income_mode or scenario_mode
-    incomes = {m: mining.income(window, params, m) for m in mining.INCOME_MODES}
-    profits = {m: mining.profit(incomes[m], window.cost) for m in mining.INCOME_MODES}
-    return {"mining.json": {
-        "scenario": name,
-        **asdict(params),
-        "window": asdict(window),
-        "income": incomes,
-        "profit": profits,
-        "selected_mode": selected,
-    }}, profits[selected]
+def mining_stage(run):
+    """The scenario, and its income and profit in both income modes."""
+    params, window, _, name = run.inputs["scenario"]
+    return {"mining.json": {"scenario": name, **asdict(params), "window": asdict(window),
+                            **run.revenue}}
 
 
-def allocation_stage(basis_scores, gammas, total_profit, alloc_mode, basis=RunConfig.alloc_basis):
-    """Split total_profit by basis score, boosted by the poverty multipliers `gammas`.
-    Returns reports. A loss allocates nothing: total_profit 0 and every share 0."""
-    if set(gammas) != set(basis_scores):
-        raise ValidationError("GDP table countries do not match the indicator table")
-    result = allocation.allocate(max(total_profit, 0.0), basis_scores, gammas, mode=alloc_mode)
+def allocation_stage(run):
+    """Split the selected mode's profit by basis score, boosted by the poverty
+    multipliers. A loss allocates nothing: total_profit 0 and every share 0."""
+    profit = run.revenue["profit"][run.revenue["selected_mode"]]
+    alloc_mode = run.config.alloc_mode
+    result = allocation.allocate(max(profit, 0.0), run.basis, run.gammas, mode=alloc_mode)
     return {"allocation.json": {
-        "basis": basis,
+        "basis": run.config.alloc_basis,
         "mode": alloc_mode,
         "total_profit": result.total_profit,
         "over_allocation": result.over_allocation,
@@ -312,24 +343,27 @@ def allocation_stage(basis_scores, gammas, total_profit, alloc_mode, basis=RunCo
     }}
 
 
-def correlation_stage(panel, alpha=stats.DEFAULT_ALPHA):
-    """Pearson r and t test of each indicator against the scores. Returns reports."""
-    x, series = panel.records
+def correlation_stage(run):
+    """Pearson r and t test of each indicator against the scores."""
+    x, series = run.records
     per_indicator = []
     for j, name in enumerate(io.INDICATOR_COLUMNS):
-        result = stats.t_test(stats.pearson(np.array(x[:, j]), series), len(series), alpha=alpha)
+        result = stats.t_test(stats.pearson(np.array(x[:, j]), series), len(series),
+                              alpha=run.alpha)
         fields = {k: v for k, v in asdict(result).items() if k != "n"}  # n: once, at the top
         direction = "positive" if result.r > 0 else ("negative" if result.r < 0 else "zero")
         per_indicator.append({"indicator": name, **fields, "direction": direction})
-    return {"correlation.json": {"alpha": alpha, "n": len(series), "indicators": per_indicator}}
+    return {"correlation.json": {"alpha": run.alpha, "n": len(series),
+                                 "indicators": per_indicator}}
 
 
-def sensitivity_stage(panel, train, seed=None):
+def sensitivity_stage(run):
     """Train the sensitivity network on (indicators -> scaled scores) and sweep its
-    weights. `train` is a TrainConfig; `seed` overrides its seed. Returns reports."""
-    x, series = panel.records
-    if seed is not None:
-        train = replace(train, seed=seed)
+    weights; the config's seed, when set, overrides the training config's."""
+    x, series = run.records
+    train = run.inputs["train"]
+    if run.config.seed is not None:
+        train = replace(train, seed=run.config.seed)
     sweep = sensnet.sensitivity_sweep(x, scale_targets(series), train, io.INDICATOR_COLUMNS)
     named = [(n, float(v)) for n, v in zip(io.INDICATOR_COLUMNS, sweep.sensitivities)]
     return {
@@ -349,11 +383,17 @@ def sensitivity_stage(panel, train, seed=None):
     }
 
 
+# Each stage's function, in run order: it takes a Run and returns its reports.
+STAGES = {"consistency": consistency_stage, "weights": weights_stage, "equity": equity_stage,
+          "topsis": topsis_stage, "mining": mining_stage, "allocation": allocation_stage,
+          "correlation": correlation_stage, "sensitivity": sensitivity_stage}
+
+
 def run_pipeline(config: RunConfig, out_dir) -> dict:
     """Run every stage, then write the REPORT_FILES into out_dir at once. Stage `config`
-    reads every input file, applies the poverty policy and checks the panel holds the
-    sensnet.MIN_SAMPLES records sensitivity needs, before any stage computes.
-    Returns {artifact name: Path}. Raises PipelineError carrying the failing
+    reads every input file, applies the poverty policy to the GDP table and checks the
+    panel holds the sensnet.MIN_SAMPLES records sensitivity needs, before any stage
+    computes. Returns {artifact name: Path}. Raises PipelineError carrying the failing
     stage's name; a failed run, a CR failure included, leaves out_dir as it was."""
     return _run_stages(lambda: config, out_dir)
 
@@ -363,67 +403,41 @@ def _run_stages(read_config, out_dir) -> dict:
     with _stage("config"):
         config = read_config()
         inputs, sha256 = load_inputs(config.paths)
-        gammas = allocation.poverty_multipliers(inputs["gdp"], config.poverty)
+        run = Run(inputs, config)
+        run.gammas  # the poverty policy, checked against the GDP table and the panel
         if (records := inputs["indicators"].values[..., 0].size) < sensnet.MIN_SAMPLES:
             raise ValidationError(f"the indicator table has {records} records; the sensitivity "
                                   f"network needs at least {sensnet.MIN_SAMPLES}")
-    report_set = {}
-
-    with _stage("consistency"):
-        reports, report = consistency_stage(inputs["pairwise"])
-        report_set |= reports
-        if not report.passes:
-            raise PipelineError(
-                "consistency",
-                f"comparison matrix failed the consistency check (CR = {report.cr:.4f} >= 0.1)",
-                {"cr": report.cr},
-            )
-
-    with _stage("weights"):
-        reports, mean_weights = weights_stage(inputs["pairwise"])
-        report_set |= reports
-
-    with _stage("equity"):
-        panel = score_panel(inputs["indicators"], mean_weights)
-        report_set |= equity_stage(panel)
-
-    with _stage("topsis"):
-        if inputs["decision"] is not None:
-            reports, rows = topsis_stage(inputs["decision"])
-        else:
-            # Rank countries on their latest-year indicators, AHP-weighted.
-            decision = topsis.DecisionMatrix(
-                values=panel.table.values[:, -1],
-                alternative_labels=panel.table.countries,
-                indicator_kinds=[topsis.IndicatorKind("benefit")] * len(io.INDICATOR_COLUMNS),
-                indicator_labels=list(io.INDICATOR_COLUMNS),
-            )
-            reports, rows = topsis_stage(decision, mean_weights)
-        report_set |= reports
-
-    with _stage("mining"):
-        reports, total_profit = mining_stage(inputs["scenario"], config.income_mode)
-        report_set |= reports
-
-    with _stage("allocation"):
-        if config.alloc_basis == "equity":
-            basis_scores = panel.latest_scores()
-        else:
-            basis_scores = {row[0]: row[4] for row in rows}
-            if set(basis_scores) != set(panel.table.countries):
-                raise ValidationError(
-                    "allocation basis 'topsis' needs the ranking to cover the same countries"
+    reports = {}
+    for name, stage in STAGES.items():
+        with _stage(name):
+            reports |= stage(run)
+            if name == "consistency" and not run.consistency.passes:
+                raise PipelineError(
+                    "consistency",
+                    f"comparison matrix failed the consistency check "
+                    f"(CR = {run.consistency.cr:.4f} >= 0.1)",
+                    {"cr": run.consistency.cr},
                 )
-        report_set |= allocation_stage(basis_scores, gammas, total_profit, config.alloc_mode,
-                                       config.alloc_basis)
+    return write_reports(out_dir, config.digest(sha256),
+                         {name: reports[name] for name in REPORT_FILES})
 
-    with _stage("correlation"):
-        report_set |= correlation_stage(panel)
 
-    with _stage("sensitivity"):
-        report_set |= sensitivity_stage(panel, inputs["train"], config.seed)
-
-    return write_reports(out_dir, config.digest(sha256), report_set)
+def run_stage(stage: str, flags: dict, out_dir) -> dict:
+    """Run one stage of STAGES for its subcommand and write its reports into out_dir.
+    `flags` holds input paths (None for an input not given) by INPUT_FILES name, and
+    settings (RunConfig's, or bottom_count, multiplier and alpha), which the digest
+    hashes with the inputs' bytes. The stage reads the inputs and checks the settings."""
+    settings = dict(flags)
+    paths = {name: settings.pop(name) for name in INPUT_FILES if name in settings}
+    with _stage(stage):
+        inputs, sha256 = load_inputs(paths)
+        digest = io.config_digest(settings | sha256)
+        alpha = settings.pop("alpha", stats.DEFAULT_ALPHA)
+        poverty = allocation.PovertyPolicy(
+            **{key: settings.pop(key) for key in ("bottom_count", "multiplier") if key in settings})
+        reports = STAGES[stage](Run(inputs, RunConfig(paths, poverty=poverty, **settings), alpha))
+    return write_reports(out_dir, digest, reports)
 
 
 def scale_targets(y: np.ndarray) -> np.ndarray:

@@ -257,7 +257,8 @@ SCENARIO = str(sample_path("scenario.json"))
 
 
 def sample_config(**fields) -> str:
-    """The sample run config, its input paths made absolute and `fields` set over it."""
+    """The sample run config as JSON text, its input paths made absolute and `fields`
+    set over it."""
     config = json.loads(sample_path("config.json").read_text())
     for key in ("indicators", "pairwise", "gdp", "scenario", "train"):
         config[key] = str(sample_path(config[key]))
@@ -343,15 +344,6 @@ def test_subcommand_writes_the_report_payload(runner, tmp_path, sample_report, a
         assert _same_report(tmp_path / name, sample_report / name), name
 
 
-def _sample_config(**changes):
-    """The bundled run config with absolute paths, updated with changes."""
-    sample = sample_dir()
-    config = json.loads((sample / "config.json").read_text())
-    for key in ("indicators", "pairwise", "gdp", "scenario", "train"):
-        config[key] = str(sample / config[key])
-    return {**config, **changes}
-
-
 def test_income_mode_precedence(runner, tmp_path):
     """The --income-mode flag, then the run config's income_mode, then the scenario's mode."""
     scenario = json.loads(sample_path("scenario.json").read_text())
@@ -359,7 +351,7 @@ def test_income_mode_precedence(runner, tmp_path):
     scenario.update(t2=15.0, cost=0.0, mode="paper-literal")
     scenario_path = tmp_path / "scenario.json"
     scenario_path.write_text(json.dumps(scenario))
-    scenario_mode = _sample_config(scenario=str(scenario_path))
+    scenario_mode = json.loads(sample_config(scenario=str(scenario_path)))
     del scenario_mode["income_mode"]
     (tmp_path / "no-mode.json").write_text(json.dumps(scenario_mode))
     (tmp_path / "cumulative.json").write_text(json.dumps({**scenario_mode,
@@ -409,7 +401,7 @@ def test_every_mode_combination_reports_on_the_sample(runner, tmp_path, income_m
 
 def test_topsis_subcommand_matches_report_with_decision(runner, tmp_path):
     decision = str(sample_path("asteroids.csv"))
-    (tmp_path / "config.json").write_text(json.dumps(_sample_config(decision=decision)))
+    (tmp_path / "config.json").write_text(sample_config(decision=decision))
     for args in (["report", "--config", str(tmp_path / "config.json")],
                  ["topsis", "--decision", decision]):
         result = runner.invoke(main, args + ["--out", str(tmp_path / args[0])])
@@ -497,7 +489,7 @@ def test_directory_as_input_file_prints_error_json(runner, tmp_path, args, stage
 INPUT_FLAGS = {
     "weights": ("weights", {"--pairwise": PAIRWISE}),
     "consistency": ("consistency", {"--pairwise": PAIRWISE}),
-    "topsis": ("topsis", {"--decision": str(sample_path("asteroids.csv")), "--pairwise": PAIRWISE}),
+    "topsis": ("topsis", {"--decision": str(sample_path("asteroids.csv"))}),
     "equity": ("equity", {"--indicators": INDICATORS, "--pairwise": PAIRWISE}),
     "simulate": ("mining", {"--scenario": SCENARIO}),
     "allocate": ("allocation", {"--indicators": INDICATORS, "--gdp": str(sample_path("gdp.csv")),
@@ -553,6 +545,30 @@ def test_bad_run_setting_stops_report_in_config(runner, tmp_path, caplog, monkey
     assert error["stage"] == "config" and field in error["message"]
     started = [r.getMessage() for r in caplog.records if r.getMessage().endswith(" started")]
     assert started == ["stage config started"]
+
+
+def test_gdp_table_missing_a_country_stops_report_in_config(runner, tmp_path, caplog,
+                                                           monkeypatch):
+    # report applies the poverty policy to the GDP table in config, before any stage
+    # computes; allocate does so in its own stage
+    gdp = tmp_path / "gdp.csv"
+    gdp.write_text("".join(sample_path("gdp.csv").read_text().splitlines(keepends=True)[:-1]))
+    (tmp_path / "config.json").write_text(sample_config(gdp=str(gdp)))
+    monkeypatch.setenv("EQUIMINE_LOG", "INFO")
+    with caplog.at_level(logging.INFO, logger="equimine.pipeline"):
+        result = runner.invoke(main, ["report", "--config", str(tmp_path / "config.json"),
+                                      "--out", str(tmp_path / "out")])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)  # the error JSON, not a traceback
+    assert json.loads(result.output)["error"] == {
+        "stage": "config", "message": "GDP table countries do not match the indicator table"}
+    assert {r.getMessage().split()[1] for r in caplog.records} == {"config"}
+    assert not (tmp_path / "out").exists()
+    result = runner.invoke(main, ["allocate", "--indicators", INDICATORS, "--gdp", str(gdp),
+                                  "--scenario", SCENARIO, "--bottom-count", "2",
+                                  "--out", str(tmp_path / "out")])
+    assert result.exit_code == 1
+    assert json.loads(result.output)["error"]["stage"] == "allocation"
 
 
 def test_allocate_policy_error_keeps_stage_allocation(runner, tmp_path):
@@ -807,8 +823,7 @@ def test_unwritable_out_prints_the_write_error(runner, tmp_path, args, obstacle)
 
 def test_failed_report_leaves_out_as_it_was(runner, tmp_path):
     (tmp_path / "train.json").write_text('{"epochs": true}')
-    (tmp_path / "config.json").write_text(
-        json.dumps(_sample_config(train=str(tmp_path / "train.json"))))
+    (tmp_path / "config.json").write_text(sample_config(train=str(tmp_path / "train.json")))
     out = tmp_path / "out"
     out.mkdir()
     for name in (*pipeline.REPORT_FILES, "notes.txt"):

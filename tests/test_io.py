@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from equimine import equity, io, pipeline
+from equimine import io, pipeline
 from equimine.data import sample_dir, sample_path
 from equimine.errors import ParseError, ValidationError
 
@@ -341,9 +341,10 @@ class TestPanelScaleMemory:
         assert peak < 4 * MiB
 
     def test_write_json_report_peak(self, panel_5k, tmp_path):
-        panel = pipeline.score_panel(io.load_indicator_table(panel_5k),
-                                     equity.DEFAULT_SCORE_WEIGHTS)
-        payload = pipeline.equity_stage(panel)["equity.json"]
+        # no comparison matrix: the run scores the panel with the shipped default weights
+        run = pipeline.Run({"indicators": io.load_indicator_table(panel_5k)},
+                           pipeline.RunConfig({}))
+        payload = pipeline.equity_stage(run)["equity.json"]
         path = tmp_path / "equity.json"
         _, peak = traced_peak(lambda: io.write_json_report(path, payload, ()))
         assert peak < 3 * MiB
