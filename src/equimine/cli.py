@@ -112,7 +112,7 @@ for name in SUBCOMMANDS:
 def report(config, out, **overrides):
     """Run the full pipeline and write every report artifact."""
     with _errors_as_json():
-        written = pipeline._run_stages(lambda: pipeline.load_run_config(config, **overrides), out)
+        written = pipeline.run_pipeline(config, out, **overrides)
     click.echo(f"wrote {len(written)} artifacts to {out}")
 
 

@@ -6,11 +6,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularityError, ValidationError
-from .io import INDICATOR_COLUMNS
 
-# Coefficients of the shipped development-score formula, in indicator order
-# (EI, IDG, CEA, MA, HR, ER, SA). They are rounded method averages and sum to
-# 1.0007 rather than exactly 1.
+# The seven development indicators, in the column order of every input and report.
+INDICATOR_COLUMNS = ("ei", "idg", "cea", "ma", "hr", "er", "sa")
+# Coefficients of the shipped development-score formula, in INDICATOR_COLUMNS order.
+# They are rounded method averages and sum to 1.0007 rather than exactly 1.
 DEFAULT_SCORE_WEIGHTS = (0.187, 0.387, 0.097, 0.0436, 0.086, 0.0831, 0.117)
 
 

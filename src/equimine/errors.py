@@ -1,4 +1,4 @@
-"""Exception types shared across the toolkit, and the integer and real-number
+"""Exception types shared across the toolkit, and the label, integer and real-number
 rules its loaders and parameter classes share."""
 
 import numbers
@@ -61,6 +61,15 @@ class PipelineError(EquimineError):
         self.stage = stage
         self.message = message
         self.detail = dict(detail or {})
+
+
+def check_labels(labels, n: int, what: str):
+    """Raise ValidationError unless `labels` holds n labels, none repeated; name a repeat."""
+    if len(labels) != n:
+        raise ValidationError(f"expected {n} {what} labels, got {len(labels)}")
+    if len(set(labels)) != n:
+        repeated = next(x for i, x in enumerate(labels) if x in labels[:i])
+        raise ValidationError(f"{what} label {repeated!r} is repeated; labels must be distinct")
 
 
 def as_integer(value, what="value") -> int:

@@ -12,14 +12,12 @@ from fractions import Fraction
 
 import numpy as np
 
+from .equity import INDICATOR_COLUMNS
 from .errors import ParseError, ValidationError, as_integer, as_real
 from .mcda import PairwiseMatrix
-from .mining import (DEFAULT_DOF, DEFAULT_INCOME_MODE, DEFAULT_LOCATION, DEFAULT_SCALE,
-                     DEFAULT_TOTAL_VALUE, INCOME_MODES, MiningCurveParams, RevenueWindow)
+from .mining import DEFAULT_INCOME_MODE, INCOME_MODES, MiningCurveParams, RevenueWindow
 from .sensnet import TrainConfig
 from .topsis import DecisionMatrix, IndicatorKind
-
-INDICATOR_COLUMNS = ("ei", "idg", "cea", "ma", "hr", "er", "sa")
 
 
 def parse_ratio(text: str) -> float:
@@ -150,20 +148,16 @@ def json_field(raw: dict, what: str, key: str, default, convert):
 def load_scenario(path, hasher=None):
     """Read a mining scenario JSON file.
 
-    Returns (MiningCurveParams, RevenueWindow, mode, name). Missing fields
-    fall back to the module defaults; t2 may be the string "inf".
+    Returns (MiningCurveParams, RevenueWindow, mode, name). A missing curve field
+    takes MiningCurveParams' default; t2 may be the string "inf".
     """
     raw = read_json_object(path, "scenario", hasher)
 
     def number(key, default):
         return json_field(raw, "scenario", key, default, as_real)
 
-    params = MiningCurveParams(
-        dof=number("dof", DEFAULT_DOF),
-        location=number("location", DEFAULT_LOCATION),
-        scale=number("scale", DEFAULT_SCALE),
-        total_value=number("total_value", DEFAULT_TOTAL_VALUE),
-    )
+    params = MiningCurveParams(**{key: number(key, getattr(MiningCurveParams, key))
+                                  for key in ("dof", "location", "scale", "total_value")})
     t2 = raw.get("t2", "inf")
     t2 = math.inf if t2 == "inf" else number("t2", None)
     window = RevenueWindow(t1=number("t1", 0.0), t2=t2, cost=number("cost", RevenueWindow.cost))

@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, ValidationError
+from .errors import ConvergenceError, ValidationError, check_labels
 
 METHODS = ("arithmetic-mean", "geometric-mean", "eigenvalue")
 
@@ -53,8 +53,7 @@ class PairwiseMatrix:
         self.entries = a
         if self.labels is None:
             self.labels = [f"C{i + 1}" for i in range(n)]
-        elif len(self.labels) != n:
-            raise ValidationError(f"expected {n} labels, got {len(self.labels)}")
+        check_labels(self.labels, n, "criterion")
 
 
 @dataclass

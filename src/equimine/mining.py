@@ -15,10 +15,6 @@ import numpy as np
 
 from .errors import ConvergenceError, ValidationError
 
-DEFAULT_DOF = 5.0
-DEFAULT_LOCATION = 15.0  # years until peak extraction
-DEFAULT_SCALE = 5.0
-DEFAULT_TOTAL_VALUE = 70e12
 # The lower end of the documented dof range (README, CLI); t_sf itself needs no bound.
 MIN_DOF = 0.05
 
@@ -123,10 +119,10 @@ class MiningCurveParams:
     constant overflows.
     """
 
-    dof: float = DEFAULT_DOF
-    location: float = DEFAULT_LOCATION
-    scale: float = DEFAULT_SCALE
-    total_value: float = DEFAULT_TOTAL_VALUE
+    dof: float = 5.0
+    location: float = 15.0  # years until peak extraction
+    scale: float = 5.0
+    total_value: float = 70e12
     positive_mass: float = field(init=False)
 
     def __post_init__(self):

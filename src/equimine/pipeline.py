@@ -3,7 +3,7 @@
 `Run` holds a run's parsed inputs, `RunConfig` and correlation alpha, and owns each
 policy below. Each stage function takes a `Run` and returns its reports by file name
 (a JSON report is a dict of raw values, which `io.write_json_report` rounds; a CSV
-report a (header, rows) pair). `report` runs stage `config`, then `STAGES` in order;
+report a (header, rows) pair). `run_pipeline` runs stage `config`, then `STAGES` in order;
 a subcommand runs one of them through `run_stage`, so both write the same payloads.
 
 * Inputs: `load_inputs` reads each input file once and hashes its bytes, which a
@@ -94,12 +94,11 @@ class RunConfig:
         return io.config_digest(settings)
 
 
-def load_run_config(path, **overrides) -> RunConfig:
+def load_run_config(path) -> RunConfig:
     """Read a JSON run config and check every setting: paths (resolved against the
-    file's dir), modes, poverty policy and seed. Keyword overrides (income_mode,
-    alloc_mode, alloc_basis, seed, ...) win over file values when not None. Malformed
-    JSON or mistyped values raise ParseError, other bad settings ValidationError; the
-    input files are read by run_pipeline."""
+    file's dir), modes, poverty policy and seed. Malformed JSON or mistyped values
+    raise ParseError, other bad settings ValidationError; the input files are read
+    by run_pipeline."""
     path = Path(path)
     raw = io.read_json_object(path, "run config")
     paths = {}
@@ -112,7 +111,7 @@ def load_run_config(path, **overrides) -> RunConfig:
     poverty = raw.get("poverty", {})
     if not isinstance(poverty, dict):
         raise ParseError(f"run config field 'poverty' must be an object, got {poverty!r}")
-    config = RunConfig(
+    return RunConfig(
         paths,
         income_mode=raw.get("income_mode"),
         alloc_mode=raw.get("alloc_mode", RunConfig.alloc_mode),
@@ -124,7 +123,6 @@ def load_run_config(path, **overrides) -> RunConfig:
         seed=io.json_field(raw, "run config", "seed", None,
                            lambda v: None if v is None else as_integer(v)),
     )
-    return replace(config, **{k: v for k, v in overrides.items() if v is not None})
 
 
 def load_inputs(paths: dict) -> tuple:
@@ -223,7 +221,7 @@ class Run:
     def records(self) -> tuple:
         """(indicator rows, score series) of every record, in panel order."""
         values = self.inputs["indicators"].values
-        return values.reshape(-1, len(io.INDICATOR_COLUMNS)), self.scores.ravel()
+        return values.reshape(-1, len(equity.INDICATOR_COLUMNS)), self.scores.ravel()
 
     @cached_property
     def ranking(self) -> tuple:
@@ -235,8 +233,8 @@ class Run:
             decision = topsis.DecisionMatrix(
                 values=table.values[:, -1],
                 alternative_labels=table.countries,
-                indicator_kinds=[topsis.IndicatorKind("benefit")] * len(io.INDICATOR_COLUMNS),
-                indicator_labels=list(io.INDICATOR_COLUMNS),
+                indicator_kinds=[topsis.IndicatorKind("benefit")] * len(equity.INDICATOR_COLUMNS),
+                indicator_labels=list(equity.INDICATOR_COLUMNS),
             )
         return decision, topsis.rank_alternatives(decision, weights=weights)
 
@@ -347,7 +345,7 @@ def correlation_stage(run):
     """Pearson r and t test of each indicator against the scores."""
     x, series = run.records
     per_indicator = []
-    for j, name in enumerate(io.INDICATOR_COLUMNS):
+    for j, name in enumerate(equity.INDICATOR_COLUMNS):
         result = stats.t_test(stats.pearson(np.array(x[:, j]), series), len(series),
                               alpha=run.alpha)
         fields = {k: v for k, v in asdict(result).items() if k != "n"}  # n: once, at the top
@@ -364,8 +362,8 @@ def sensitivity_stage(run):
     train = run.inputs["train"]
     if run.config.seed is not None:
         train = replace(train, seed=run.config.seed)
-    sweep = sensnet.sensitivity_sweep(x, scale_targets(series), train, io.INDICATOR_COLUMNS)
-    named = [(n, float(v)) for n, v in zip(io.INDICATOR_COLUMNS, sweep.sensitivities)]
+    sweep = sensnet.sensitivity_sweep(x, scale_targets(series), train, equity.INDICATOR_COLUMNS)
+    named = [(n, float(v)) for n, v in zip(equity.INDICATOR_COLUMNS, sweep.sensitivities)]
     return {
         "sensitivity.csv": (("indicator", "value"), named),
         "perturbation.csv": (("weight_id", "w", "output"), sweep.perturbation_rows),
@@ -389,19 +387,16 @@ STAGES = {"consistency": consistency_stage, "weights": weights_stage, "equity": 
           "correlation": correlation_stage, "sensitivity": sensitivity_stage}
 
 
-def run_pipeline(config: RunConfig, out_dir) -> dict:
-    """Run every stage, then write the REPORT_FILES into out_dir at once. Stage `config`
-    reads every input file, applies the poverty policy to the GDP table and checks the
-    panel holds the sensnet.MIN_SAMPLES records sensitivity needs, before any stage
-    computes. Returns {artifact name: Path}. Raises PipelineError carrying the failing
-    stage's name; a failed run, a CR failure included, leaves out_dir as it was."""
-    return _run_stages(lambda: config, out_dir)
-
-
-def _run_stages(read_config, out_dir) -> dict:
-    # run_pipeline's stages; `equimine report` reads its run config in stage `config`
+def run_pipeline(config, out_dir, **overrides) -> dict:
+    """Run every stage, then write the REPORT_FILES into out_dir at once. Stage `config`,
+    before any stage computes, reads `config` if it is a run-config JSON path, not a
+    RunConfig; lets each override that is not None (income_mode, alloc_mode, alloc_basis,
+    seed) replace its field; reads every input; and checks the poverty policy against the
+    GDP table and the panel's size against sensnet.MIN_SAMPLES. Returns {artifact name:
+    Path}. A PipelineError names the failing stage; a failed run leaves out_dir as it was."""
     with _stage("config"):
-        config = read_config()
+        config = config if isinstance(config, RunConfig) else load_run_config(config)
+        config = replace(config, **{k: v for k, v in overrides.items() if v is not None})
         inputs, sha256 = load_inputs(config.paths)
         run = Run(inputs, config)
         run.gammas  # the poverty policy, checked against the GDP table and the panel

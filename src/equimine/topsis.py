@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateColumnError, ValidationError
+from .errors import DegenerateColumnError, ValidationError, check_labels
 
 KINDS = ("benefit", "cost", "intermediate")
 
@@ -58,14 +58,12 @@ class DecisionMatrix:
         if not np.all(np.isfinite(v)):
             raise ValidationError("decision matrix has missing or non-finite entries")
         n, m = v.shape
-        if len(self.alternative_labels) != n:
-            raise ValidationError(f"expected {n} alternative labels")
+        check_labels(self.alternative_labels, n, "alternative")
         if len(self.indicator_kinds) != m:
             raise ValidationError(f"expected {m} indicator kinds")
         if self.indicator_labels is None:
             self.indicator_labels = [f"I{j + 1}" for j in range(m)]
-        elif len(self.indicator_labels) != m:
-            raise ValidationError(f"expected {m} indicator labels")
+        check_labels(self.indicator_labels, m, "indicator")
         self.values = v
 
 

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from equimine import io, mcda, mining, pipeline, sensnet, stats, topsis
+from equimine import equity, mcda, mining, pipeline, sensnet, stats, topsis
 from equimine.data import sample_path
 from equimine.mining import MiningCurveParams, RevenueWindow
 
@@ -219,7 +219,7 @@ def test_c10_sensitivity_qualitative(sample_run):
         y = 0.3 + 0.4 * x[:, 0]
         sweep = sensnet.sensitivity_sweep(
             x, y, sensnet.TrainConfig((7, 16, 1), learning_rate=0.5, epochs=1500, seed=seed),
-            io.INDICATOR_COLUMNS,
+            equity.INDICATOR_COLUMNS,
         )
         if sweep.sensitivities[0] > sweep.sensitivities[1:].max():
             hits += 1

@@ -459,9 +459,11 @@ def test_malformed_json_input_prints_error_json(runner, tmp_path, args, text, st
     (["sensitivity", "--train", str(sample_path("train.json")), "--indicators"],
      sample_path("indicators.csv").read_bytes().replace(b"0.6961", b"1e308", 1), "sensitivity"),
     (["topsis", "--decision"], b"alt,a:benefit,b:benefit\nx,1e200,1\ny,1e200,2\n", "topsis"),
+    (["weights", "--pairwise"], b",a,a\na,1,1\na,1,1\n", "weights"),
+    (["topsis", "--decision"], b"alt,a:benefit\nx,1\ny,2\nx,3\n", "topsis"),
 ], ids=["pairwise-row-count", "not-utf8", "oversized-cell", "bad-mid-optimum",
         "overflowing-ratio", "overflowing-indicator", "overflowing-indicator-sensitivity",
-        "overflowing-topsis-norm"])
+        "overflowing-topsis-norm", "repeated-criterion", "repeated-alternative"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_malformed_csv_input_prints_error_json(runner, tmp_path, args, content, stage):
     bad = tmp_path / "bad.csv"
@@ -639,13 +641,70 @@ def test_panel_too_small_to_train_on_stops_report_in_config(runner, tmp_path, ca
 
 
 def test_run_pipeline_reads_its_inputs_in_config(tmp_path):
-    # run_pipeline, given a RunConfig, reads every input in its own config stage
+    # run_pipeline, given a RunConfig or a run-config path, reads the run config, applies
+    # its overrides and reads every input in its own config stage
     (tmp_path / "train.json").write_bytes(MALFORMED_INPUTS["train"])
     config = pipeline.load_run_config(sample_path("config.json"))
     config.paths["train"] = tmp_path / "train.json"
-    with pytest.raises(PipelineError) as failed:
-        pipeline.run_pipeline(config, tmp_path / "out")
-    assert failed.value.stage == "config"
+    (tmp_path / "config.json").write_text(sample_config(train=str(tmp_path / "train.json")))
+    for given, overrides in [(config, {}), (tmp_path / "config.json", {}),
+                             (tmp_path / "missing.json", {}),
+                             (sample_path("config.json"), {"alloc_basis": "nearest"}),
+                             (sample_path("config.json"), {"seed": -1})]:
+        with pytest.raises(PipelineError) as failed:
+            pipeline.run_pipeline(given, tmp_path / "out", **overrides)
+        assert failed.value.stage == "config"
+    assert not (tmp_path / "out").exists()
+
+
+def test_report_runs_through_run_pipeline_once(runner, tmp_path, run_inputs, monkeypatch):
+    # through the module attribute, which is what a tracer wrapping it sees
+    calls = []
+    run_pipeline = pipeline.run_pipeline
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return run_pipeline(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "run_pipeline", counted)
+    result = runner.invoke(main, ["report", "--config", str(run_inputs / "config.json"),
+                                  "--out", str(tmp_path / "out")])
+    assert result.exit_code == 0, result.output
+    assert len(calls) == 1
+
+
+def test_every_way_to_run_the_pipeline_writes_the_same_bytes(runner, tmp_path, run_inputs):
+    # a run-config path, the RunConfig read from it, and `report` with the same overrides
+    path = run_inputs / "config.json"
+    path.write_text(json.dumps({**json.loads(path.read_text()), "decision": None}))
+    pipeline.run_pipeline(path, tmp_path / "path", seed=3, alloc_basis="topsis")
+    pipeline.run_pipeline(pipeline.load_run_config(path), tmp_path / "object", seed=3,
+                          alloc_basis="topsis")
+    result = runner.invoke(main, ["report", "--config", str(path), "--seed", "3",
+                                  "--alloc-basis", "topsis", "--out", str(tmp_path / "cli")])
+    assert result.exit_code == 0, result.output
+    written = {form: {p.name: p.read_bytes() for p in (tmp_path / form).iterdir()}
+               for form in ("path", "object", "cli")}
+    assert sorted(written["path"]) == sorted(pipeline.REPORT_FILES)
+    assert written["object"] == written["path"] and written["cli"] == written["path"]
+    assert json.loads(written["path"]["allocation.json"])["basis"] == "topsis"
+    assert json.loads(written["path"]["sensitivity.json"])["seed"] == 3
+
+
+def test_repeated_decision_alternative_stops_report_in_config(runner, tmp_path):
+    # a second Arcadia row would otherwise overwrite the first one's TOPSIS basis
+    header, *rows = sample_path("indicators.csv").read_text().splitlines()
+    latest = [row.split(",") for row in rows if row.split(",")[1] == "2021"]
+    decision = tmp_path / "decision.csv"
+    decision.write_text("\n".join(
+        ["country," + ",".join(f"{c}:benefit" for c in header.split(",")[2:])]
+        + [",".join([r[0], *r[2:]]) for r in latest] + ["Arcadia,1,1,1,1,1,1,1"]) + "\n")
+    (tmp_path / "config.json").write_text(sample_config(decision=str(decision)))
+    result = runner.invoke(main, ["report", "--config", str(tmp_path / "config.json"),
+                                  "--alloc-basis", "topsis", "--out", str(tmp_path / "out")])
+    assert result.exit_code == 1
+    error = json.loads(result.output)["error"]
+    assert error["stage"] == "config" and "'Arcadia' is repeated" in error["message"]
     assert not (tmp_path / "out").exists()
 
 

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from equimine import io, pipeline
+from equimine import equity, io, pipeline
 from equimine.data import sample_dir, sample_path
 from equimine.errors import ParseError, ValidationError
 
@@ -319,7 +319,7 @@ def traced_peak(run):
 def panel_5k(tmp_path):
     """A seeded indicator CSV of 1,000 countries x 5 years: 5,000 records."""
     rng = np.random.default_rng(2024)
-    lines = [",".join(("country", "year") + io.INDICATOR_COLUMNS)]
+    lines = [",".join(("country", "year") + equity.INDICATOR_COLUMNS)]
     for c in range(1000):
         lines += [f"C{c:04d},{year}," + ",".join(map(repr, rng.uniform(0.05, 1.0, 7).tolist()))
                   for year in range(2016, 2021)]

@@ -37,6 +37,12 @@ class TestPairwiseMatrix:
         m = mcda.PairwiseMatrix(np.ones((3, 3)))
         assert m.labels == ["C1", "C2", "C3"]
 
+    def test_rejects_a_repeated_label_naming_it(self):
+        with pytest.raises(ValidationError, match="criterion label 'a' is repeated"):
+            mcda.PairwiseMatrix(np.ones((3, 3)), labels=["a", "b", "a"])
+        with pytest.raises(ValidationError, match="expected 3 criterion labels, got 2"):
+            mcda.PairwiseMatrix(np.ones((3, 3)), labels=["a", "b"])
+
 
 class TestDeriveWeights:
     def test_all_ones_matrix_gives_uniform(self):

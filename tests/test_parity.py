@@ -19,7 +19,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equimine import io, mcda
+from equimine import equity, io, mcda
 from equimine.cli import main
 
 PARITY = settings(max_examples=25, derandomize=True, database=None, deadline=None)
@@ -36,13 +36,13 @@ def write_input_set(root: Path, seed: int, countries: int, years: int) -> dict:
     names = [f"K{i}" for i in rng.permutation(countries)]
     first = int(rng.integers(1990, 2030))
     records = [(c, first + t) for c in names for t in range(years)]
-    _csv(root / "indicators.csv", [("country", "year", *io.INDICATOR_COLUMNS)] + [
+    _csv(root / "indicators.csv", [("country", "year", *equity.INDICATOR_COLUMNS)] + [
         (*records[i], *map(repr, rng.uniform(0.01, 1.0, 7).tolist()))
         for i in rng.permutation(len(records))])
 
     v = rng.uniform(0.2, 5.0, 7)
     entries = v[:, None] / v[None, :] * np.exp(rng.uniform(-0.05, 0.05, (7, 7)))
-    labels = [c.upper() for c in io.INDICATOR_COLUMNS]
+    labels = [c.upper() for c in equity.INDICATOR_COLUMNS]
     _csv(root / "pairwise.csv", [("indicator", *labels)] + [
         (labels[i], *("1" if i == j else repr(float(entries[i, j])) if i < j
                       else repr(1 / float(entries[j, i])) for j in range(7)))

@@ -97,6 +97,17 @@ class TestForwardColumn:
         with pytest.raises(ValidationError, match="'wide' overflows"):
             topsis.forward(matrix)
 
+    @pytest.mark.parametrize("alternatives, indicators, message", [
+        (["a", "b", "a"], ["x", "y"], "alternative label 'a' is repeated"),
+        (["a", "b", "c"], ["x", "x"], "indicator label 'x' is repeated"),
+        (["a", "b"], ["x", "y"], "expected 3 alternative labels, got 2"),
+    ], ids=["alternative", "indicator", "alternative-count"])
+    def test_rejects_a_repeated_label_naming_it(self, alternatives, indicators, message):
+        with pytest.raises(ValidationError, match=message):
+            DecisionMatrix(values=np.ones((3, 2)), alternative_labels=alternatives,
+                           indicator_kinds=[IndicatorKind("benefit")] * 2,
+                           indicator_labels=indicators)
+
     def test_empty_column(self):
         with pytest.raises(ValidationError, match="non-empty"):
             DecisionMatrix(values=np.empty((0, 1)), alternative_labels=[],
