@@ -1,5 +1,5 @@
-"""Exception types shared across the toolkit, and the label, integer and real-number
-rules its loaders and parameter classes share."""
+"""Exception types shared across the toolkit, and the label, integer, real-number and
+string rules its loaders and parameter classes share."""
 
 import numbers
 
@@ -88,3 +88,10 @@ def as_real(value, what="value") -> float:
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValidationError(f"{what} must be a real number, got {value!r}")
     return float(value)
+
+
+def as_text(value, what="value") -> str:
+    """`value` if it is a str; anything else raises ValidationError naming `what`."""
+    if not isinstance(value, str):
+        raise ValidationError(f"{what} must be a string, got {value!r}")
+    return value

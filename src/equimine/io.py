@@ -4,6 +4,7 @@ line endings, full precision in CSV). JSON reports round every float to 6
 significant digits; only listed keys may hold an infinity, written as null."""
 
 import csv
+import difflib
 import hashlib
 import json
 import math
@@ -13,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from .equity import INDICATOR_COLUMNS
-from .errors import ParseError, ValidationError, as_integer, as_real
+from .errors import ParseError, ValidationError, as_integer, as_real, as_text, check_labels
 from .mcda import PairwiseMatrix
 from .mining import DEFAULT_INCOME_MODE, INCOME_MODES, MiningCurveParams, RevenueWindow
 from .sensnet import TrainConfig
@@ -124,62 +125,61 @@ def load_gdp_csv(path, hasher=None) -> dict:
     return gdp
 
 
-def read_json_object(path, what: str, hasher=None) -> dict:
-    """Parse a JSON file that must hold one object (`hasher` as for _lines); anything
-    else, a file that cannot be read included, is a ParseError."""
+def read_json_object(path, what: str, hasher=None):
+    """Parse a JSON file (`hasher` as for _lines) for read_fields. Invalid JSON, an unreadable
+    file or an object repeating a key (json.loads would keep its last value) is an error."""
     try:
-        raw = json.loads("".join(_lines(path, hasher)))
+        return json.loads("".join(_lines(path, hasher)), object_pairs_hook=lambda pairs: (
+            check_labels([k for k, _ in pairs], len(pairs), f"{what} field") or dict(pairs)))
     except json.JSONDecodeError as exc:  # not _lines' ParseError, a ValueError too
         raise ParseError(f"{what} is not valid JSON: {exc}") from None
+
+
+def read_fields(raw, what: str, schema: dict) -> dict:
+    """The JSON object `raw` read by its field table `schema`, {key: (default, convert)}:
+    convert(raw[key]), or convert(default) for a key raw lacks. Anything but an object, an
+    unknown key (named with its closest known key) or a value convert rejects is a ParseError."""
     if not isinstance(raw, dict):
-        raise ParseError(f"{what} file must hold a JSON object")
-    return raw
+        raise ParseError(f"{what} must be a JSON object, not {type(raw).__name__}")
+    if unknown := [key for key in raw if key not in schema]:
+        close = difflib.get_close_matches(unknown[0], schema, n=1)
+        raise ParseError(f"{what} has an unknown field {unknown[0]!r}"
+                         + (f"; did you mean {close[0]!r}?" if close else ""))
+    fields = {}
+    for key, (default, convert) in schema.items():
+        try:
+            fields[key] = convert(value := raw.get(key, default))
+        except (TypeError, ValueError, OverflowError):
+            raise ParseError(f"{what} field {key!r} has a bad value {value!r}" if key in raw
+                             else f"{what} is missing {key!r}") from None
+    return fields
 
 
-def json_field(raw: dict, what: str, key: str, default, convert):
-    """raw[key] (or default) passed through convert; any failure is a ParseError."""
-    value = raw.get(key, default)
-    try:
-        return convert(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ParseError(f"{what} field {key!r} has a bad value {value!r}") from None
+SCENARIO_FIELDS = {  # defaults read off the classes; t2 also takes "inf"
+    **{key: (getattr(MiningCurveParams, key), as_real)
+       for key in ("dof", "location", "scale", "total_value")},
+    "t1": (0.0, as_real),
+    "t2": ("inf", lambda value: math.inf if value == "inf" else as_real(value)),
+    "cost": (RevenueWindow.cost, as_real),
+    "mode": (DEFAULT_INCOME_MODE, lambda value: INCOME_MODES[INCOME_MODES.index(value)]),
+    "name": (None, lambda value: None if value is None else as_text(value)),
+}
+TRAIN_FIELDS = {key: (getattr(TrainConfig, key), convert) for key, convert in [
+    ("layer_sizes", lambda value: tuple(map(as_integer, value))), ("learning_rate", as_real),
+    ("epochs", as_integer), ("seed", as_integer)]}
 
 
 def load_scenario(path, hasher=None):
-    """Read a mining scenario JSON file.
-
-    Returns (MiningCurveParams, RevenueWindow, mode, name). A missing curve field
-    takes MiningCurveParams' default; t2 may be the string "inf".
-    """
-    raw = read_json_object(path, "scenario", hasher)
-
-    def number(key, default):
-        return json_field(raw, "scenario", key, default, as_real)
-
-    params = MiningCurveParams(**{key: number(key, getattr(MiningCurveParams, key))
-                                  for key in ("dof", "location", "scale", "total_value")})
-    t2 = raw.get("t2", "inf")
-    t2 = math.inf if t2 == "inf" else number("t2", None)
-    window = RevenueWindow(t1=number("t1", 0.0), t2=t2, cost=number("cost", RevenueWindow.cost))
-    mode = raw.get("mode", DEFAULT_INCOME_MODE)
-    if mode not in INCOME_MODES:
-        raise ParseError(f"scenario mode must be one of {', '.join(INCOME_MODES)}, got {mode!r}")
-    return params, window, mode, raw.get("name")
+    """A scenario JSON file's (MiningCurveParams, RevenueWindow, mode, name), by SCENARIO_FIELDS."""
+    f = read_fields(read_json_object(path, "scenario", hasher), "scenario", SCENARIO_FIELDS)
+    params = MiningCurveParams(f["dof"], f["location"], f["scale"], f["total_value"])
+    return params, RevenueWindow(f["t1"], f["t2"], f["cost"]), f["mode"], f["name"]
 
 
 def load_train_config(path, hasher=None) -> TrainConfig:
-    """Read training settings; a missing field takes TrainConfig's default."""
-    raw = read_json_object(path, "train config", hasher)
-
-    def field(key, convert):
-        return json_field(raw, "train config", key, getattr(TrainConfig, key), convert)
-
-    return TrainConfig(
-        layer_sizes=field("layer_sizes", lambda v: tuple(as_integer(s) for s in v)),
-        learning_rate=field("learning_rate", as_real),
-        epochs=field("epochs", as_integer),
-        seed=field("seed", as_integer),
-    )
+    """Read training settings by TRAIN_FIELDS."""
+    return TrainConfig(**read_fields(read_json_object(path, "train config", hasher),
+                                     "train config", TRAIN_FIELDS))
 
 
 def _lines(path, hasher=None):

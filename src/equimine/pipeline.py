@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import allocation, equity, io, mcda, mining, sensnet, stats, topsis
-from .errors import EquimineError, ParseError, PipelineError, ValidationError, as_integer, as_real
+from .errors import EquimineError, PipelineError, ValidationError, as_integer, as_real
 
 log = logging.getLogger(__name__)
 
@@ -94,35 +94,28 @@ class RunConfig:
         return io.config_digest(settings)
 
 
+# Each run-config field: an input's path (`decision`'s optional), or a RunConfig setting.
+RUN_FIELDS = {
+    **dict.fromkeys(INPUT_FILES, (None, Path)),
+    "decision": (None, lambda value: None if value is None else Path(value)),
+    **{key: (getattr(RunConfig, key), lambda value: value)  # RunConfig checks the modes
+       for key in ("income_mode", "alloc_mode", "alloc_basis")},
+    "poverty": ({}, lambda value: value),  # an object, read by POVERTY_FIELDS
+    "seed": (RunConfig.seed, lambda value: None if value is None else as_integer(value)),
+}
+POVERTY_FIELDS = {key: (getattr(allocation.PovertyPolicy, key), convert)
+                  for key, convert in [("bottom_count", as_integer), ("multiplier", as_real)]}
+
+
 def load_run_config(path) -> RunConfig:
-    """Read a JSON run config and check every setting: paths (resolved against the
-    file's dir), modes, poverty policy and seed. Malformed JSON or mistyped values
-    raise ParseError, other bad settings ValidationError; the input files are read
-    by run_pipeline."""
+    """Read a JSON run config by RUN_FIELDS, input paths resolved against its dir, and let
+    RunConfig check the settings. Malformed JSON, an unknown, missing or mistyped field raise
+    ParseError, a repeated key or another bad setting ValidationError. Reads no input."""
     path = Path(path)
-    raw = io.read_json_object(path, "run config")
-    paths = {}
-    for key in INPUT_FILES:
-        if (value := raw.get(key)) is None and key != "decision":
-            raise ValidationError(f"run config is missing {key!r}")
-        if not isinstance(value, (str, type(None))):
-            raise ParseError(f"run config field {key!r} must be a path, got {value!r}")
-        paths[key] = None if value is None else path.parent / value
-    poverty = raw.get("poverty", {})
-    if not isinstance(poverty, dict):
-        raise ParseError(f"run config field 'poverty' must be an object, got {poverty!r}")
-    return RunConfig(
-        paths,
-        income_mode=raw.get("income_mode"),
-        alloc_mode=raw.get("alloc_mode", RunConfig.alloc_mode),
-        alloc_basis=raw.get("alloc_basis", RunConfig.alloc_basis),
-        poverty=allocation.PovertyPolicy(**{
-            key: io.json_field(poverty, "run config poverty", key,
-                               getattr(allocation.PovertyPolicy, key), convert)
-            for key, convert in (("bottom_count", as_integer), ("multiplier", as_real))}),
-        seed=io.json_field(raw, "run config", "seed", None,
-                           lambda v: None if v is None else as_integer(v)),
-    )
+    fields = io.read_fields(io.read_json_object(path, "run config"), "run config", RUN_FIELDS)
+    paths = {k: None if (p := fields.pop(k)) is None else path.parent / p for k in INPUT_FILES}
+    poverty = io.read_fields(fields.pop("poverty"), "run config poverty", POVERTY_FIELDS)
+    return RunConfig(paths, poverty=allocation.PovertyPolicy(**poverty), **fields)
 
 
 def load_inputs(paths: dict) -> tuple:

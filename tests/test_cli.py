@@ -532,8 +532,10 @@ def test_missing_input_file_prints_error_json(runner, tmp_path, command, flag):
     ({"seed": -1}, [], "seed"),
     ({}, ["--seed", "-1"], "seed"),
     ({"poverty": {"bottom_count": 99, "multiplier": 1.2}}, [], "bottom_count"),
+    ({"sed": 3}, [], "unknown field 'sed'; did you mean 'seed'?"),
+    ({"poverty": {"bottom": 3}}, [], "unknown field 'bottom'; did you mean 'bottom_count'?"),
 ], ids=["zero-bottom-count", "multiplier-below-one", "negative-seed", "negative-seed-flag",
-        "bottom-count-past-the-gdp-table"])
+        "bottom-count-past-the-gdp-table", "misspelled-seed", "misspelled-bottom-count"])
 def test_bad_run_setting_stops_report_in_config(runner, tmp_path, caplog, monkeypatch, fields,
                                                 flags, field):
     monkeypatch.setenv("EQUIMINE_LOG", "INFO")
@@ -547,6 +549,33 @@ def test_bad_run_setting_stops_report_in_config(runner, tmp_path, caplog, monkey
     assert error["stage"] == "config" and field in error["message"]
     started = [r.getMessage() for r in caplog.records if r.getMessage().endswith(" started")]
     assert started == ["stage config started"]
+
+
+# A misspelled key in each input a subcommand reads from a JSON file, and its error message.
+MISSPELLED = {
+    "scenario": ('{"doff": 3}', "scenario has an unknown field 'doff'; did you mean 'dof'?"),
+    "train": ('{"epoch": 10}', "train config has an unknown field 'epoch'; did you mean 'epochs'?"),
+}
+
+
+@pytest.mark.parametrize("name, command", [("scenario", "report"), ("scenario", "simulate"),
+                                           ("train", "report"), ("train", "sensitivity")])
+def test_misspelled_json_key_prints_error_json_naming_the_closest_key(runner, tmp_path, name,
+                                                                      command):
+    # a key the input's field table lacks never falls back to a default: report stops in
+    # config, the subcommand in the stage reading the file
+    text, message = MISSPELLED[name]
+    (tmp_path / "bad.json").write_text(text)
+    (tmp_path / "config.json").write_text(sample_config(**{name: str(tmp_path / "bad.json")}))
+    stage, flags = INPUT_FLAGS[command]
+    given = {"--config": str(tmp_path / "config.json")} if command == "report" else {
+        f"--{name}": str(tmp_path / "bad.json")}
+    args = [part for option, value in {**flags, **given}.items() for part in (option, value)]
+    result = runner.invoke(main, [command, *args, "--out", str(tmp_path / "out")])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)  # the error JSON, not a traceback
+    assert json.loads(result.output)["error"] == {"stage": stage, "message": message}
+    assert not (tmp_path / "out").exists()
 
 
 def test_gdp_table_missing_a_country_stops_report_in_config(runner, tmp_path, caplog,

@@ -4,7 +4,9 @@ A mutated input either loads or raises an EquimineError, never another
 exception; `equimine report` on a mutated run config exits 0, or prints the
 error JSON and exits 1, never a traceback. A number field holding a bool or a
 string, and a CSV number holding a digit-group '_', must be rejected: both once
-loaded silently as another number, and are kept below as explicit examples.
+loaded silently as another number, and are kept below as explicit examples. So
+must a JSON key that the input's field table lacks, such as a misspelled one,
+which was once dropped for the field's default.
 A generated near-reciprocal pairwise matrix either gives weights and CR or
 raises an EquimineError, with no RuntimeWarning.
 Runs are derandomized, so every run tries the same inputs.
@@ -46,7 +48,10 @@ REAL_FIELDS = {
     io.load_scenario: {"dof", "location", "scale", "total_value", "cost", "t1", "t2"},
     io.load_train_config: {"learning_rate"},
 }
-JSON_KEYS = sorted({"name", "mode", "epochs", "seed", "layer_sizes"}.union(*REAL_FIELDS.values()))
+# Each JSON loader's field table; any other key, a misspelling included, is an error.
+FIELD_TABLES = {io.load_scenario: io.SCENARIO_FIELDS, io.load_train_config: io.TRAIN_FIELDS}
+JSON_KEYS = sorted({"name", "mode", "epochs", "seed", "layer_sizes", "doff", "epoch"}.union(
+    *REAL_FIELDS.values()))
 
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.just(10 ** 400) | st.floats()
@@ -126,6 +131,8 @@ def test_mutated_csv_numbers_load_or_raise_a_toolkit_error(workdir, name, row, c
 @example(name="scenario.json", key="cost", value=False).via("cost 0")
 @example(name="anteros.json", key="total_value", value="7_0e12").via("total value 7e13")
 @example(name="train.json", key="learning_rate", value=True).via("learning rate 1.0")
+@example(name="train.json", key="epoch", value=10).via("the default 5000 epochs")
+@example(name="scenario.json", key="doff", value=3).via("the default dof 5")
 def test_mutated_json_fields_load_or_raise_a_toolkit_error(workdir, name, key, value):
     loader = JSON_LOADERS[name]
     raw = json.loads(sample_path(name).read_text())
@@ -134,6 +141,9 @@ def test_mutated_json_fields_load_or_raise_a_toolkit_error(workdir, name, key, v
     if key in REAL_FIELDS[loader] and (isinstance(value, bool) or isinstance(value, str)
                                        and (key, value) != ("t2", "inf")):
         with pytest.raises(ParseError, match=f"field '{key}'"):
+            loader(path)
+    elif key not in FIELD_TABLES[loader]:
+        with pytest.raises(ParseError, match=f"unknown field '{key}'"):
             loader(path)
     else:
         _loads_or_rejects(loader, path)
@@ -185,6 +195,7 @@ RUN_CONFIG_FIELDS = {
     "alloc_mode": st.sampled_from(["conserve", "paper-literal", "fair"]),
     "alloc_basis": st.sampled_from(["equity", "topsis", "gdp"]),
     "seed": st.integers(-1, 2 ** 64),
+    "sed": st.integers(0, 9),  # a misspelled seed
     "poverty.bottom_count": st.integers(-1, 7),
     "poverty.multiplier": st.floats(0.5, 5.0) | st.sampled_from([1e308, "1.2", True]),
     "poverty": st.builds(dict),  # a fresh empty object: the edits below may fill it
@@ -208,6 +219,7 @@ def run_dir(tmp_path_factory):
 @FUZZ
 @given(edits=RUN_CONFIG_EDITS)
 @example(edits=[("poverty.multiplier", True)]).via("multiplier 1.0")
+@example(edits=[("sed", 3)]).via("the train config's seed")
 def test_report_on_mutated_run_configs_exits_0_or_prints_the_error_json(run_dir, edits):
     config = json.loads(sample_path("config.json").read_text())
     for key, value in edits:
@@ -221,6 +233,7 @@ def test_report_on_mutated_run_configs_exits_0_or_prints_the_error_json(run_dir,
                                        "--out", str(run_dir / "out")])
     poverty = config.get("poverty")
     mistyped = isinstance(poverty, dict) and isinstance(poverty.get("multiplier"), (bool, str))
+    mistyped |= "sed" in config
     if result.exit_code == 0 and not mistyped:
         return
     assert result.exit_code == 1 and isinstance(result.exception, SystemExit), result.output

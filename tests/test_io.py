@@ -171,6 +171,16 @@ class TestScenario:
         with pytest.raises(ParseError, match="field 't2' has a bad value None"):
             io.load_scenario(path)
 
+    @pytest.mark.parametrize("name", ["NaN", "5", '["a"]', "true"])
+    def test_name_is_a_string_or_null(self, tmp_path, name):
+        # a NaN name once loaded, and failed only when mining.json was written
+        path = tmp_path / "s.json"
+        path.write_text('{"name": %s}' % name)
+        with pytest.raises(ParseError, match="field 'name' has a bad value"):
+            io.load_scenario(path)
+        path.write_text('{"name": null}')
+        assert io.load_scenario(path)[3] is None
+
     def test_asteroid_valuation_scenario(self):
         # sample built from the bundled asteroid valuations
         params, window, mode, name = io.load_scenario(sample_path("anteros.json"))
@@ -226,6 +236,43 @@ def test_malformed_json_input_is_parse_error(tmp_path, loader, text):
     path = tmp_path / "input.json"
     path.write_text(text)
     with pytest.raises(ParseError):
+        loader(path)
+
+
+@pytest.mark.parametrize("loader, text, message", [
+    (io.load_scenario, '{"doff": 3}', "scenario has an unknown field 'doff'; did you mean 'dof'?"),
+    (io.load_train_config, '{"epoch": 10}',
+     "train config has an unknown field 'epoch'; did you mean 'epochs'?"),
+    (io.load_train_config, '{"zzz": 1}', "train config has an unknown field 'zzz'"),
+    (pipeline.load_run_config, '{' + PATHS + ', "sed": 3}',
+     "run config has an unknown field 'sed'; did you mean 'seed'?"),
+    (pipeline.load_run_config, '{' + PATHS + ', "poverty": {"bottom": 3}}',
+     "run config poverty has an unknown field 'bottom'; did you mean 'bottom_count'?"),
+    (pipeline.load_run_config, '{"indicators": "a"}', "run config is missing 'pairwise'"),
+], ids=["scenario", "train-config", "no-close-key", "run-config", "run-config-poverty",
+        "missing-path"])
+def test_unknown_or_missing_json_field_is_a_parse_error(tmp_path, loader, text, message):
+    # each JSON input has one field table: an unknown key names its closest known key, and
+    # a required field (a run-config input path) has no default
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    with pytest.raises(ParseError) as raised:
+        loader(path)
+    assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("loader, text, key", [
+    (io.load_scenario, '{"dof": 5, "dof": 3}', "dof"),
+    (io.load_train_config, '{"epochs": 5, "epochs": 5000}', "epochs"),
+    (pipeline.load_run_config, '{' + PATHS + ', "seed": 1, "seed": 2}', "seed"),
+    (pipeline.load_run_config,
+     '{' + PATHS + ', "poverty": {"multiplier": 2, "multiplier": 1.5}}', "multiplier"),
+], ids=["scenario", "train-config", "run-config", "run-config-poverty"])
+def test_repeated_json_key_is_a_validation_error_naming_it(tmp_path, loader, text, key):
+    # json.loads keeps a repeated key's last value; the loaders reject the file instead
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    with pytest.raises(ValidationError, match=f"field label '{key}' is repeated"):
         loader(path)
 
 

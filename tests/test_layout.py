@@ -67,6 +67,27 @@ def test_only_the_row_generator_reads_csv():
     assert offenders == []
 
 
+# The one JSON field reader: io.read_fields checks every key of a JSON input against the
+# input's field table, so each object read_json_object parses goes straight into it; a
+# loader reading keys by hand would let a misspelled one fall back to a default.
+def _calls(tree, name) -> list:
+    """Calls under `tree` of a function or method named `name`."""
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and name in (getattr(node.func, "attr", None), getattr(node.func, "id", None))]
+
+
+def test_every_json_object_goes_through_read_fields():
+    reads, offenders = 0, []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        fed = {id(arg) for call in _calls(tree, "read_fields") for arg in call.args}
+        calls = _calls(tree, "read_json_object")
+        reads += len(calls)
+        offenders += [(path.name, call.lineno) for call in calls if id(call) not in fed]
+    assert reads == 3  # the scenario, the train config and the run config
+    assert offenders == []
+
+
 def test_sensnet_stays_within_its_line_budget():
     assert len((SRC / "sensnet.py").read_text(encoding="utf-8").splitlines()) <= 350
 
