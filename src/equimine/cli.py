@@ -1,8 +1,7 @@
 """Command line front end: parse flags, run the pipeline, print what it wrote.
 
 Each subcommand runs one stage of `pipeline.STAGES` and writes exactly the reports
-`report` writes for it (`topsis` also writes topsis.csv). Failures print the error
-JSON and exit 1.
+`report` writes for it. Failures print the error JSON and exit 1.
 """
 
 import json
@@ -14,7 +13,7 @@ from contextlib import contextmanager
 import click
 
 from . import pipeline
-from .allocation import ALLOC_MODES, PovertyPolicy
+from .allocation import ALLOC_MODES
 from .errors import PipelineError
 from .mining import INCOME_MODES
 from .stats import DEFAULT_ALPHA
@@ -24,8 +23,8 @@ from .stats import DEFAULT_ALPHA
 def main():
     """Decision-analysis toolkit: weighting, ranking, equity, mining revenue, allocation,
     correlation and sensitivity over CSV inputs. EQUIMINE_LOG sets the log level."""
-    level = os.environ.get("EQUIMINE_LOG", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING),
+    level = logging.getLevelName(os.environ.get("EQUIMINE_LOG", "WARNING").upper())
+    logging.basicConfig(level=level if isinstance(level, int) else logging.WARNING,
                         format="%(levelname)s %(name)s: %(message)s")
 
 
@@ -55,11 +54,11 @@ GDP = _input("--gdp", help="GDP CSV (country, gdp).")
 TRAIN = _input("--train", help="Training config JSON (learning_rate, epochs, seed, layer_sizes).")
 INCOME_MODE = click.option("--income-mode", type=click.Choice(INCOME_MODES), default=None,
                            help="Override the run config's and the scenario's income mode.")
-BOTTOM_COUNT = click.option("--bottom-count", type=int, default=PovertyPolicy.bottom_count,
+BOTTOM_COUNT = click.option("--bottom-count", type=int, default=pipeline.RunConfig.bottom_count,
                             show_default=True, help="Size of the poverty group by ascending GDP.")
 ALLOC_MODE = click.option("--alloc-mode", type=click.Choice(ALLOC_MODES),
                           default=pipeline.RunConfig.alloc_mode)
-MULTIPLIER = click.option("--multiplier", type=float, default=PovertyPolicy.multiplier,
+MULTIPLIER = click.option("--multiplier", type=float, default=pipeline.RunConfig.multiplier,
                           show_default=True)
 ALPHA = click.option("--alpha", type=float, default=DEFAULT_ALPHA, show_default=True)
 SEED = click.option("--seed", type=int, default=None, help="Override the training seed.")

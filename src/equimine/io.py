@@ -196,6 +196,8 @@ def _lines(path, hasher=None):
         raise ParseError(f"cannot read {path}: {reason}") from None
     except UnicodeDecodeError as exc:
         raise ParseError(f"file is not valid UTF-8: {exc.reason}") from None
+    except ValueError as exc:  # from open: a path holding a NUL byte, say
+        raise ParseError(f"cannot read {path}: {exc}") from None
 
 
 def _rows(path, hasher=None):

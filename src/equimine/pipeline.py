@@ -25,7 +25,7 @@ import logging
 import os
 import time
 from contextlib import contextmanager, suppress
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from functools import cached_property
 from pathlib import Path
 
@@ -37,19 +37,6 @@ from .errors import EquimineError, PipelineError, ValidationError, as_integer, a
 log = logging.getLogger(__name__)
 
 VARIATION_BAND = 0.07  # advertised robustness band for the perturbation sweep
-
-REPORT_FILES = (
-    "consistency.json",
-    "weights.json",
-    "equity.json",
-    "topsis.json",
-    "mining.json",
-    "allocation.json",
-    "correlation.json",
-    "sensitivity.csv",
-    "perturbation.csv",
-    "sensitivity.json",
-)
 
 ALLOC_BASES = ("equity", "topsis")
 
@@ -73,10 +60,13 @@ class RunConfig:
     income_mode: str = None  # None: the scenario's mode decides
     alloc_mode: str = allocation.DEFAULT_ALLOC_MODE
     alloc_basis: str = "equity"
-    poverty: allocation.PovertyPolicy = field(default_factory=allocation.PovertyPolicy)
+    bottom_count: int = allocation.PovertyPolicy.bottom_count
+    multiplier: float = allocation.PovertyPolicy.multiplier
     seed: int = None
 
     def __post_init__(self):
+        self.poverty = allocation.PovertyPolicy(self.bottom_count, self.multiplier)
+        self.bottom_count = self.poverty.bottom_count  # normalised: 3.0 -> 3
         if self.income_mode not in (None, *mining.INCOME_MODES):
             raise ValidationError(f"unknown income mode {self.income_mode!r}")
         if self.alloc_mode not in allocation.ALLOC_MODES:
@@ -87,11 +77,8 @@ class RunConfig:
             sensnet.TrainConfig(seed=self.seed)  # the training seed's own rule
 
     def digest(self, sha256: dict) -> str:
-        """The digest of the flat settings (the poverty fields at the top level) and
-        `sha256`, each input's hash of its bytes, in place of the paths."""
-        settings = asdict(replace(self, paths=sha256))
-        settings |= settings.pop("poverty") | settings.pop("paths")
-        return io.config_digest(settings)
+        """The digest of the settings, with `sha256` (each input's bytes' hash) for the paths."""
+        return io.config_digest({k: v for k, v in asdict(self).items() if k != "paths"} | sha256)
 
 
 # Each run-config field: an input's path (`decision`'s optional), or a RunConfig setting.
@@ -103,7 +90,7 @@ RUN_FIELDS = {
     "poverty": ({}, lambda value: value),  # an object, read by POVERTY_FIELDS
     "seed": (RunConfig.seed, lambda value: None if value is None else as_integer(value)),
 }
-POVERTY_FIELDS = {key: (getattr(allocation.PovertyPolicy, key), convert)
+POVERTY_FIELDS = {key: (getattr(RunConfig, key), convert)
                   for key, convert in [("bottom_count", as_integer), ("multiplier", as_real)]}
 
 
@@ -115,7 +102,7 @@ def load_run_config(path) -> RunConfig:
     fields = io.read_fields(io.read_json_object(path, "run config"), "run config", RUN_FIELDS)
     paths = {k: None if (p := fields.pop(k)) is None else path.parent / p for k in INPUT_FILES}
     poverty = io.read_fields(fields.pop("poverty"), "run config poverty", POVERTY_FIELDS)
-    return RunConfig(paths, poverty=allocation.PovertyPolicy(**poverty), **fields)
+    return RunConfig(paths, **poverty, **fields)
 
 
 def load_inputs(paths: dict) -> tuple:
@@ -149,13 +136,16 @@ def _stage(name):
 
 
 def write_reports(out_dir, digest: str, reports: dict) -> dict:
-    """Write every report into out_dir, or none: each goes to a temporary name,
-    and all are renamed into place once every one is written. JSON reports lead
-    with the config digest. Returns {file name: Path}; an OSError, or a directory
-    holding a report's name, raises PipelineError("write", ...) naming out_dir, and a
-    NaN, or an infinity outside INFINITE_KEYS, one naming the file and the key."""
+    """Write every report into out_dir, or none: all go to temporary names, then each is
+    renamed into place, the report it replaces moved to a backup name first and moved
+    back if a rename fails. JSON reports lead with the config digest. Returns {file name:
+    Path}; an OSError, a path the filesystem refuses or a directory holding a report's name
+    raises PipelineError("write", ...) naming out_dir, and a NaN, or an infinity outside
+    INFINITE_KEYS, one naming the file and the key."""
     out = Path(out_dir)
     staged = {}  # final path -> temporary path, until renamed
+    kept = {}  # final path -> backup name claimed for the report it replaces
+    renamed = []  # final paths whose old report, if any, has been moved to its backup
     try:
         out.mkdir(parents=True, exist_ok=True)
         for name, content in reports.items():
@@ -170,14 +160,26 @@ def write_reports(out_dir, digest: str, reports: dict) -> dict:
         if blocked := [path.name for path in staged if path.is_dir()]:
             raise PipelineError("write", f"cannot write reports into {out}: directory {blocked}")
         for path in list(staged):
+            if path.exists():  # move the report it replaces to a backup name, claimed first
+                backup = out / f".{path.name}.{os.getpid()}.old"
+                open(backup, "x").close()
+                kept[path] = backup
+                os.replace(path, backup)
+            renamed.append(path)
             os.replace(staged[path], path)
             del staged[path]
-    except OSError as exc:
-        raise PipelineError("write", f"cannot write reports into {out}: {exc}") from exc
     except ValidationError as exc:  # a non-finite value in report `name`
         raise PipelineError("write", f"{name}: {exc}") from exc
-    finally:  # after a failure, remove the temporaries not yet renamed
-        for tmp in staged.values():
+    except (OSError, ValueError) as exc:  # ValueError: a path holding a NUL byte, say
+        raise PipelineError("write", f"cannot write reports into {out}: {exc}") from exc
+    finally:  # a report still staged means a failure
+        for path in renamed if staged else ():  # put the old reports back
+            with suppress(OSError):
+                if path in kept:
+                    os.replace(kept.pop(path), path)
+                else:
+                    path.unlink()
+        for tmp in (*staged.values(), *kept.values()):  # remove the other files made here
             with suppress(OSError):
                 tmp.unlink()
     return {name: out / name for name in reports}
@@ -295,8 +297,7 @@ def equity_stage(run):
 
 
 def topsis_stage(run):
-    """Alternatives ranked by closeness to the ideal solution; topsis.csv, which only the
-    subcommand writes, holds each alternative's TOPSIS_COLUMNS at full precision."""
+    """The ranking by closeness to the ideal; topsis.csv holds TOPSIS_COLUMNS at full precision."""
     decision, ranked = run.ranking
     ranks = (np.argsort(ranked.ranking) + 1).tolist()  # each alternative's place in the ranking
     rows = list(zip(decision.alternative_labels, ranked.d_plus.tolist(), ranked.d_minus.tolist(),
@@ -381,7 +382,7 @@ STAGES = {"consistency": consistency_stage, "weights": weights_stage, "equity": 
 
 
 def run_pipeline(config, out_dir, **overrides) -> dict:
-    """Run every stage, then write the REPORT_FILES into out_dir at once. Stage `config`,
+    """Run every stage, then write every report they return into out_dir at once. Stage `config`,
     before any stage computes, reads `config` if it is a run-config JSON path, not a
     RunConfig; lets each override that is not None (income_mode, alloc_mode, alloc_basis,
     seed) replace its field; reads every input; and checks the poverty policy against the
@@ -407,24 +408,21 @@ def run_pipeline(config, out_dir, **overrides) -> dict:
                     f"(CR = {run.consistency.cr:.4f} >= 0.1)",
                     {"cr": run.consistency.cr},
                 )
-    return write_reports(out_dir, config.digest(sha256),
-                         {name: reports[name] for name in REPORT_FILES})
+    return write_reports(out_dir, config.digest(sha256), reports)
 
 
 def run_stage(stage: str, flags: dict, out_dir) -> dict:
     """Run one stage of STAGES for its subcommand and write its reports into out_dir.
     `flags` holds input paths (None for an input not given) by INPUT_FILES name, and
-    settings (RunConfig's, or bottom_count, multiplier and alpha), which the digest
-    hashes with the inputs' bytes. The stage reads the inputs and checks the settings."""
+    settings (RunConfig's, or alpha), which the digest hashes with the inputs' bytes as
+    given. The stage reads the inputs and checks the settings."""
     settings = dict(flags)
     paths = {name: settings.pop(name) for name in INPUT_FILES if name in settings}
     with _stage(stage):
         inputs, sha256 = load_inputs(paths)
         digest = io.config_digest(settings | sha256)
         alpha = settings.pop("alpha", stats.DEFAULT_ALPHA)
-        poverty = allocation.PovertyPolicy(
-            **{key: settings.pop(key) for key in ("bottom_count", "multiplier") if key in settings})
-        reports = STAGES[stage](Run(inputs, RunConfig(paths, poverty=poverty, **settings), alpha))
+        reports = STAGES[stage](Run(inputs, RunConfig(paths, **settings), alpha))
     return write_reports(out_dir, digest, reports)
 
 

@@ -15,6 +15,11 @@ REFERENCE_WEIGHTS = {
     "eigenvalue": (0.1810, 0.3810, 0.0921, 0.0438, 0.1027, 0.0808, 0.1187),
 }
 
+# Every report a full run writes, in stage order.
+REPORT_FILES = ("consistency.json", "weights.json", "equity.json", "topsis.json", "topsis.csv",
+                "mining.json", "allocation.json", "correlation.json", "sensitivity.csv",
+                "perturbation.csv", "sensitivity.json")
+
 
 @pytest.fixture
 def rng():

@@ -15,7 +15,7 @@ from equimine import equity, mcda, mining, pipeline, sensnet, stats, topsis
 from equimine.data import sample_path
 from equimine.mining import MiningCurveParams, RevenueWindow
 
-from conftest import REFERENCE_WEIGHTS, make_consistent_matrix
+from conftest import REFERENCE_WEIGHTS, REPORT_FILES, make_consistent_matrix
 from test_stats import INCONSISTENT_ROWS, load_t_table, pearson_oracle
 from test_topsis import kind_tuple, oracle_topsis, random_matrix
 
@@ -250,7 +250,7 @@ def test_c11_non_reproducible_numbers_excluded():
 def test_c12_end_to_end_determinism(sample_run):
     run_a, run_b = sample_run
     assert set(run_a) == set(run_b)
-    required = set(pipeline.REPORT_FILES)
+    required = set(REPORT_FILES)
     assert required <= set(run_a)
     for name in sorted(run_a):
         assert run_a[name].read_bytes() == run_b[name].read_bytes(), name
@@ -258,5 +258,5 @@ def test_c12_end_to_end_determinism(sample_run):
 
 
 def test_run_pipeline_writes_exactly_the_report_files(sample_run):
-    # REPORT_FILES names every report of a run, in stage order
-    assert tuple(sample_run[0]) == pipeline.REPORT_FILES
+    # a run writes every report its stages return, topsis.csv included, in stage order
+    assert tuple(sample_run[0]) == REPORT_FILES

@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 import logging
@@ -7,6 +8,7 @@ import re
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import click
@@ -18,6 +20,8 @@ from equimine import io, pipeline
 from equimine.cli import main
 from equimine.data import sample_dir, sample_path
 from equimine.errors import PipelineError
+
+from conftest import REPORT_FILES
 
 
 @pytest.fixture
@@ -312,6 +316,18 @@ def test_info_log_has_one_end_line_per_stage(tmp_path, sample_report):
         assert (tmp_path / report.name).read_bytes() == report.read_bytes(), report.name
 
 
+def test_log_setting_that_is_no_level_means_warning(tmp_path):
+    # logging.BASIC_FORMAT is a logging attribute but a format string, not a level
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, "EQUIMINE_LOG": "basic_format"}
+    result = subprocess.run([sys.executable, "-m", "equimine.cli", "weights", "--pairwise",
+                             PAIRWISE, "--out", str(tmp_path)], env=env, capture_output=True,
+                            text=True)
+    assert (result.returncode, result.stderr) == (0, "")
+    assert [p.name for p in tmp_path.iterdir()] == ["weights.json"]
+
+
 def test_stage_failure_is_logged_at_error_naming_the_stage(runner, tmp_path, caplog):
     (tmp_path / "train.json").write_text('{"epochs": true}')
     with caplog.at_level(logging.INFO, logger="equimine.pipeline"):
@@ -534,8 +550,10 @@ def test_missing_input_file_prints_error_json(runner, tmp_path, command, flag):
     ({"poverty": {"bottom_count": 99, "multiplier": 1.2}}, [], "bottom_count"),
     ({"sed": 3}, [], "unknown field 'sed'; did you mean 'seed'?"),
     ({"poverty": {"bottom": 3}}, [], "unknown field 'bottom'; did you mean 'bottom_count'?"),
+    ({"gdp": "gd\u0000p.csv"}, [], "p.csv: embedded null byte"),
 ], ids=["zero-bottom-count", "multiplier-below-one", "negative-seed", "negative-seed-flag",
-        "bottom-count-past-the-gdp-table", "misspelled-seed", "misspelled-bottom-count"])
+        "bottom-count-past-the-gdp-table", "misspelled-seed", "misspelled-bottom-count",
+        "nul-byte-in-a-path"])
 def test_bad_run_setting_stops_report_in_config(runner, tmp_path, caplog, monkeypatch, fields,
                                                 flags, field):
     monkeypatch.setenv("EQUIMINE_LOG", "INFO")
@@ -714,7 +732,7 @@ def test_every_way_to_run_the_pipeline_writes_the_same_bytes(runner, tmp_path, r
     assert result.exit_code == 0, result.output
     written = {form: {p.name: p.read_bytes() for p in (tmp_path / form).iterdir()}
                for form in ("path", "object", "cli")}
-    assert sorted(written["path"]) == sorted(pipeline.REPORT_FILES)
+    assert sorted(written["path"]) == sorted(REPORT_FILES)
     assert written["object"] == written["path"] and written["cli"] == written["path"]
     assert json.loads(written["path"]["allocation.json"])["basis"] == "topsis"
     assert json.loads(written["path"]["sensitivity.json"])["seed"] == 3
@@ -754,6 +772,8 @@ def test_run_config_digest_hashes_the_settings_and_input_bytes(tmp_path):
              "alloc_basis": "equity", "bottom_count": 3, "multiplier": 1.5, "seed": 7}
     assert sha256 == {name: flat[name] for name in pipeline.INPUT_FILES}
     assert config.digest(sha256) == io.config_digest(flat)
+    # RunConfig keeps the policy's integer bottom_count, so 3.0 hashes as 3
+    assert replace(config, bottom_count=3.0).digest(sha256) == io.config_digest(flat)
 
 
 # The file of each input in `run_inputs`, and the inputs each subcommand reads.
@@ -914,7 +934,7 @@ def test_failed_report_leaves_out_as_it_was(runner, tmp_path):
     (tmp_path / "config.json").write_text(sample_config(train=str(tmp_path / "train.json")))
     out = tmp_path / "out"
     out.mkdir()
-    for name in (*pipeline.REPORT_FILES, "notes.txt"):
+    for name in (*REPORT_FILES, "notes.txt"):
         (out / name).write_text(f"stale {name}\n")
     before = _snapshot(out)
     result = runner.invoke(main, ["report", "--config", str(tmp_path / "config.json"),
@@ -929,7 +949,7 @@ def test_report_name_held_by_a_directory_leaves_out_as_it_was(runner, tmp_path):
     # before the first rename, so no stale report is replaced
     out = tmp_path / "out"
     (out / "weights.json").mkdir(parents=True)
-    for name in pipeline.REPORT_FILES[:1] + pipeline.REPORT_FILES[2:]:
+    for name in REPORT_FILES[:1] + REPORT_FILES[2:]:
         (out / name).write_text(f"stale {name}\n")
     before = _snapshot(out)
     result = runner.invoke(main, ["report", "--config", str(sample_path("config.json")),
@@ -982,6 +1002,43 @@ def test_documented_infinities_are_written_as_null(tmp_path):
     assert row == {"r": -1.0, "t_stat": None}
 
 
+def test_path_holding_a_nul_byte_is_a_write_error(tmp_path):
+    with pytest.raises(PipelineError) as raised:
+        pipeline.write_reports(tmp_path / "o\x00ut", "digest", REPORTS)
+    assert raised.value.stage == "write" and "embedded null byte" in raised.value.message
+    assert _snapshot(tmp_path) == {}
+
+
+def test_failed_rename_leaves_out_as_it_was(tmp_path, run_inputs, monkeypatch):
+    # os.replace fails with ENOSPC on its k-th call, for every call a run into an --out
+    # holding every other report makes: each old report is moved back from its backup,
+    # and each new one that replaced none is removed
+    out, config = tmp_path / "out", run_inputs / "config.json"
+    out.mkdir()
+    for name in (*REPORT_FILES[::2], "notes.txt"):
+        (out / name).write_text(f"stale {name}\n")
+    before = _snapshot(out)
+    replace, calls = os.replace, []
+
+    def failing(src, dst):
+        calls.append(dst)
+        if len(calls) == fail_on:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", failing)
+    fail_on = 0  # never: count the calls of a run into a copy of out
+    shutil.copytree(out, tmp_path / "copy")
+    pipeline.run_pipeline(config, tmp_path / "copy")
+    assert len(calls) == len(REPORT_FILES) + len(REPORT_FILES[::2])  # one more per old report
+    for fail_on in range(1, len(calls) + 1):
+        calls.clear()
+        with pytest.raises(PipelineError) as raised:
+            pipeline.run_pipeline(config, out)
+        assert raised.value.stage == "write" and "No space left" in raised.value.message
+        assert _snapshot(out) == before, fail_on
+
+
 def test_write_error_cleanup_removes_only_its_own_temporaries(tmp_path):
     # a file already holding the second report's temporary name stops the
     # write, and is not this call's to remove
@@ -989,4 +1046,16 @@ def test_write_error_cleanup_removes_only_its_own_temporaries(tmp_path):
     before = _snapshot(tmp_path)
     with pytest.raises(PipelineError):
         pipeline.write_reports(tmp_path, "digest", REPORTS)
+    assert _snapshot(tmp_path) == before
+
+
+def test_backup_name_held_by_another_file_stops_the_write_leaving_out_as_it_was(tmp_path):
+    # weights.json is renamed in before sensitivity.csv's backup name is claimed: the claim
+    # fails, the new weights.json is removed, and the file holding the name is not this call's
+    (tmp_path / "sensitivity.csv").write_text("stale\n")
+    (tmp_path / f".sensitivity.csv.{os.getpid()}.old").write_text("not ours\n")
+    before = _snapshot(tmp_path)
+    with pytest.raises(PipelineError) as raised:
+        pipeline.write_reports(tmp_path, "digest", REPORTS)
+    assert raised.value.stage == "write"
     assert _snapshot(tmp_path) == before

@@ -3,15 +3,20 @@
 Each example writes a small input set: a 3-12 country x 1-4 year indicator
 panel with at least the 10 records sensitivity training needs (rows shuffled),
 a near-consistent 7x7 comparison matrix (CR < 0.1), a GDP table, a decision
-matrix, a scenario, a train config of a few epochs and a run config naming
-them all. `report` and every subcommand, given flags that
+matrix with one row per country, a scenario, a train config of a few epochs and
+a run config naming them all. `report` and every subcommand, given flags that
 match the run config, write equal payloads, `config_digest` aside; a second
-`report` into a fresh directory is byte-identical.
+`report` into a fresh directory is byte-identical. On 12 of the sets, over
+every combination of income mode, allocation mode and allocation basis, a run
+writes its reports or raises PipelineError, and `allocate` and `simulate` match
+its equity-basis runs.
 Runs are derandomized, so every run tries the same inputs.
 """
 
+import itertools
 import json
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -19,8 +24,9 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equimine import equity, io, mcda
+from equimine import allocation, equity, io, mcda, mining, pipeline
 from equimine.cli import main
+from equimine.errors import PipelineError
 
 PARITY = settings(max_examples=25, derandomize=True, database=None, deadline=None)
 
@@ -31,7 +37,7 @@ def _csv(path, rows):
 
 def write_input_set(root: Path, seed: int, countries: int, years: int) -> dict:
     """Write a generated input set and its run config under root; returns the
-    subcommand flags that match the run config."""
+    subcommand flags that match the run config, the mode flags aside (_mode_flags)."""
     rng = np.random.default_rng(seed)
     names = [f"K{i}" for i in rng.permutation(countries)]
     first = int(rng.integers(1990, 2030))
@@ -53,8 +59,8 @@ def write_input_set(root: Path, seed: int, countries: int, years: int) -> dict:
         (names[i], repr(float(rng.uniform(100.0, 5e4)))) for i in rng.permutation(countries)])
     kinds = ["benefit", "cost", "mid=50"][:int(rng.integers(1, 4))]
     _csv(root / "decision.csv", [("alt", *(f"x{j}:{k}" for j, k in enumerate(kinds)))] + [
-        (f"A{a}", *map(repr, rng.uniform(1.0, 100.0, len(kinds)).tolist()))
-        for a in range(int(rng.integers(2, 7)))])
+        (names[i], *map(repr, rng.uniform(1.0, 100.0, len(kinds)).tolist()))
+        for i in rng.permutation(countries)])  # the panel's countries: a `topsis` basis
 
     t1 = float(rng.uniform(0.0, 10.0))
     (root / "scenario.json").write_text(json.dumps({
@@ -83,20 +89,25 @@ def write_input_set(root: Path, seed: int, countries: int, years: int) -> dict:
     indicators, pairwise = ["--indicators", str(root / "indicators.csv")], [
         "--pairwise", str(root / "pairwise.csv")]
     scenario = ["--scenario", str(root / "scenario.json")]
-    income = [] if income_mode is None else ["--income-mode", income_mode]
     return {
         "weights": pairwise,
         "consistency": pairwise,
         "topsis": ["--decision", str(root / "decision.csv")],
         "equity": indicators + pairwise,
-        "simulate": scenario + income,
-        "allocate": indicators + pairwise + scenario + income + [
-            "--gdp", str(root / "gdp.csv"), "--alloc-mode", alloc_mode,
+        "simulate": scenario,
+        "allocate": indicators + pairwise + scenario + [
+            "--gdp", str(root / "gdp.csv"),
             "--bottom-count", str(bottom_count), "--multiplier", repr(multiplier)],
         "correlate": indicators + pairwise,
         "sensitivity": indicators + pairwise + ["--train", str(root / "train.json")] + (
             [] if run_seed is None else ["--seed", str(run_seed)]),
     }
+
+
+def _mode_flags(command, income_mode, alloc_mode) -> list:
+    """The mode flags of `command` that match these modes (income_mode None: the scenario's)."""
+    income = [] if income_mode is None else ["--income-mode", income_mode]
+    return {"simulate": income, "allocate": income + ["--alloc-mode", alloc_mode]}.get(command, [])
 
 
 def _payload(path: Path):
@@ -129,12 +140,46 @@ def test_report_and_subcommands_write_equal_payloads(seed, shape):
             _invoke(["report", "--config", str(root / "config.json"), "--out", str(root / out)])
         report = {p.name: p.read_bytes() for p in (root / "report").iterdir()}
         assert report == {p.name: p.read_bytes() for p in (root / "again").iterdir()}
+        config = json.loads((root / "config.json").read_text())
         covered = set()
         for command, flags in subcommands.items():
             out = root / command
-            _invoke([command, *flags, "--out", str(out)])
+            _invoke([command, *flags, *_mode_flags(command, config["income_mode"],
+                                                   config["alloc_mode"]), "--out", str(out)])
             for path in out.iterdir():
-                if path.name != "topsis.csv":  # topsis alone writes its CSV
-                    assert _payload(path) == _payload(root / "report" / path.name), path.name
-                    covered.add(path.name)
+                assert _payload(path) == _payload(root / "report" / path.name), path.name
+                covered.add(path.name)
         assert covered == set(report)
+
+
+# Income mode (None: the scenario's) x allocation mode x allocation basis: 12 full runs
+# per set, so the grid takes fewer sets than PARITY to keep the suite's time in bounds.
+GRID = list(itertools.product([None, *mining.INCOME_MODES], allocation.ALLOC_MODES,
+                              pipeline.ALLOC_BASES))
+GRID_SETS = settings(PARITY, max_examples=12)
+
+
+@GRID_SETS
+@given(seed=st.integers(0, 2 ** 32 - 1), shape=SHAPES)
+def test_every_mode_combination_runs_or_fails_in_a_stage(seed, shape):
+    # each combination over the run config; allocate and simulate given the same modes
+    # write each equity-basis run's payloads
+    countries, years = shape
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        subcommands = write_input_set(root, seed, countries, years)
+        config = pipeline.load_run_config(root / "config.json")
+        for i, (income_mode, alloc_mode, basis) in enumerate(GRID):
+            run = root / f"run{i}"
+            try:
+                pipeline.run_pipeline(replace(config, income_mode=income_mode,
+                                              alloc_mode=alloc_mode, alloc_basis=basis), run)
+            except PipelineError:  # any other exception fails the test
+                continue
+            if basis == "topsis":  # allocate has no --alloc-basis flag
+                continue
+            for command, name in [("allocate", "allocation.json"), ("simulate", "mining.json")]:
+                out = run / command
+                _invoke([command, *subcommands[command],
+                         *_mode_flags(command, income_mode, alloc_mode), "--out", str(out)])
+                assert _payload(out / name) == _payload(run / name), (command, i)
