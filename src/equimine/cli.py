@@ -57,10 +57,13 @@ INCOME_MODE = click.option("--income-mode", type=click.Choice(INCOME_MODES), def
 BOTTOM_COUNT = click.option("--bottom-count", type=int, default=pipeline.RunConfig.bottom_count,
                             show_default=True, help="Size of the poverty group by ascending GDP.")
 ALLOC_MODE = click.option("--alloc-mode", type=click.Choice(ALLOC_MODES),
-                          default=pipeline.RunConfig.alloc_mode)
+                          default=pipeline.RunConfig.alloc_mode,
+                          help="conserve: shares rescaled to sum to the profit; paper-literal: "
+                          "the literal multiplier shares.")
 MULTIPLIER = click.option("--multiplier", type=float, default=pipeline.RunConfig.multiplier,
-                          show_default=True)
-ALPHA = click.option("--alpha", type=float, default=DEFAULT_ALPHA, show_default=True)
+                          show_default=True, help="Share multiplier of the poverty group.")
+ALPHA = click.option("--alpha", type=float, default=DEFAULT_ALPHA, show_default=True,
+                     help="Significance level of the two-sided t test.")
 SEED = click.option("--seed", type=int, default=None, help="Override the training seed.")
 
 
@@ -105,8 +108,10 @@ for name in SUBCOMMANDS:
 @_input("--config", help="Run config JSON naming every input file.")
 @OUT
 @INCOME_MODE
-@click.option("--alloc-mode", type=click.Choice(ALLOC_MODES), default=None)
-@click.option("--alloc-basis", type=click.Choice(pipeline.ALLOC_BASES), default=None)
+@click.option("--alloc-mode", type=click.Choice(ALLOC_MODES), default=None,
+              help="Override the run config's allocation mode.")
+@click.option("--alloc-basis", type=click.Choice(pipeline.ALLOC_BASES), default=None,
+              help="Override the run config's allocation basis: equity or TOPSIS scores.")
 @SEED
 def report(config, out, **overrides):
     """Run the full pipeline and write every report artifact."""

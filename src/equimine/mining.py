@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ConvergenceError, ValidationError
 
-# The lower end of the documented dof range (README, CLI); t_sf itself needs no bound.
+# The lower end of the dof range in README's Scenario JSON line; t_sf itself needs no bound.
 MIN_DOF = 0.05
 
 INCOME_MODES = ("cumulative", "paper-literal")

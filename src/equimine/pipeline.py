@@ -1,23 +1,12 @@
 """Batch pipeline: one run object, and one function per stage over it.
 
-`Run` holds a run's parsed inputs, `RunConfig` and correlation alpha, and owns each
-policy below. Each stage function takes a `Run` and returns its reports by file name
-(a JSON report is a dict of raw values, which `io.write_json_report` rounds; a CSV
-report a (header, rows) pair). `run_pipeline` runs stage `config`, then `STAGES` in order;
-a subcommand runs one of them through `run_stage`, so both write the same payloads.
+`Run` holds a run's parsed inputs, `RunConfig` and correlation alpha. Each stage function
+takes a `Run` and returns its reports by file name (a JSON report is a dict of raw values,
+which `io.write_json_report` rounds; a CSV report a (header, rows) pair). `run_pipeline`
+runs stage `config`, then `STAGES` in order; a subcommand runs one of them through
+`run_stage`, so both write the same payloads.
 
-* Inputs: `load_inputs` reads each input file once and hashes its bytes, which a
-  config digest hashes with the settings, never a path; `report` reads in `config`.
-* Weights: the mean of a comparison matrix's AHP weights when a matrix is given,
-  the shipped defaults otherwise (`Run.weights`).
-* Record order: countries in file order x sorted years (`Run.scores`, `Run.records`).
-* Ranking: a given decision matrix under equal weights, else the countries' latest
-  year under the AHP weights (`Run.ranking`).
-* Income mode: the --income-mode flag, else the run config's `income_mode`, else
-  the scenario's `mode`, which defaults to cumulative (`Run.revenue`).
-* Poverty: multipliers of a GDP table holding the panel's countries (`Run.gammas`).
-* Stage boundaries: `_stage` names the stage of any toolkit error raised
-  inside it and logs the stage to the `equimine.pipeline` logger.
+Each policy the entry points share is one property of `Run`, whose docstring states it.
 """
 
 import hashlib

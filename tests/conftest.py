@@ -1,7 +1,12 @@
+import re
+
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import settings
 from hypothesis import strategies as st
+
+from equimine.cli import main
 
 # Settings of the hypothesis oracles that check results against scipy.
 ORACLE = settings(max_examples=60, derandomize=True, database=None, deadline=None)
@@ -40,3 +45,25 @@ def consistent_3x3():
 def log_uniform(lo, hi):
     """dof (or df) from 10**lo to 10**hi, log-uniformly."""
     return st.floats(lo, hi).map(lambda e: 10.0 ** e)
+
+
+def run_cli(args) -> tuple:
+    """Run `equimine args` in this process: (exit code, printed output). An exception the
+    CLI raised, other than SystemExit, is raised again, so a traceback fails the test."""
+    result = CliRunner().invoke(main, args)
+    if result.exception is not None and not isinstance(result.exception, SystemExit):
+        raise result.exception
+    return result.exit_code, result.output
+
+
+def cli_flags(command) -> dict:
+    """{flag: the rest of its entry} for each flag `equimine COMMAND --help` lists, --help
+    aside; the rest holds the metavar, the description and any default or required mark."""
+    code, output = run_cli([command, "--help"])
+    assert code == 0, output
+    options = re.split(r"^options:\n", output, flags=re.IGNORECASE | re.MULTILINE)[1]
+    entries = (" ".join(entry.split()) for entry in re.split(r"\n(?=  -)", options))
+    flags = dict(re.match(r"(?:-\w, )?(--[\w-]+) ?(.*)", entry).groups()
+                 for entry in entries if entry)
+    del flags["--help"]
+    return flags

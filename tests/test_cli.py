@@ -11,47 +11,40 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import click
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
 from equimine import io, pipeline
-from equimine.cli import main
+from equimine.cli import SUBCOMMANDS
 from equimine.data import sample_dir, sample_path
 from equimine.errors import PipelineError
 
-from conftest import REPORT_FILES
+from conftest import REPORT_FILES, cli_flags, run_cli
 
 
-@pytest.fixture
-def runner():
-    return CliRunner()
-
-
-def test_weights_command(runner, tmp_path):
-    result = runner.invoke(main, ["weights", "--pairwise", str(sample_path("pairwise.csv")),
-                                  "--out", str(tmp_path)])
-    assert result.exit_code == 0, result.output
+def test_weights_command(tmp_path):
+    code, output = run_cli(["weights", "--pairwise", str(sample_path("pairwise.csv")),
+                            "--out", str(tmp_path)])
+    assert code == 0, output
     payload = json.loads((tmp_path / "weights.json").read_text())
     assert set(payload["methods"]) == {"arithmetic-mean", "geometric-mean", "eigenvalue"}
     for method, weights in payload["methods"].items():
         assert abs(sum(weights) - 1.0) < 1e-5
 
 
-def test_consistency_command(runner, tmp_path):
-    result = runner.invoke(main, ["consistency", "--pairwise", str(sample_path("pairwise.csv")),
-                                  "--out", str(tmp_path)])
-    assert result.exit_code == 0, result.output
+def test_consistency_command(tmp_path):
+    code, output = run_cli(["consistency", "--pairwise", str(sample_path("pairwise.csv")),
+                            "--out", str(tmp_path)])
+    assert code == 0, output
     payload = json.loads((tmp_path / "consistency.json").read_text())
     assert payload["passes"] is True
     assert payload["cr"] < 0.1
 
 
-def test_topsis_command_on_asteroids(runner, tmp_path):
-    result = runner.invoke(main, ["topsis", "--decision", str(sample_path("asteroids.csv")),
-                                  "--out", str(tmp_path)])
-    assert result.exit_code == 0, result.output
+def test_topsis_command_on_asteroids(tmp_path):
+    code, output = run_cli(["topsis", "--decision", str(sample_path("asteroids.csv")),
+                            "--out", str(tmp_path)])
+    assert code == 0, output
     payload = json.loads((tmp_path / "topsis.json").read_text())
     assert payload["ranking"][0] == "Anteros"  # dominant value and profit
     csv_lines = (tmp_path / "topsis.csv").read_text().splitlines()
@@ -59,29 +52,29 @@ def test_topsis_command_on_asteroids(runner, tmp_path):
     assert len(csv_lines) == 5
 
 
-def test_equity_command(runner, tmp_path):
-    result = runner.invoke(main, ["equity", "--indicators", str(sample_path("indicators.csv")),
-                                  "--out", str(tmp_path)])
-    assert result.exit_code == 0, result.output
+def test_equity_command(tmp_path):
+    code, output = run_cli(["equity", "--indicators", str(sample_path("indicators.csv")),
+                            "--out", str(tmp_path)])
+    assert code == 0, output
     payload = json.loads((tmp_path / "equity.json").read_text())
     assert payload["global_equity_index"] >= 0
     assert len(payload["scores"]) == 8
 
 
-def test_simulate_command(runner, tmp_path):
-    result = runner.invoke(main, ["simulate", "--scenario", str(sample_path("scenario.json")),
-                                  "--out", str(tmp_path)])
-    assert result.exit_code == 0, result.output
+def test_simulate_command(tmp_path):
+    code, output = run_cli(["simulate", "--scenario", str(sample_path("scenario.json")),
+                            "--out", str(tmp_path)])
+    assert code == 0, output
     payload = json.loads((tmp_path / "mining.json").read_text())
     assert payload["income"]["cumulative"] > 0
     assert payload["profit"]["cumulative"] == pytest.approx(
         payload["income"]["cumulative"] - 5e12, rel=1e-6)
 
 
-def test_simulate_asteroid_scenario_full_horizon(runner, tmp_path):
-    result = runner.invoke(main, ["simulate", "--scenario", str(sample_path("anteros.json")),
-                                  "--out", str(tmp_path)])
-    assert result.exit_code == 0, result.output
+def test_simulate_asteroid_scenario_full_horizon(tmp_path):
+    code, output = run_cli(["simulate", "--scenario", str(sample_path("anteros.json")),
+                            "--out", str(tmp_path)])
+    assert code == 0, output
     payload = json.loads((tmp_path / "mining.json").read_text())
     # full horizon recovers the whole valuation; profit nets out the cost
     assert payload["income"]["cumulative"] == pytest.approx(5.57e12, rel=1e-6)
@@ -94,23 +87,23 @@ def test_simulate_asteroid_scenario_full_horizon(runner, tmp_path):
     {"location": 100, "scale": 0.1},
     {"dof": 5, "location": 1000, "scale": 0.01, "t1": 0, "t2": 2000},
 ], ids=["peak-at-60", "peak-at-100", "peak-at-1000"])
-def test_simulate_narrow_peak_far_from_zero(runner, tmp_path, scenario):
+def test_simulate_narrow_peak_far_from_zero(tmp_path, scenario):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(scenario))
-    result = runner.invoke(main, ["simulate", "--scenario", str(path), "--out", str(tmp_path)])
-    assert result.exit_code == 0, result.output
+    code, output = run_cli(["simulate", "--scenario", str(path), "--out", str(tmp_path)])
+    assert code == 0, output
     payload = json.loads((tmp_path / "mining.json").read_text())
     assert payload["positive_mass"] == 1.0
     assert payload["income"]["cumulative"] == 7e13
 
 
 @pytest.mark.parametrize("dof", [1e20, 1e300])
-def test_simulate_large_dof_reaches_the_normal_limit(runner, tmp_path, dof):
+def test_simulate_large_dof_reaches_the_normal_limit(tmp_path, dof):
     # peak 3 scales right of t = 0, so the positive mass tends to Phi(3)
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps({"dof": dof, "location": 15, "scale": 5}))
-    result = runner.invoke(main, ["simulate", "--scenario", str(path), "--out", str(tmp_path)])
-    assert result.exit_code == 0, result.output
+    code, output = run_cli(["simulate", "--scenario", str(path), "--out", str(tmp_path)])
+    assert code == 0, output
     payload = json.loads((tmp_path / "mining.json").read_text())
     assert payload["positive_mass"] == pytest.approx(0.5 * math.erfc(-3 / math.sqrt(2)), rel=1e-6)
     assert payload["income"]["cumulative"] == 7e13
@@ -127,13 +120,13 @@ def test_cli_import_loads_no_scipy():
     assert result.stdout.strip() == "[]"
 
 
-def test_allocate_command(runner, tmp_path):
-    result = runner.invoke(main, [
+def test_allocate_command(tmp_path):
+    code, output = run_cli([
         "allocate", "--indicators", str(sample_path("indicators.csv")),
         "--gdp", str(sample_path("gdp.csv")), "--scenario", str(sample_path("scenario.json")),
         "--bottom-count", "2", "--out", str(tmp_path),
     ])
-    assert result.exit_code == 0, result.output
+    assert code == 0, output
     payload = json.loads((tmp_path / "allocation.json").read_text())
     by_country = {s["country"]: s for s in payload["shares"]}
     assert by_country["Elbonia"]["gamma"] == 1.2  # lowest GDP
@@ -143,10 +136,10 @@ def test_allocate_command(runner, tmp_path):
     assert total == pytest.approx(payload["total_profit"], rel=1e-5)
 
 
-def test_correlate_command(runner, tmp_path):
-    result = runner.invoke(main, ["correlate", "--indicators", str(sample_path("indicators.csv")),
-                                  "--out", str(tmp_path)])
-    assert result.exit_code == 0, result.output
+def test_correlate_command(tmp_path):
+    code, output = run_cli(["correlate", "--indicators", str(sample_path("indicators.csv")),
+                            "--out", str(tmp_path)])
+    assert code == 0, output
     payload = json.loads((tmp_path / "correlation.json").read_text())
     assert payload["n"] == 40
     assert len(payload["indicators"]) == 7
@@ -155,14 +148,14 @@ def test_correlate_command(runner, tmp_path):
         assert entry["strength"] in ("strong", "moderate", "weak", "negligible")
 
 
-def test_sensitivity_command(runner, tmp_path):
+def test_sensitivity_command(tmp_path):
     fast_train = tmp_path / "train.json"
     fast_train.write_text('{"learning_rate": 0.5, "epochs": 300, "seed": 0, '
                           '"layer_sizes": [7, 8, 1]}')
-    result = runner.invoke(main, ["sensitivity",
-                                  "--indicators", str(sample_path("indicators.csv")),
-                                  "--train", str(fast_train), "--out", str(tmp_path)])
-    assert result.exit_code == 0, result.output
+    code, output = run_cli(["sensitivity",
+                            "--indicators", str(sample_path("indicators.csv")),
+                            "--train", str(fast_train), "--out", str(tmp_path)])
+    assert code == 0, output
     payload = json.loads((tmp_path / "sensitivity.json").read_text())
     assert len(payload["sensitivities"]) == 7
     assert payload["variation_band"] == 0.07
@@ -172,11 +165,11 @@ def test_sensitivity_command(runner, tmp_path):
     assert len(lines) == 8
 
 
-def test_report_full_pipeline(runner, tmp_path):
+def test_report_full_pipeline(tmp_path):
     out = tmp_path / "out"
-    result = runner.invoke(main, ["report", "--config", str(sample_path("config.json")),
-                                  "--out", str(out)])
-    assert result.exit_code == 0, result.output
+    code, output = run_cli(["report", "--config", str(sample_path("config.json")),
+                            "--out", str(out)])
+    assert code == 0, output
     expected = {"weights.json", "consistency.json", "equity.json", "topsis.json",
                 "mining.json", "allocation.json", "correlation.json", "sensitivity.csv"}
     assert expected <= {p.name for p in out.iterdir()}
@@ -190,13 +183,13 @@ def test_report_full_pipeline(runner, tmp_path):
     assert len(digests) == 1
 
 
-def test_report_seed_override_changes_sensitivity_only(runner, tmp_path):
+def test_report_seed_override_changes_sensitivity_only(tmp_path):
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"
     for out, seed in ((out_a, "1"), (out_b, "2")):
-        result = runner.invoke(main, ["report", "--config", str(sample_path("config.json")),
-                                      "--out", str(out), "--seed", seed])
-        assert result.exit_code == 0, result.output
+        code, output = run_cli(["report", "--config", str(sample_path("config.json")),
+                                "--out", str(out), "--seed", seed])
+        assert code == 0, output
     assert (out_a / "sensitivity.csv").read_text() != (out_b / "sensitivity.csv").read_text()
     # seed participates in the digest, so reports differ only by that field
     a = json.loads((out_a / "equity.json").read_text())
@@ -204,7 +197,7 @@ def test_report_seed_override_changes_sensitivity_only(runner, tmp_path):
     assert a["scores"] == b["scores"]
 
 
-def test_report_fails_on_inconsistent_matrix(runner, tmp_path):
+def test_report_fails_on_inconsistent_matrix(tmp_path):
     sample = sample_dir()
     for name in ("indicators.csv", "gdp.csv", "scenario.json", "train.json"):
         shutil.copy(sample / name, tmp_path / name)
@@ -221,36 +214,36 @@ def test_report_fails_on_inconsistent_matrix(runner, tmp_path):
     }))
     out = tmp_path / "out"
     out.mkdir()
-    result = runner.invoke(main, ["report", "--config", str(tmp_path / "config.json"),
-                                  "--out", str(out)])
-    assert result.exit_code == 1
-    payload = json.loads(result.output)
+    code, output = run_cli(["report", "--config", str(tmp_path / "config.json"),
+                            "--out", str(out)])
+    assert code == 1
+    payload = json.loads(output)
     assert payload["error"]["stage"] == "consistency"
     assert payload["error"]["cr"] >= 0.1
     # a CR failure writes no report, consistency.json included
     assert list(out.iterdir()) == []
 
 
-def test_report_rerun_is_byte_identical(runner, tmp_path):
+def test_report_rerun_is_byte_identical(tmp_path):
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"
     for out in (out_a, out_b):
-        result = runner.invoke(main, ["report", "--config", str(sample_path("config.json")),
-                                      "--out", str(out)])
-        assert result.exit_code == 0, result.output
+        code, output = run_cli(["report", "--config", str(sample_path("config.json")),
+                                "--out", str(out)])
+        assert code == 0, output
     for path_a in out_a.iterdir():
         assert path_a.read_bytes() == (out_b / path_a.name).read_bytes(), path_a.name
 
 
-def test_missing_input_fails_cleanly(runner, tmp_path):
+def test_missing_input_fails_cleanly(tmp_path):
     (tmp_path / "config.json").write_text(json.dumps({
         "indicators": "nope.csv", "pairwise": "nope.csv", "gdp": "nope.csv",
         "scenario": "nope.json", "train": "nope.json",
     }))
-    result = runner.invoke(main, ["report", "--config", str(tmp_path / "config.json"),
-                                  "--out", str(tmp_path / "out")])
-    assert result.exit_code == 1
-    payload = json.loads(result.output)
+    code, output = run_cli(["report", "--config", str(tmp_path / "config.json"),
+                            "--out", str(tmp_path / "out")])
+    assert code == 1
+    payload = json.loads(output)
     assert "not found" in payload["error"]["message"]
 
 
@@ -272,9 +265,9 @@ def sample_config(**fields) -> str:
 @pytest.fixture(scope="module")
 def sample_report(tmp_path_factory):
     out = tmp_path_factory.mktemp("report")
-    result = CliRunner().invoke(main, ["report", "--config", str(sample_path("config.json")),
-                                       "--out", str(out)])
-    assert result.exit_code == 0, result.output
+    code, output = run_cli(["report", "--config", str(sample_path("config.json")),
+                            "--out", str(out)])
+    assert code == 0, output
     return out
 
 
@@ -328,12 +321,12 @@ def test_log_setting_that_is_no_level_means_warning(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["weights.json"]
 
 
-def test_stage_failure_is_logged_at_error_naming_the_stage(runner, tmp_path, caplog):
+def test_stage_failure_is_logged_at_error_naming_the_stage(tmp_path, caplog):
     (tmp_path / "train.json").write_text('{"epochs": true}')
     with caplog.at_level(logging.INFO, logger="equimine.pipeline"):
-        result = runner.invoke(main, ["sensitivity", "--indicators", INDICATORS, "--train",
-                                      str(tmp_path / "train.json"), "--out", str(tmp_path)])
-    assert result.exit_code == 1
+        code, output = run_cli(["sensitivity", "--indicators", INDICATORS, "--train",
+                                str(tmp_path / "train.json"), "--out", str(tmp_path)])
+    assert code == 1
     logged = [(r.levelname, r.getMessage()) for r in caplog.records]
     assert logged[0] == ("INFO", "stage sensitivity started")
     assert logged[1][0] == "ERROR" and logged[1][1].startswith("stage sensitivity failed: ")
@@ -352,15 +345,15 @@ def test_stage_failure_is_logged_at_error_naming_the_stage(runner, tmp_path, cap
     (["sensitivity", "--indicators", INDICATORS, "--train", str(sample_path("train.json")),
       "--pairwise", PAIRWISE], ["perturbation.csv", "sensitivity.csv", "sensitivity.json"]),
 ], ids=["weights", "consistency", "equity", "simulate", "allocate", "correlate", "sensitivity"])
-def test_subcommand_writes_the_report_payload(runner, tmp_path, sample_report, args, files):
-    result = runner.invoke(main, args + ["--out", str(tmp_path)])
-    assert result.exit_code == 0, result.output
+def test_subcommand_writes_the_report_payload(tmp_path, sample_report, args, files):
+    code, output = run_cli(args + ["--out", str(tmp_path)])
+    assert code == 0, output
     assert sorted(p.name for p in tmp_path.iterdir()) == files
     for name in files:
         assert _same_report(tmp_path / name, sample_report / name), name
 
 
-def test_income_mode_precedence(runner, tmp_path):
+def test_income_mode_precedence(tmp_path):
     """The --income-mode flag, then the run config's income_mode, then the scenario's mode."""
     scenario = json.loads(sample_path("scenario.json").read_text())
     # up to the peak, so the paper-literal rate difference gives a positive profit
@@ -383,8 +376,8 @@ def test_income_mode_precedence(runner, tmp_path):
     }
     profits = {}
     for name, args in runs.items():
-        result = runner.invoke(main, args + ["--out", str(tmp_path / name)])
-        assert result.exit_code == 0, result.output
+        code, output = run_cli(args + ["--out", str(tmp_path / name)])
+        assert code == 0, output
         allocation_report = json.loads((tmp_path / name / "allocation.json").read_text())
         profits[name] = allocation_report["total_profit"]
     mining_report = json.loads((tmp_path / "scenario" / "mining.json").read_text())
@@ -398,15 +391,15 @@ def test_income_mode_precedence(runner, tmp_path):
 @pytest.mark.parametrize("alloc_basis", ["equity", "topsis"])
 @pytest.mark.parametrize("alloc_mode", ["conserve", "paper-literal"])
 @pytest.mark.parametrize("income_mode", ["cumulative", "paper-literal"])
-def test_every_mode_combination_reports_on_the_sample(runner, tmp_path, income_mode, alloc_mode,
+def test_every_mode_combination_reports_on_the_sample(tmp_path, income_mode, alloc_mode,
                                                       alloc_basis):
     # the sample window [0, 30] is symmetric about the curve's peak, so the
     # paper-literal income is 0 and its profit is minus the cost: a loss
     # allocates nothing, while mining.json keeps the negative profit
-    result = runner.invoke(main, ["report", "--config", str(sample_path("config.json")),
-                                  "--out", str(tmp_path), "--income-mode", income_mode,
-                                  "--alloc-mode", alloc_mode, "--alloc-basis", alloc_basis])
-    assert result.exit_code == 0, result.output
+    code, output = run_cli(["report", "--config", str(sample_path("config.json")),
+                            "--out", str(tmp_path), "--income-mode", income_mode,
+                            "--alloc-mode", alloc_mode, "--alloc-basis", alloc_basis])
+    assert code == 0, output
     profit = json.loads((tmp_path / "mining.json").read_text())["profit"][income_mode]
     assert (profit < 0) == (income_mode == "paper-literal")
     allocation_report = json.loads((tmp_path / "allocation.json").read_text())
@@ -415,13 +408,13 @@ def test_every_mode_combination_reports_on_the_sample(runner, tmp_path, income_m
     assert all(v == 0 for v in shares) == (profit < 0)
 
 
-def test_topsis_subcommand_matches_report_with_decision(runner, tmp_path):
+def test_topsis_subcommand_matches_report_with_decision(tmp_path):
     decision = str(sample_path("asteroids.csv"))
     (tmp_path / "config.json").write_text(sample_config(decision=decision))
     for args in (["report", "--config", str(tmp_path / "config.json")],
                  ["topsis", "--decision", decision]):
-        result = runner.invoke(main, args + ["--out", str(tmp_path / args[0])])
-        assert result.exit_code == 0, result.output
+        code, output = run_cli(args + ["--out", str(tmp_path / args[0])])
+        assert code == 0, output
     assert _same_report(tmp_path / "topsis" / "topsis.json", tmp_path / "report" / "topsis.json")
     assert sorted(p.name for p in (tmp_path / "topsis").iterdir()) == ["topsis.csv", "topsis.json"]
 
@@ -453,13 +446,12 @@ def test_topsis_subcommand_matches_report_with_decision(runner, tmp_path):
         "huge-dof", "tiny-dof", "fractional-epochs", "boolean-epochs", "fractional-width",
         "boolean-dof", "boolean-cost", "string-dof", "string-total-value",
         "integer-past-the-float-range", "boolean-learning-rate", "boolean-multiplier"])
-def test_malformed_json_input_prints_error_json(runner, tmp_path, args, text, stage):
+def test_malformed_json_input_prints_error_json(tmp_path, args, text, stage):
     bad = tmp_path / "bad.json"
     bad.write_text(text)
-    result = runner.invoke(main, args + [str(bad), "--out", str(tmp_path / "out")])
-    assert result.exit_code == 1
-    assert not isinstance(result.exception, ValueError)
-    error = json.loads(result.output)["error"]
+    code, output = run_cli(args + [str(bad), "--out", str(tmp_path / "out")])
+    assert code == 1
+    error = json.loads(output)["error"]
     assert error["stage"] == stage
 
 
@@ -481,12 +473,12 @@ def test_malformed_json_input_prints_error_json(runner, tmp_path, args, text, st
         "overflowing-ratio", "overflowing-indicator", "overflowing-indicator-sensitivity",
         "overflowing-topsis-norm", "repeated-criterion", "repeated-alternative"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_malformed_csv_input_prints_error_json(runner, tmp_path, args, content, stage):
+def test_malformed_csv_input_prints_error_json(tmp_path, args, content, stage):
     bad = tmp_path / "bad.csv"
     bad.write_bytes(content)
-    result = runner.invoke(main, args + [str(bad), "--out", str(tmp_path / "out")])
-    assert result.exit_code == 1
-    error = json.loads(result.output)["error"]
+    code, output = run_cli(args + [str(bad), "--out", str(tmp_path / "out")])
+    assert code == 1
+    error = json.loads(output)["error"]
     assert error["stage"] == stage
 
 
@@ -495,11 +487,10 @@ def test_malformed_csv_input_prints_error_json(runner, tmp_path, args, content, 
     (["sensitivity", "--indicators", INDICATORS, "--train"], "sensitivity"),
     (["report", "--config"], "config"),
 ], ids=["equity-indicators", "sensitivity-train", "report-config"])
-def test_directory_as_input_file_prints_error_json(runner, tmp_path, args, stage):
-    result = runner.invoke(main, args + [str(tmp_path), "--out", str(tmp_path / "out")])
-    assert result.exit_code == 1
-    assert isinstance(result.exception, SystemExit)  # the error JSON, not a traceback
-    error = json.loads(result.output)["error"]
+def test_directory_as_input_file_prints_error_json(tmp_path, args, stage):
+    code, output = run_cli(args + [str(tmp_path), "--out", str(tmp_path / "out")])
+    assert code == 1
+    error = json.loads(output)["error"]
     assert error["stage"] == stage and str(tmp_path) in error["message"]
 
 
@@ -522,22 +513,34 @@ MISSING_INPUTS = [(command, flag) for command, (_, flags) in INPUT_FLAGS.items()
 
 
 def test_every_input_flag_has_a_missing_input_case():
-    paths = {(name, option) for name, command in main.commands.items() for param in command.params
-             if isinstance(param.type, click.Path) for option in param.opts if option != "--out"}
-    assert paths == set(MISSING_INPUTS)
+    # an input flag is --config, or --{name} for an input name of pipeline.INPUT_FILES
+    inputs = {"--config", *(f"--{name}" for name in pipeline.INPUT_FILES)}
+    flags = {(command, flag) for command in [*SUBCOMMANDS, "report"]
+             for flag in cli_flags(command) if flag in inputs}
+    assert flags == set(MISSING_INPUTS)
+
+
+# What a flag's --help entry holds besides its description: the metavar (PATH, FLOAT or a
+# choice list), the default and the required mark.
+HELP_MARKS = re.compile(r"^(?:[A-Z]+|\[[^]]*\|[^]]*\])(?= |$)|\[default: [^]]*\]|\[required\]")
+
+
+@pytest.mark.parametrize("command", [*SUBCOMMANDS, "report"])
+def test_every_flag_says_what_it_does(command):
+    assert [flag for flag, entry in cli_flags(command).items()
+            if not HELP_MARKS.sub("", entry).strip()] == []
 
 
 @pytest.mark.parametrize("command, flag", MISSING_INPUTS,
                          ids=[f"{command}{flag}" for command, flag in MISSING_INPUTS])
-def test_missing_input_file_prints_error_json(runner, tmp_path, command, flag):
-    # io reports the path it cannot read, in the stage reading it; not click's usage error
+def test_missing_input_file_prints_error_json(tmp_path, command, flag):
+    # io reports the path it cannot read, in the stage reading it; never a usage error
     stage, flags = INPUT_FLAGS[command]
     missing = str(tmp_path / "missing.file")
     args = [part for option, value in {**flags, flag: missing}.items() for part in (option, value)]
-    result = runner.invoke(main, [command, *args, "--out", str(tmp_path / "out")])
-    assert result.exit_code == 1
-    assert isinstance(result.exception, SystemExit)  # the error JSON, not a traceback
-    error = json.loads(result.output)["error"]
+    code, output = run_cli([command, *args, "--out", str(tmp_path / "out")])
+    assert code == 1
+    error = json.loads(output)["error"]
     assert error["stage"] == stage and missing in error["message"]
     assert not (tmp_path / "out").exists()
 
@@ -554,16 +557,15 @@ def test_missing_input_file_prints_error_json(runner, tmp_path, command, flag):
 ], ids=["zero-bottom-count", "multiplier-below-one", "negative-seed", "negative-seed-flag",
         "bottom-count-past-the-gdp-table", "misspelled-seed", "misspelled-bottom-count",
         "nul-byte-in-a-path"])
-def test_bad_run_setting_stops_report_in_config(runner, tmp_path, caplog, monkeypatch, fields,
+def test_bad_run_setting_stops_report_in_config(tmp_path, caplog, monkeypatch, fields,
                                                 flags, field):
     monkeypatch.setenv("EQUIMINE_LOG", "INFO")
     (tmp_path / "config.json").write_text(sample_config(**fields))
     with caplog.at_level(logging.INFO, logger="equimine.pipeline"):
-        result = runner.invoke(main, ["report", "--config", str(tmp_path / "config.json"), *flags,
-                                      "--out", str(tmp_path / "out")])
-    assert result.exit_code == 1
-    assert isinstance(result.exception, SystemExit)  # the error JSON, not a traceback
-    error = json.loads(result.output)["error"]
+        code, output = run_cli(["report", "--config", str(tmp_path / "config.json"), *flags,
+                                "--out", str(tmp_path / "out")])
+    assert code == 1
+    error = json.loads(output)["error"]
     assert error["stage"] == "config" and field in error["message"]
     started = [r.getMessage() for r in caplog.records if r.getMessage().endswith(" started")]
     assert started == ["stage config started"]
@@ -578,8 +580,7 @@ MISSPELLED = {
 
 @pytest.mark.parametrize("name, command", [("scenario", "report"), ("scenario", "simulate"),
                                            ("train", "report"), ("train", "sensitivity")])
-def test_misspelled_json_key_prints_error_json_naming_the_closest_key(runner, tmp_path, name,
-                                                                      command):
+def test_misspelled_json_key_prints_error_json_naming_the_closest_key(tmp_path, name, command):
     # a key the input's field table lacks never falls back to a default: report stops in
     # config, the subcommand in the stage reading the file
     text, message = MISSPELLED[name]
@@ -589,15 +590,13 @@ def test_misspelled_json_key_prints_error_json_naming_the_closest_key(runner, tm
     given = {"--config": str(tmp_path / "config.json")} if command == "report" else {
         f"--{name}": str(tmp_path / "bad.json")}
     args = [part for option, value in {**flags, **given}.items() for part in (option, value)]
-    result = runner.invoke(main, [command, *args, "--out", str(tmp_path / "out")])
-    assert result.exit_code == 1
-    assert isinstance(result.exception, SystemExit)  # the error JSON, not a traceback
-    assert json.loads(result.output)["error"] == {"stage": stage, "message": message}
+    code, output = run_cli([command, *args, "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert json.loads(output)["error"] == {"stage": stage, "message": message}
     assert not (tmp_path / "out").exists()
 
 
-def test_gdp_table_missing_a_country_stops_report_in_config(runner, tmp_path, caplog,
-                                                           monkeypatch):
+def test_gdp_table_missing_a_country_stops_report_in_config(tmp_path, caplog, monkeypatch):
     # report applies the poverty policy to the GDP table in config, before any stage
     # computes; allocate does so in its own stage
     gdp = tmp_path / "gdp.csv"
@@ -605,28 +604,27 @@ def test_gdp_table_missing_a_country_stops_report_in_config(runner, tmp_path, ca
     (tmp_path / "config.json").write_text(sample_config(gdp=str(gdp)))
     monkeypatch.setenv("EQUIMINE_LOG", "INFO")
     with caplog.at_level(logging.INFO, logger="equimine.pipeline"):
-        result = runner.invoke(main, ["report", "--config", str(tmp_path / "config.json"),
-                                      "--out", str(tmp_path / "out")])
-    assert result.exit_code == 1
-    assert isinstance(result.exception, SystemExit)  # the error JSON, not a traceback
-    assert json.loads(result.output)["error"] == {
+        code, output = run_cli(["report", "--config", str(tmp_path / "config.json"),
+                                "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert json.loads(output)["error"] == {
         "stage": "config", "message": "GDP table countries do not match the indicator table"}
     assert {r.getMessage().split()[1] for r in caplog.records} == {"config"}
     assert not (tmp_path / "out").exists()
-    result = runner.invoke(main, ["allocate", "--indicators", INDICATORS, "--gdp", str(gdp),
-                                  "--scenario", SCENARIO, "--bottom-count", "2",
-                                  "--out", str(tmp_path / "out")])
-    assert result.exit_code == 1
-    assert json.loads(result.output)["error"]["stage"] == "allocation"
+    code, output = run_cli(["allocate", "--indicators", INDICATORS, "--gdp", str(gdp),
+                            "--scenario", SCENARIO, "--bottom-count", "2",
+                            "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert json.loads(output)["error"]["stage"] == "allocation"
 
 
-def test_allocate_policy_error_keeps_stage_allocation(runner, tmp_path):
+def test_allocate_policy_error_keeps_stage_allocation(tmp_path):
     # the subcommand builds its poverty policy from its flags inside its own stage
-    result = runner.invoke(main, ["allocate", "--indicators", INDICATORS, "--gdp",
-                                  str(sample_path("gdp.csv")), "--scenario", SCENARIO,
-                                  "--bottom-count", "0", "--out", str(tmp_path / "out")])
-    assert result.exit_code == 1
-    error = json.loads(result.output)["error"]
+    code, output = run_cli(["allocate", "--indicators", INDICATORS, "--gdp",
+                            str(sample_path("gdp.csv")), "--scenario", SCENARIO,
+                            "--bottom-count", "0", "--out", str(tmp_path / "out")])
+    assert code == 1
+    error = json.loads(output)["error"]
     assert error["stage"] == "allocation" and "bottom_count" in error["message"]
 
 
@@ -642,22 +640,21 @@ MALFORMED_INPUTS = {
 
 
 @pytest.mark.parametrize("name", pipeline.INPUT_FILES)
-def test_malformed_input_stops_report_in_config(runner, tmp_path, caplog, name):
+def test_malformed_input_stops_report_in_config(tmp_path, caplog, name):
     # the last input in stage order fails as early as the first: before any stage computes
     (tmp_path / "bad").write_bytes(MALFORMED_INPUTS[name])
     (tmp_path / "config.json").write_text(sample_config(**{name: str(tmp_path / "bad")}))
     with caplog.at_level(logging.INFO, logger="equimine.pipeline"):
-        result = runner.invoke(main, ["report", "--config", str(tmp_path / "config.json"),
-                                      "--out", str(tmp_path / "out")])
-    assert result.exit_code == 1
-    assert isinstance(result.exception, SystemExit)  # the error JSON, not a traceback
-    assert json.loads(result.output)["error"]["stage"] == "config"
+        code, output = run_cli(["report", "--config", str(tmp_path / "config.json"),
+                                "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert json.loads(output)["error"]["stage"] == "config"
     started = [r.getMessage() for r in caplog.records if r.getMessage().endswith(" started")]
     assert started == ["stage config started"]
     assert not (tmp_path / "out").exists()
 
 
-def test_panel_too_small_to_train_on_stops_report_in_config(runner, tmp_path, caplog):
+def test_panel_too_small_to_train_on_stops_report_in_config(tmp_path, caplog):
     # a valid 3-country x 1-year panel has fewer records than the sensitivity network
     # trains on; report finds that before any stage computes, the subcommand in its stage
     header, *rows = sample_path("indicators.csv").read_text().splitlines()
@@ -670,21 +667,20 @@ def test_panel_too_small_to_train_on_stops_report_in_config(runner, tmp_path, ca
     (tmp_path / "config.json").write_text(sample_config(indicators=str(tmp_path / "indicators.csv"),
                                                         gdp=str(tmp_path / "gdp.csv")))
     with caplog.at_level(logging.INFO, logger="equimine.pipeline"):
-        result = runner.invoke(main, ["report", "--config", str(tmp_path / "config.json"),
-                                      "--out", str(tmp_path / "out")])
-    assert result.exit_code == 1
-    assert isinstance(result.exception, SystemExit)  # the error JSON, not a traceback
-    error = json.loads(result.output)["error"]
+        code, output = run_cli(["report", "--config", str(tmp_path / "config.json"),
+                                "--out", str(tmp_path / "out")])
+    assert code == 1
+    error = json.loads(output)["error"]
     assert error["stage"] == "config" and "3 records" in error["message"]
     assert "at least 10" in error["message"]
     started = [r.getMessage() for r in caplog.records if r.getMessage().endswith(" started")]
     assert started == ["stage config started"]
     assert not (tmp_path / "out").exists()
-    result = runner.invoke(main, ["sensitivity", "--indicators", str(tmp_path / "indicators.csv"),
-                                  "--train", str(sample_path("train.json")),
-                                  "--out", str(tmp_path / "out")])
-    assert result.exit_code == 1
-    assert json.loads(result.output)["error"]["stage"] == "sensitivity"
+    code, output = run_cli(["sensitivity", "--indicators", str(tmp_path / "indicators.csv"),
+                            "--train", str(sample_path("train.json")),
+                            "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert json.loads(output)["error"]["stage"] == "sensitivity"
 
 
 def test_run_pipeline_reads_its_inputs_in_config(tmp_path):
@@ -704,7 +700,7 @@ def test_run_pipeline_reads_its_inputs_in_config(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
-def test_report_runs_through_run_pipeline_once(runner, tmp_path, run_inputs, monkeypatch):
+def test_report_runs_through_run_pipeline_once(tmp_path, run_inputs, monkeypatch):
     # through the module attribute, which is what a tracer wrapping it sees
     calls = []
     run_pipeline = pipeline.run_pipeline
@@ -714,22 +710,22 @@ def test_report_runs_through_run_pipeline_once(runner, tmp_path, run_inputs, mon
         return run_pipeline(*args, **kwargs)
 
     monkeypatch.setattr(pipeline, "run_pipeline", counted)
-    result = runner.invoke(main, ["report", "--config", str(run_inputs / "config.json"),
-                                  "--out", str(tmp_path / "out")])
-    assert result.exit_code == 0, result.output
+    code, output = run_cli(["report", "--config", str(run_inputs / "config.json"),
+                            "--out", str(tmp_path / "out")])
+    assert code == 0, output
     assert len(calls) == 1
 
 
-def test_every_way_to_run_the_pipeline_writes_the_same_bytes(runner, tmp_path, run_inputs):
+def test_every_way_to_run_the_pipeline_writes_the_same_bytes(tmp_path, run_inputs):
     # a run-config path, the RunConfig read from it, and `report` with the same overrides
     path = run_inputs / "config.json"
     path.write_text(json.dumps({**json.loads(path.read_text()), "decision": None}))
     pipeline.run_pipeline(path, tmp_path / "path", seed=3, alloc_basis="topsis")
     pipeline.run_pipeline(pipeline.load_run_config(path), tmp_path / "object", seed=3,
                           alloc_basis="topsis")
-    result = runner.invoke(main, ["report", "--config", str(path), "--seed", "3",
-                                  "--alloc-basis", "topsis", "--out", str(tmp_path / "cli")])
-    assert result.exit_code == 0, result.output
+    code, output = run_cli(["report", "--config", str(path), "--seed", "3",
+                            "--alloc-basis", "topsis", "--out", str(tmp_path / "cli")])
+    assert code == 0, output
     written = {form: {p.name: p.read_bytes() for p in (tmp_path / form).iterdir()}
                for form in ("path", "object", "cli")}
     assert sorted(written["path"]) == sorted(REPORT_FILES)
@@ -738,7 +734,7 @@ def test_every_way_to_run_the_pipeline_writes_the_same_bytes(runner, tmp_path, r
     assert json.loads(written["path"]["sensitivity.json"])["seed"] == 3
 
 
-def test_repeated_decision_alternative_stops_report_in_config(runner, tmp_path):
+def test_repeated_decision_alternative_stops_report_in_config(tmp_path):
     # a second Arcadia row would otherwise overwrite the first one's TOPSIS basis
     header, *rows = sample_path("indicators.csv").read_text().splitlines()
     latest = [row.split(",") for row in rows if row.split(",")[1] == "2021"]
@@ -747,10 +743,10 @@ def test_repeated_decision_alternative_stops_report_in_config(runner, tmp_path):
         ["country," + ",".join(f"{c}:benefit" for c in header.split(",")[2:])]
         + [",".join([r[0], *r[2:]]) for r in latest] + ["Arcadia,1,1,1,1,1,1,1"]) + "\n")
     (tmp_path / "config.json").write_text(sample_config(decision=str(decision)))
-    result = runner.invoke(main, ["report", "--config", str(tmp_path / "config.json"),
-                                  "--alloc-basis", "topsis", "--out", str(tmp_path / "out")])
-    assert result.exit_code == 1
-    error = json.loads(result.output)["error"]
+    code, output = run_cli(["report", "--config", str(tmp_path / "config.json"),
+                            "--alloc-basis", "topsis", "--out", str(tmp_path / "out")])
+    assert code == 1
+    error = json.loads(output)["error"]
     assert error["stage"] == "config" and "'Arcadia' is repeated" in error["message"]
     assert not (tmp_path / "out").exists()
 
@@ -809,14 +805,14 @@ def _subcommand_args(command, inputs) -> list:
     return args + (["--bottom-count", "2"] if command == "allocate" else [])
 
 
-def _digests(runner, inputs, out) -> dict:
+def _digests(inputs, out) -> dict:
     """{(command, report name): config_digest} of report and every subcommand."""
     runs = {"report": ["report", "--config", str(inputs / "config.json")]}
     runs |= {command: _subcommand_args(command, inputs) for command in SUBCOMMAND_READS}
     digests = {}
     for command, args in runs.items():
-        result = runner.invoke(main, args + ["--out", str(out / command)])
-        assert result.exit_code == 0, result.output
+        code, output = run_cli(args + ["--out", str(out / command)])
+        assert code == 0, output
         digests |= {(command, p.name): json.loads(p.read_text())["config_digest"]
                     for p in (out / command).glob("*.json")}
     return digests
@@ -834,22 +830,21 @@ ONE_BYTE_EDITS = {
 
 
 @pytest.mark.parametrize("name", pipeline.INPUT_FILES)
-def test_editing_one_byte_of_an_input_changes_every_digest_over_it(runner, tmp_path,
-                                                                   run_inputs, name):
-    before = _digests(runner, run_inputs, tmp_path / "before")
+def test_editing_one_byte_of_an_input_changes_every_digest_over_it(tmp_path, run_inputs, name):
+    before = _digests(run_inputs, tmp_path / "before")
     file, old, new = ONE_BYTE_EDITS[name]
     path = run_inputs / file
     path.write_bytes(path.read_bytes().replace(old, new, 1))
-    after = _digests(runner, run_inputs, tmp_path / "after")
+    after = _digests(run_inputs, tmp_path / "after")
     readers = {"report"} | {c for c, names in SUBCOMMAND_READS.items() if name in names}
     assert {key for key in before if before[key] != after[key]} == {
         key for key in before if key[0] in readers}
 
 
-def test_moving_the_inputs_keeps_every_report_byte_identical(runner, tmp_path, run_inputs):
+def test_moving_the_inputs_keeps_every_report_byte_identical(tmp_path, run_inputs):
     moved = shutil.copytree(run_inputs, tmp_path / "elsewhere" / "inputs")
     for inputs in (run_inputs, moved):
-        _digests(runner, inputs, inputs.parent / "out")
+        _digests(inputs, inputs.parent / "out")
     a, b = run_inputs.parent / "out", moved.parent / "out"
     assert sorted(p.relative_to(a) for p in a.rglob("*")) == sorted(
         p.relative_to(b) for p in b.rglob("*"))
@@ -860,25 +855,24 @@ def test_moving_the_inputs_keeps_every_report_byte_identical(runner, tmp_path, r
 @pytest.mark.parametrize("sizes", ["[1e300, 16, 1]", "[7, 1e16, 1]", "[6, 16, 1]", "[7, 16, 2]"],
                          ids=["huge-input-width", "huge-hidden-width", "wrong-input-width",
                               "wrong-output-width"])
-def test_layer_sizes_that_do_not_fit_print_error_json(runner, tmp_path, sizes):
+def test_layer_sizes_that_do_not_fit_print_error_json(tmp_path, sizes):
     # a huge hidden layer fails to allocate at once: 7e16 weights need 497 PiB
     train = tmp_path / "train.json"
     train.write_text(f'{{"layer_sizes": {sizes}, "epochs": 1}}')
-    result = runner.invoke(main, ["sensitivity", "--indicators", INDICATORS, "--train", str(train),
-                                  "--out", str(tmp_path / "out")])
-    assert result.exit_code == 1
-    assert isinstance(result.exception, SystemExit)  # the error JSON, not a traceback
-    error = json.loads(result.output)["error"]
+    code, output = run_cli(["sensitivity", "--indicators", INDICATORS, "--train", str(train),
+                            "--out", str(tmp_path / "out")])
+    assert code == 1
+    error = json.loads(output)["error"]
     assert error["stage"] == "sensitivity" and "layer_sizes" in error["message"]
 
 
-def test_equity_rejects_a_pairwise_matrix_of_another_size(runner, tmp_path):
+def test_equity_rejects_a_pairwise_matrix_of_another_size(tmp_path):
     pairwise = tmp_path / "pairwise5.csv"
     pairwise.write_text(",A,B,C,D,E\n" + "".join(f"{c},1,1,1,1,1\n" for c in "ABCDE"))
-    result = runner.invoke(main, ["equity", "--indicators", INDICATORS, "--pairwise",
-                                  str(pairwise), "--out", str(tmp_path / "out")])
-    assert result.exit_code == 1
-    error = json.loads(result.output)["error"]
+    code, output = run_cli(["equity", "--indicators", INDICATORS, "--pairwise",
+                            str(pairwise), "--out", str(tmp_path / "out")])
+    assert code == 1
+    error = json.loads(output)["error"]
     assert error["stage"] == "equity" and "7-criterion" in error["message"]
 
 
@@ -888,7 +882,7 @@ def test_equity_rejects_a_pairwise_matrix_of_another_size(runner, tmp_path):
 ], ids=["nan-multiplier", "inf-multiplier", "overflowing-multiplier", "nan-learning-rate",
         "inf-learning-rate"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_non_finite_policy_and_training_numbers_are_rejected(runner, tmp_path, command, value):
+def test_non_finite_policy_and_training_numbers_are_rejected(tmp_path, command, value):
     if command == "allocate":
         stage, field = "allocation", "multiplier"
         args = ["allocate", "--indicators", INDICATORS, "--gdp", str(sample_path("gdp.csv")),
@@ -898,9 +892,9 @@ def test_non_finite_policy_and_training_numbers_are_rejected(runner, tmp_path, c
         stage, field = "sensitivity", "learning_rate"
         (tmp_path / "train.json").write_text(f'{{"learning_rate": {value}}}')
         args = ["sensitivity", "--indicators", INDICATORS, "--train", str(tmp_path / "train.json")]
-    result = runner.invoke(main, args + ["--out", str(tmp_path / "out")])
-    assert result.exit_code == 1
-    error = json.loads(result.output)["error"]
+    code, output = run_cli(args + ["--out", str(tmp_path / "out")])
+    assert code == 1
+    error = json.loads(output)["error"]
     assert error["stage"] == stage and field in error["message"]
     assert not (tmp_path / "out").exists()
 
@@ -915,21 +909,20 @@ def _snapshot(directory):
     ["report", "--config", str(sample_path("config.json"))],
     ["weights", "--pairwise", PAIRWISE],
 ], ids=["report", "weights"])
-def test_unwritable_out_prints_the_write_error(runner, tmp_path, args, obstacle):
+def test_unwritable_out_prints_the_write_error(tmp_path, args, obstacle):
     out = tmp_path / "out"
     if obstacle == "out-is-a-file":
         out.write_text("not a directory\n")
     else:
         (out / "weights.json").mkdir(parents=True)
-    result = runner.invoke(main, args + ["--out", str(out)])
-    assert result.exit_code == 1
-    assert isinstance(result.exception, SystemExit)  # the error JSON, not a traceback
-    error = json.loads(result.output)["error"]
+    code, output = run_cli(args + ["--out", str(out)])
+    assert code == 1
+    error = json.loads(output)["error"]
     assert error["stage"] == "write" and str(out) in error["message"]
     assert [p.name for p in tmp_path.rglob("*.tmp")] == []
 
 
-def test_failed_report_leaves_out_as_it_was(runner, tmp_path):
+def test_failed_report_leaves_out_as_it_was(tmp_path):
     (tmp_path / "train.json").write_text('{"epochs": true}')
     (tmp_path / "config.json").write_text(sample_config(train=str(tmp_path / "train.json")))
     out = tmp_path / "out"
@@ -937,14 +930,14 @@ def test_failed_report_leaves_out_as_it_was(runner, tmp_path):
     for name in (*REPORT_FILES, "notes.txt"):
         (out / name).write_text(f"stale {name}\n")
     before = _snapshot(out)
-    result = runner.invoke(main, ["report", "--config", str(tmp_path / "config.json"),
-                                  "--out", str(out)])
-    assert result.exit_code == 1
-    assert json.loads(result.output)["error"]["stage"] == "config"
+    code, output = run_cli(["report", "--config", str(tmp_path / "config.json"),
+                            "--out", str(out)])
+    assert code == 1
+    assert json.loads(output)["error"]["stage"] == "config"
     assert _snapshot(out) == before
 
 
-def test_report_name_held_by_a_directory_leaves_out_as_it_was(runner, tmp_path):
+def test_report_name_held_by_a_directory_leaves_out_as_it_was(tmp_path):
     # consistency.json is renamed before weights.json: the directory is found
     # before the first rename, so no stale report is replaced
     out = tmp_path / "out"
@@ -952,10 +945,10 @@ def test_report_name_held_by_a_directory_leaves_out_as_it_was(runner, tmp_path):
     for name in REPORT_FILES[:1] + REPORT_FILES[2:]:
         (out / name).write_text(f"stale {name}\n")
     before = _snapshot(out)
-    result = runner.invoke(main, ["report", "--config", str(sample_path("config.json")),
-                                  "--out", str(out)])
-    assert result.exit_code == 1
-    error = json.loads(result.output)["error"]
+    code, output = run_cli(["report", "--config", str(sample_path("config.json")),
+                            "--out", str(out)])
+    assert code == 1
+    error = json.loads(output)["error"]
     assert error["stage"] == "write" and "weights.json" in error["message"]
     assert _snapshot(out) == before
 

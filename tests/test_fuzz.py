@@ -19,15 +19,15 @@ import math
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from equimine import io
-from equimine.cli import main
 from equimine.data import sample_path
 from equimine.errors import EquimineError, ParseError
 from equimine.mcda import METHODS, PairwiseMatrix, consistency, derive_weights
+
+from conftest import run_cli
 
 FUZZ = settings(max_examples=40, derandomize=True, database=None, deadline=None)
 
@@ -229,12 +229,11 @@ def test_report_on_mutated_run_configs_exits_0_or_prints_the_error_json(run_dir,
             config[key] = value
     path = run_dir / "config.json"
     path.write_text(json.dumps(config))
-    result = CliRunner().invoke(main, ["report", "--config", str(path),
-                                       "--out", str(run_dir / "out")])
+    code, output = run_cli(["report", "--config", str(path), "--out", str(run_dir / "out")])
     poverty = config.get("poverty")
     mistyped = isinstance(poverty, dict) and isinstance(poverty.get("multiplier"), (bool, str))
     mistyped |= "sed" in config
-    if result.exit_code == 0 and not mistyped:
+    if code == 0 and not mistyped:
         return
-    assert result.exit_code == 1 and isinstance(result.exception, SystemExit), result.output
-    assert set(json.loads(result.output)) == {"error"}
+    assert code == 1, output
+    assert set(json.loads(output)) == {"error"}

@@ -20,13 +20,13 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
-from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from equimine import allocation, equity, io, mcda, mining, pipeline
-from equimine.cli import main
 from equimine.errors import PipelineError
+
+from conftest import run_cli
 
 PARITY = settings(max_examples=25, derandomize=True, database=None, deadline=None)
 
@@ -120,8 +120,8 @@ def _payload(path: Path):
 
 
 def _invoke(args):
-    result = CliRunner().invoke(main, args)
-    assert result.exit_code == 0, (args, result.output)
+    code, output = run_cli(args)
+    assert code == 0, (args, output)
 
 
 # (countries, years) with at least 10 records
