@@ -65,11 +65,11 @@ def allocate(total_profit: float, scores: dict, gammas: dict,
     """Allocate total_profit across countries.
 
     raw_share_k = gamma_k * total_profit * score_k / sum(scores); those raw
-    shares generally over-allocate whenever any gamma > 1. "conserve" mode
-    rescales by gamma_k * score_k / sum_j(gamma_j * score_j) so the shares sum
-    exactly to total_profit; "paper-literal" keeps the raw shares and reports
-    the over-allocation. Shares that overflow the float range raise
-    ValidationError naming the multiplier.
+    shares generally over-allocate whenever any gamma > 1. The conserved
+    shares rescale by gamma_k * score_k / sum_j(gamma_j * score_j) so they sum
+    exactly to total_profit. Both columns and the over-allocation are computed in
+    either mode: `mode` only names the one the caller treats as the allocation.
+    Shares that overflow the float range raise ValidationError naming the multiplier.
     """
     if mode not in ALLOC_MODES:
         raise ValidationError(f"unknown allocation mode {mode!r}")

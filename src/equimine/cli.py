@@ -55,11 +55,12 @@ TRAIN = _input("--train", help="Training config JSON (learning_rate, epochs, see
 INCOME_MODE = click.option("--income-mode", type=click.Choice(INCOME_MODES), default=None,
                            help="Override the run config's and the scenario's income mode.")
 BOTTOM_COUNT = click.option("--bottom-count", type=int, default=pipeline.RunConfig.bottom_count,
-                            show_default=True, help="Size of the poverty group by ascending GDP.")
+                            show_default=True, help="Size of the poverty group by ascending GDP, "
+                            "at most the GDP table's country count (the sample config uses 2).")
 ALLOC_MODE = click.option("--alloc-mode", type=click.Choice(ALLOC_MODES),
                           default=pipeline.RunConfig.alloc_mode,
-                          help="conserve: shares rescaled to sum to the profit; paper-literal: "
-                          "the literal multiplier shares.")
+                          help="The share column named the allocation: conserve (sums to the "
+                          "profit) or paper-literal. Both are reported; no number changes.")
 MULTIPLIER = click.option("--multiplier", type=float, default=pipeline.RunConfig.multiplier,
                           show_default=True, help="Share multiplier of the poverty group.")
 ALPHA = click.option("--alpha", type=float, default=DEFAULT_ALPHA, show_default=True,
@@ -109,7 +110,7 @@ for name in SUBCOMMANDS:
 @OUT
 @INCOME_MODE
 @click.option("--alloc-mode", type=click.Choice(ALLOC_MODES), default=None,
-              help="Override the run config's allocation mode.")
+              help="Override the run config's allocation mode (no number changes).")
 @click.option("--alloc-basis", type=click.Choice(pipeline.ALLOC_BASES), default=None,
               help="Override the run config's allocation basis: equity or TOPSIS scores.")
 @SEED

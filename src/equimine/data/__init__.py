@@ -3,6 +3,8 @@
 from importlib import resources
 from pathlib import Path
 
+from ..errors import ValidationError
+
 
 def sample_dir() -> Path:
     """Directory holding the bundled sample input files."""
@@ -12,5 +14,5 @@ def sample_dir() -> Path:
 def sample_path(name: str) -> Path:
     path = sample_dir() / name
     if not path.is_file():
-        raise FileNotFoundError(f"no bundled sample file named {name!r}")
+        raise ValidationError(f"no bundled sample file named {name!r}")
     return path

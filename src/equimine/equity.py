@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularityError, ValidationError
+from .errors import ValidationError
 
 # The seven development indicators, in the column order of every input and report.
 INDICATOR_COLUMNS = ("ei", "idg", "cea", "ma", "hr", "er", "sa")
@@ -86,8 +86,10 @@ def global_equity_index(scores_by_year, countries=None, years=None) -> float:
     zeros = np.argwhere(loo_mean == 0)
     if zeros.size:
         ti, k = zeros[0]
-        raise SingularityError(countries[k] if countries is not None else f"#{k}",
-                               years[ti] if years is not None else f"#{ti}")
+        country, year = (countries[k] if countries is not None else f"#{k}",
+                         years[ti] if years is not None else f"#{ti}")
+        raise ValidationError(f"leave-one-out mean score is zero for country {country!r} "
+                              f"in year {year}")
     ratios = s / loo_mean
     per_year = ((ratios - ratios.mean(axis=1, keepdims=True)) ** 2).sum(axis=1)
     # the year terms are added in year order: a running sum, which Python's

@@ -19,40 +19,6 @@ class ParseError(EquimineError, ValueError):
         super().__init__(message if line is None else f"line {line}: {message}")
 
 
-class ConvergenceError(EquimineError, RuntimeError):
-    """Iterative method failed to converge within its iteration cap."""
-
-    def __init__(self, message, iterations):
-        super().__init__(f"{message} (after {iterations} iterations)")
-
-
-class DegenerateColumnError(ValidationError):
-    """A matrix column is unusable (e.g. all zeros). Names the indicator."""
-
-    def __init__(self, indicator, message="column is all zeros"):
-        super().__init__(f"indicator {indicator!r}: {message}")
-
-
-class SingularityError(EquimineError, ZeroDivisionError):
-    """A leave-one-out mean hit zero for the named country and year."""
-
-    def __init__(self, country, year):
-        super().__init__(
-            f"leave-one-out mean score is zero for country {country!r} in year {year}"
-        )
-        self.country = country
-        self.year = year
-
-
-class TrainingError(EquimineError, RuntimeError):
-    """Training diverged or left an unusable network. Carries the epoch at
-    which training diverged, or None when the trained network is the fault."""
-
-    def __init__(self, message, epoch=None):
-        super().__init__(message if epoch is None else f"{message} (epoch {epoch})")
-        self.epoch = epoch
-
-
 class PipelineError(EquimineError):
     """A pipeline stage failed. Carries the stage name and detail fields."""
 

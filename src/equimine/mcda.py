@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, ValidationError, check_labels
+from .errors import EquimineError, ValidationError, check_labels
 
 METHODS = ("arithmetic-mean", "geometric-mean", "eigenvalue")
 
@@ -120,7 +120,7 @@ def _power_iteration(a: np.ndarray) -> np.ndarray:
         if np.max(np.abs(w_next - w)) < _POWER_TOL:
             return w_next
         w = w_next
-    raise ConvergenceError("power iteration did not converge", _POWER_MAX_ITER)
+    raise EquimineError(f"power iteration did not converge (after {_POWER_MAX_ITER} iterations)")
 
 
 def lambda_max(matrix: PairwiseMatrix) -> float:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceError, ValidationError
+from .errors import EquimineError, ValidationError
 
 # The lower end of the dof range in README's Scenario JSON line; t_sf itself needs no bound.
 MIN_DOF = 0.05
@@ -70,7 +70,8 @@ def _beta_cf(a: float, b: float, x: float) -> float:
             value *= d * c
         if abs(d * c - 1.0) <= 2.2e-16:  # the last step moved the value by at most an ulp
             return value
-    raise ConvergenceError(f"incomplete beta fraction at a={a}, b={b}, x={x}", _CF_MAXITER)
+    raise EquimineError(f"incomplete beta fraction at a={a}, b={b}, x={x} (after {_CF_MAXITER} "
+                        "iterations)")
 
 
 def t_sf(t: float, dof: float) -> float:

@@ -12,6 +12,8 @@ Each policy the entry points share is one property of `Run`, whose docstring sta
 import hashlib
 import logging
 import os
+import shutil
+import tempfile
 import time
 from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass, replace
@@ -125,52 +127,43 @@ def _stage(name):
 
 
 def write_reports(out_dir, digest: str, reports: dict) -> dict:
-    """Write every report into out_dir, or none: all go to temporary names, then each is
-    renamed into place, the report it replaces moved to a backup name first and moved
-    back if a rename fails. JSON reports lead with the config digest. Returns {file name:
-    Path}; an OSError, a path the filesystem refuses or a directory holding a report's name
-    raises PipelineError("write", ...) naming out_dir, and a NaN, or an infinity outside
-    INFINITE_KEYS, one naming the file and the key."""
-    out = Path(out_dir)
-    staged = {}  # final path -> temporary path, until renamed
-    kept = {}  # final path -> backup name claimed for the report it replaces
-    renamed = []  # final paths whose old report, if any, has been moved to its backup
+    """Write every report into out_dir, or none: all go to a fresh hidden directory in
+    out_dir, then each is renamed into place, the report it replaces moved into that
+    directory first and moved back if a rename fails. JSON reports lead with the config
+    digest. Returns {file name: Path}; an OSError, a path the filesystem refuses or a
+    directory holding a report's name raises PipelineError("write", ...) naming out_dir,
+    and a NaN, or an infinity outside INFINITE_KEYS, one naming the file and the key."""
+    out, staging, renamed = Path(out_dir), None, []
     try:
         out.mkdir(parents=True, exist_ok=True)
+        staging = Path(tempfile.mkdtemp(prefix=".equimine-", dir=out))
         for name, content in reports.items():
-            tmp = out / f".{name}.{os.getpid()}.tmp"
-            open(tmp, "x").close()  # claim the name: cleanup removes only files made here
-            staged[out / name] = tmp
             if isinstance(content, dict):
-                io.write_json_report(tmp, {"config_digest": digest, **content},
+                io.write_json_report(staging / name, {"config_digest": digest, **content},
                                      INFINITE_KEYS.get(name, ()))
             else:
-                io.write_csv(tmp, *content)
-        if blocked := [path.name for path in staged if path.is_dir()]:
+                io.write_csv(staging / name, *content)
+        if blocked := [name for name in reports if (out / name).is_dir()]:
             raise PipelineError("write", f"cannot write reports into {out}: directory {blocked}")
-        for path in list(staged):
-            if path.exists():  # move the report it replaces to a backup name, claimed first
-                backup = out / f".{path.name}.{os.getpid()}.old"
-                open(backup, "x").close()
-                kept[path] = backup
-                os.replace(path, backup)
-            renamed.append(path)
-            os.replace(staged[path], path)
-            del staged[path]
+        for name in reports:
+            if (out / name).exists():
+                os.replace(out / name, staging / f"{name}.old")
+            renamed.append(name)
+            os.replace(staging / name, out / name)
+        renamed = []  # every report is in place: nothing to undo
     except ValidationError as exc:  # a non-finite value in report `name`
         raise PipelineError("write", f"{name}: {exc}") from exc
     except (OSError, ValueError) as exc:  # ValueError: a path holding a NUL byte, say
         raise PipelineError("write", f"cannot write reports into {out}: {exc}") from exc
-    finally:  # a report still staged means a failure
-        for path in renamed if staged else ():  # put the old reports back
+    finally:
+        for name in renamed:  # a failed rename: put the old reports back, remove the new
             with suppress(OSError):
-                if path in kept:
-                    os.replace(kept.pop(path), path)
+                if (staging / f"{name}.old").exists():
+                    os.replace(staging / f"{name}.old", out / name)
                 else:
-                    path.unlink()
-        for tmp in (*staged.values(), *kept.values()):  # remove the other files made here
-            with suppress(OSError):
-                tmp.unlink()
+                    (out / name).unlink()
+        if staging:
+            shutil.rmtree(staging, ignore_errors=True)
     return {name: out / name for name in reports}
 
 

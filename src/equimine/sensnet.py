@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import TrainingError, ValidationError, as_integer, as_real
+from .errors import EquimineError, ValidationError, as_integer, as_real
 
 INIT_HALF_RANGE = 0.5  # weights and biases start uniform in [-0.5, 0.5]
 SWEEP_SPAN = 0.1  # the weight sweep moves each weight across +/- 10% of its value
@@ -225,7 +225,7 @@ def train(inputs, targets, config: TrainConfig):
     copies of W.T are made anew each epoch. An epoch runs the kernels into them and
     updates the parameters, views into one flat array laid out as the gradient means,
     in one in-place operation. Returns (trained NetworkParams, per-epoch losses);
-    raises TrainingError with the epoch if the loss stops being finite, and
+    raises EquimineError naming the epoch if the loss stops being finite, and
     ValidationError if the batch has no rows or layer_sizes do not fit the data or memory."""
     x = np.asarray(inputs, dtype=float)
     y = np.asarray(targets, dtype=float)
@@ -248,7 +248,7 @@ def train(inputs, targets, config: TrainConfig):
         for epoch in range(config.epochs):
             _backward(_forward(params, trace).activations, y, params, grads)
             if not math.isfinite(grads.loss):
-                raise TrainingError("training loss diverged", epoch)
+                raise EquimineError(f"training loss diverged (epoch {epoch})")
             losses.append(grads.loss)
             theta -= np.multiply(grads.means, lr, out=grads.means)  # the next pass rewrites it
     return params, losses
@@ -287,7 +287,7 @@ def perturbation_sweep(params: NetworkParams, inputs):
     """Sweep every weight across +/- SWEEP_SPAN (relative) around its trained value,
     recording the mean output over `inputs` at each grid point; the variation is
     (max - min) / baseline output. A zero weight sweeps [-SWEEP_SPAN, SWEEP_SPAN].
-    Returns (rows, variations); raises TrainingError when the baseline output is 0.
+    Returns (rows, variations); raises EquimineError when the baseline output is 0.
 
     Moving w[j, k] of layer l changes only unit j. Where _forward takes a contiguous
     product into several units, one product by SWEEP_POINTS copies of W[j], w[j, k] set
@@ -298,7 +298,7 @@ def perturbation_sweep(params: NetworkParams, inputs):
     with np.errstate(over="ignore"):
         baseline = float(_forward(params, trace).activations[-1].mean())
         if baseline == 0:
-            raise TrainingError("trained network output is saturated at 0; relative weight "
+            raise EquimineError("trained network output is saturated at 0; relative weight "
                                 "variation is undefined")
         for l, w in enumerate(params.weights):
             a_in, a_next = trace.activations[l], trace.activations[l + 1]

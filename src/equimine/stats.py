@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, ValidationError
+from .errors import EquimineError, ValidationError
 from .mining import t_density, t_sf
 
 # |r| bins for the strength label; conventional, carried as shipped defaults.
@@ -84,7 +84,8 @@ def t_upper_critical(df: float, tail: float) -> float:
             return t
         g = excess(t)
         lo, hi = (t, hi) if g > 0 else (lo, t)
-    raise ConvergenceError(f"t critical value for df {df}, tail {tail}", _ROOT_MAXITER)
+    raise EquimineError(f"t critical value for df {df}, tail {tail} (after {_ROOT_MAXITER} "
+                        "iterations)")
 
 
 def t_test(r: float, n: int, alpha: float = DEFAULT_ALPHA) -> CorrelationResult:

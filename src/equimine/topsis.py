@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateColumnError, ValidationError, check_labels
+from .errors import ValidationError, check_labels
 
 KINDS = ("benefit", "cost", "intermediate")
 
@@ -105,16 +105,17 @@ def normalize(x: np.ndarray, labels) -> np.ndarray:
     """Scale each column by its Euclidean norm: z_ij = x_ij / sqrt(sum_i x_ij^2).
 
     `labels` names the columns; an all-zero column, or one whose norm overflows
-    the float range, raises DegenerateColumnError naming the first such label.
+    the float range, raises ValidationError naming the first such label.
     """
     if np.any(x < 0):
         raise ValidationError("normalize expects non-negative (forwarded) entries")
     with np.errstate(over="ignore"):
         norms = np.sqrt((x * x).sum(axis=0))
     if (overflowed := np.isinf(norms)).any():
-        raise DegenerateColumnError(labels[overflowed.argmax()], "norm overflows the float range")
+        raise ValidationError(f"indicator {labels[overflowed.argmax()]!r}: norm overflows the "
+                              "float range")
     if not norms.all():
-        raise DegenerateColumnError(labels[(norms == 0).argmax()])
+        raise ValidationError(f"indicator {labels[(norms == 0).argmax()]!r}: column is all zeros")
     return x / norms
 
 

@@ -167,12 +167,16 @@ def test_sensitivity_command(tmp_path):
 
 def test_report_full_pipeline(tmp_path):
     out = tmp_path / "out"
+    out.mkdir()
+    (out / "notes.txt").write_text("kept\n")
     code, output = run_cli(["report", "--config", str(sample_path("config.json")),
                             "--out", str(out)])
     assert code == 0, output
+    # the reports and what was there before: no staging directory is left behind
+    assert {p.name for p in out.iterdir()} == {*REPORT_FILES, "notes.txt"}
+    assert (out / "notes.txt").read_text() == "kept\n"
     expected = {"weights.json", "consistency.json", "equity.json", "topsis.json",
                 "mining.json", "allocation.json", "correlation.json", "sensitivity.csv"}
-    assert expected <= {p.name for p in out.iterdir()}
     equity_payload = json.loads((out / "equity.json").read_text())
     ge = equity_payload["global_equity_index"]
     assert ge is not None and np.isfinite(ge) and ge >= 0
@@ -919,7 +923,8 @@ def test_unwritable_out_prints_the_write_error(tmp_path, args, obstacle):
     assert code == 1
     error = json.loads(output)["error"]
     assert error["stage"] == "write" and str(out) in error["message"]
-    assert [p.name for p in tmp_path.rglob("*.tmp")] == []
+    made = {out} if obstacle == "out-is-a-file" else {out, out / "weights.json"}
+    assert set(tmp_path.rglob("*")) == made
 
 
 def test_failed_report_leaves_out_as_it_was(tmp_path):
@@ -1032,23 +1037,16 @@ def test_failed_rename_leaves_out_as_it_was(tmp_path, run_inputs, monkeypatch):
         assert _snapshot(out) == before, fail_on
 
 
-def test_write_error_cleanup_removes_only_its_own_temporaries(tmp_path):
-    # a file already holding the second report's temporary name stops the
-    # write, and is not this call's to remove
-    (tmp_path / f".sensitivity.csv.{os.getpid()}.tmp").write_text("not ours\n")
-    before = _snapshot(tmp_path)
-    with pytest.raises(PipelineError):
-        pipeline.write_reports(tmp_path, "digest", REPORTS)
-    assert _snapshot(tmp_path) == before
-
-
-def test_backup_name_held_by_another_file_stops_the_write_leaving_out_as_it_was(tmp_path):
-    # weights.json is renamed in before sensitivity.csv's backup name is claimed: the claim
-    # fails, the new weights.json is removed, and the file holding the name is not this call's
+def test_files_named_like_another_runs_temporaries_neither_stop_the_write_nor_are_touched(
+        tmp_path):
+    # hidden files that are not this call's, even under a report's name and this
+    # process's PID, neither stop the write nor are touched
+    left = {f".sensitivity.csv.{os.getpid()}.{suffix}": f"left {suffix}\n".encode()
+            for suffix in ("tmp", "old")}
+    for name, content in left.items():
+        (tmp_path / name).write_bytes(content)
     (tmp_path / "sensitivity.csv").write_text("stale\n")
-    (tmp_path / f".sensitivity.csv.{os.getpid()}.old").write_text("not ours\n")
-    before = _snapshot(tmp_path)
-    with pytest.raises(PipelineError) as raised:
-        pipeline.write_reports(tmp_path, "digest", REPORTS)
-    assert raised.value.stage == "write"
-    assert _snapshot(tmp_path) == before
+    pipeline.write_reports(tmp_path, "digest", REPORTS)
+    assert _snapshot(tmp_path) == {**left, **{name: (tmp_path / name).read_bytes()
+                                              for name in REPORTS}}
+    assert (tmp_path / "sensitivity.csv").read_text() == "value\n0.25\n"
