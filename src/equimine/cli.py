@@ -16,7 +16,6 @@ from . import pipeline
 from .allocation import ALLOC_MODES
 from .errors import PipelineError
 from .mining import INCOME_MODES
-from .stats import DEFAULT_ALPHA
 
 
 @click.group()
@@ -52,20 +51,21 @@ DECISION = _input("--decision", help="Decision matrix CSV with kind-annotated he
 SCENARIO = _input("--scenario", help="Mining scenario JSON.")
 GDP = _input("--gdp", help="GDP CSV (country, gdp).")
 TRAIN = _input("--train", help="Training config JSON (learning_rate, epochs, seed, layer_sizes).")
-INCOME_MODE = click.option("--income-mode", type=click.Choice(INCOME_MODES), default=None,
-                           help="Override the run config's and the scenario's income mode.")
-BOTTOM_COUNT = click.option("--bottom-count", type=int, default=pipeline.RunConfig.bottom_count,
-                            show_default=True, help="Size of the poverty group by ascending GDP, "
-                            "at most the GDP table's country count (the sample config uses 2).")
+# A setting flag left out is None: the run config's value, else RunConfig's default.
+INCOME_MODE = click.option("--income-mode", type=click.Choice(INCOME_MODES), help="Integrated "
+                           "income or the literal rate difference (default: "
+                           f"{pipeline.RunConfig.income_mode}, or the run config's under report).")
 ALLOC_MODE = click.option("--alloc-mode", type=click.Choice(ALLOC_MODES),
-                          default=pipeline.RunConfig.alloc_mode,
                           help="The share column named the allocation: conserve (sums to the "
-                          "profit) or paper-literal. Both are reported; no number changes.")
-MULTIPLIER = click.option("--multiplier", type=float, default=pipeline.RunConfig.multiplier,
-                          show_default=True, help="Share multiplier of the poverty group.")
-ALPHA = click.option("--alpha", type=float, default=DEFAULT_ALPHA, show_default=True,
-                     help="Significance level of the two-sided t test.")
-SEED = click.option("--seed", type=int, default=None, help="Override the training seed.")
+                          "profit) or paper-literal. Both are reported; no number changes "
+                          f"(default: {pipeline.RunConfig.alloc_mode}, or the run config's under "
+                          "report).")
+BOTTOM_COUNT = click.option("--bottom-count", type=int, help="Size of the poverty group by "
+                            "ascending GDP, at most the GDP table's country count (default: "
+                            f"{pipeline.RunConfig.bottom_count}; the sample config uses 2).")
+MULTIPLIER = click.option("--multiplier", type=float, help="Share multiplier of the poverty "
+                          f"group (default: {pipeline.RunConfig.multiplier}).")
+SEED = click.option("--seed", type=int, help="Training seed (default: the train config's).")
 
 
 # Each subcommand's stage (a key of pipeline.STAGES), help text and flags besides --out.
@@ -82,7 +82,7 @@ SUBCOMMANDS = {
                  INDICATORS, GDP, SCENARIO, PAIRWISE, ALLOC_MODE, INCOME_MODE, BOTTOM_COUNT,
                  MULTIPLIER),
     "correlate": ("correlation", "Correlate each indicator with the development score across "
-                  "all records.", INDICATORS, PAIRWISE, ALPHA),
+                  "all records.", INDICATORS, PAIRWISE),
     "sensitivity": ("sensitivity", "Train the sensitivity network and sweep trained weights.",
                     INDICATORS, TRAIN, PAIRWISE, SEED),
 }
@@ -109,8 +109,7 @@ for name in SUBCOMMANDS:
 @_input("--config", help="Run config JSON naming every input file.")
 @OUT
 @INCOME_MODE
-@click.option("--alloc-mode", type=click.Choice(ALLOC_MODES), default=None,
-              help="Override the run config's allocation mode (no number changes).")
+@ALLOC_MODE
 @click.option("--alloc-basis", type=click.Choice(pipeline.ALLOC_BASES), default=None,
               help="Override the run config's allocation basis: equity or TOPSIS scores.")
 @SEED

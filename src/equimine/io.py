@@ -16,7 +16,7 @@ import numpy as np
 from .equity import INDICATOR_COLUMNS
 from .errors import ParseError, ValidationError, as_integer, as_real, as_text, check_labels
 from .mcda import PairwiseMatrix
-from .mining import DEFAULT_INCOME_MODE, INCOME_MODES, MiningCurveParams, RevenueWindow
+from .mining import MiningCurveParams, RevenueWindow
 from .sensnet import TrainConfig
 from .topsis import DecisionMatrix, IndicatorKind
 
@@ -161,7 +161,6 @@ SCENARIO_FIELDS = {  # defaults read off the classes; t2 also takes "inf"
     "t1": (0.0, as_real),
     "t2": ("inf", lambda value: math.inf if value == "inf" else as_real(value)),
     "cost": (RevenueWindow.cost, as_real),
-    "mode": (DEFAULT_INCOME_MODE, lambda value: INCOME_MODES[INCOME_MODES.index(value)]),
     "name": (None, lambda value: None if value is None else as_text(value)),
 }
 TRAIN_FIELDS = {key: (getattr(TrainConfig, key), convert) for key, convert in [
@@ -170,10 +169,10 @@ TRAIN_FIELDS = {key: (getattr(TrainConfig, key), convert) for key, convert in [
 
 
 def load_scenario(path, hasher=None):
-    """A scenario JSON file's (MiningCurveParams, RevenueWindow, mode, name), by SCENARIO_FIELDS."""
+    """A scenario JSON file's (MiningCurveParams, RevenueWindow, name), by SCENARIO_FIELDS."""
     f = read_fields(read_json_object(path, "scenario", hasher), "scenario", SCENARIO_FIELDS)
     params = MiningCurveParams(f["dof"], f["location"], f["scale"], f["total_value"])
-    return params, RevenueWindow(f["t1"], f["t2"], f["cost"]), f["mode"], f["name"]
+    return params, RevenueWindow(f["t1"], f["t2"], f["cost"]), f["name"]
 
 
 def load_train_config(path, hasher=None) -> TrainConfig:

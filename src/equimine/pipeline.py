@@ -1,6 +1,6 @@
 """Batch pipeline: one run object, and one function per stage over it.
 
-`Run` holds a run's parsed inputs, `RunConfig` and correlation alpha. Each stage function
+`Run` holds a run's parsed inputs and its `RunConfig`. Each stage function
 takes a `Run` and returns its reports by file name (a JSON report is a dict of raw values,
 which `io.write_json_report` rounds; a CSV report a (header, rows) pair). `run_pipeline`
 runs stage `config`, then `STAGES` in order; a subcommand runs one of them through
@@ -48,22 +48,21 @@ INPUT_FILES = {"pairwise": "load_pairwise_csv", "indicators": "load_indicator_ta
 @dataclass
 class RunConfig:
     paths: dict  # input name (INPUT_FILES) -> Path; None for an absent decision
-    income_mode: str = None  # None: the scenario's mode decides
+    income_mode: str = mining.DEFAULT_INCOME_MODE
     alloc_mode: str = allocation.DEFAULT_ALLOC_MODE
     alloc_basis: str = "equity"
     bottom_count: int = allocation.PovertyPolicy.bottom_count
     multiplier: float = allocation.PovertyPolicy.multiplier
-    seed: int = None
+    seed: int = None  # None: the train config's seed
 
     def __post_init__(self):
         self.poverty = allocation.PovertyPolicy(self.bottom_count, self.multiplier)
         self.bottom_count = self.poverty.bottom_count  # normalised: 3.0 -> 3
-        if self.income_mode not in (None, *mining.INCOME_MODES):
-            raise ValidationError(f"unknown income mode {self.income_mode!r}")
-        if self.alloc_mode not in allocation.ALLOC_MODES:
-            raise ValidationError(f"unknown allocation mode {self.alloc_mode!r}")
-        if self.alloc_basis not in ALLOC_BASES:
-            raise ValidationError(f"unknown allocation basis {self.alloc_basis!r}")
+        for what, value, known in [("income mode", self.income_mode, mining.INCOME_MODES),
+                                   ("allocation mode", self.alloc_mode, allocation.ALLOC_MODES),
+                                   ("allocation basis", self.alloc_basis, ALLOC_BASES)]:
+            if value not in known:
+                raise ValidationError(f"unknown {what} {value!r}")
         if self.seed is not None:
             sensnet.TrainConfig(seed=self.seed)  # the training seed's own rule
 
@@ -79,7 +78,6 @@ RUN_FIELDS = {
     **{key: (getattr(RunConfig, key), lambda value: value)  # RunConfig checks the modes
        for key in ("income_mode", "alloc_mode", "alloc_basis")},
     "poverty": ({}, lambda value: value),  # an object, read by POVERTY_FIELDS
-    "seed": (RunConfig.seed, lambda value: None if value is None else as_integer(value)),
 }
 POVERTY_FIELDS = {key: (getattr(RunConfig, key), convert)
                   for key, convert in [("bottom_count", as_integer), ("multiplier", as_real)]}
@@ -168,11 +166,11 @@ def write_reports(out_dir, digest: str, reports: dict) -> dict:
 
 
 class Run:
-    """A run's parsed inputs (input name -> parsed input, None if not given), its RunConfig
-    and the correlation alpha; each value the stages share is computed on first use."""
+    """A run's parsed inputs (input name -> parsed input, None if not given) and its
+    RunConfig; each value the stages share is computed on first use."""
 
-    def __init__(self, inputs: dict, config: RunConfig, alpha=stats.DEFAULT_ALPHA):
-        self.inputs, self.config, self.alpha = dict.fromkeys(INPUT_FILES) | inputs, config, alpha
+    def __init__(self, inputs: dict, config: RunConfig):
+        self.inputs, self.config = dict.fromkeys(INPUT_FILES) | inputs, config
 
     @cached_property
     def consistency(self):  # the comparison matrix's CI and CR
@@ -217,12 +215,12 @@ class Run:
 
     @cached_property
     def revenue(self) -> dict:
-        """Income and profit by mode, and the selected mode: the config's, else the scenario's."""
-        params, window, scenario_mode, _ = self.inputs["scenario"]
+        """Income and profit by mode, and the selected mode: the config's."""
+        params, window, _ = self.inputs["scenario"]
         incomes = {m: mining.income(window, params, m) for m in mining.INCOME_MODES}
         return {"income": incomes,
                 "profit": {m: mining.profit(incomes[m], window.cost) for m in mining.INCOME_MODES},
-                "selected_mode": self.config.income_mode or scenario_mode}
+                "selected_mode": self.config.income_mode}
 
     @cached_property
     def gammas(self) -> dict:
@@ -293,7 +291,7 @@ def topsis_stage(run):
 
 def mining_stage(run):
     """The scenario, and its income and profit in both income modes."""
-    params, window, _, name = run.inputs["scenario"]
+    params, window, name = run.inputs["scenario"]
     return {"mining.json": {"scenario": name, **asdict(params), "window": asdict(window),
                             **run.revenue}}
 
@@ -322,18 +320,17 @@ def correlation_stage(run):
     x, series = run.records
     per_indicator = []
     for j, name in enumerate(equity.INDICATOR_COLUMNS):
-        result = stats.t_test(stats.pearson(np.array(x[:, j]), series), len(series),
-                              alpha=run.alpha)
+        result = stats.t_test(stats.pearson(np.array(x[:, j]), series), len(series))
         fields = {k: v for k, v in asdict(result).items() if k != "n"}  # n: once, at the top
         direction = "positive" if result.r > 0 else ("negative" if result.r < 0 else "zero")
         per_indicator.append({"indicator": name, **fields, "direction": direction})
-    return {"correlation.json": {"alpha": run.alpha, "n": len(series),
+    return {"correlation.json": {"alpha": stats.DEFAULT_ALPHA, "n": len(series),
                                  "indicators": per_indicator}}
 
 
 def sensitivity_stage(run):
     """Train the sensitivity network on (indicators -> scaled scores) and sweep its
-    weights; the config's seed, when set, overrides the training config's."""
+    weights; the config's seed (--seed), when set, overrides the train config's."""
     x, series = run.records
     train = run.inputs["train"]
     if run.config.seed is not None:
@@ -344,11 +341,8 @@ def sensitivity_stage(run):
         "sensitivity.csv": (("indicator", "value"), named),
         "perturbation.csv": (("weight_id", "w", "output"), sweep.perturbation_rows),
         "sensitivity.json": {
-            "seed": train.seed,
-            "epochs": train.epochs,
-            "learning_rate": train.learning_rate,
-            "layer_sizes": list(train.layer_sizes),
-            "final_loss": sweep.final_loss,
+            "seed": train.seed, "epochs": train.epochs, "learning_rate": train.learning_rate,
+            "layer_sizes": list(train.layer_sizes), "final_loss": sweep.final_loss,
             "sensitivities": [{"indicator": n, "value": v} for n, v in named],
             "max_output_variation": sweep.max_variation,
             "variation_band": VARIATION_BAND,
@@ -384,28 +378,24 @@ def run_pipeline(config, out_dir, **overrides) -> dict:
         with _stage(name):
             reports |= stage(run)
             if name == "consistency" and not run.consistency.passes:
-                raise PipelineError(
-                    "consistency",
-                    f"comparison matrix failed the consistency check "
-                    f"(CR = {run.consistency.cr:.4f} >= 0.1)",
-                    {"cr": run.consistency.cr},
-                )
+                raise PipelineError("consistency", "comparison matrix failed the consistency "
+                                    f"check (CR = {run.consistency.cr:.4f} >= 0.1)",
+                                    {"cr": run.consistency.cr})
     return write_reports(out_dir, config.digest(sha256), reports)
 
 
 def run_stage(stage: str, flags: dict, out_dir) -> dict:
     """Run one stage of STAGES for its subcommand and write its reports into out_dir.
     `flags` holds input paths (None for an input not given) by INPUT_FILES name, and
-    settings (RunConfig's, or alpha), which the digest hashes with the inputs' bytes as
-    given. The stage reads the inputs and checks the settings."""
+    RunConfig settings, of which each None keeps RunConfig's default. The stage reads the
+    inputs and checks the settings; the digest is RunConfig.digest, as in run_pipeline."""
     settings = dict(flags)
     paths = {name: settings.pop(name) for name in INPUT_FILES if name in settings}
     with _stage(stage):
         inputs, sha256 = load_inputs(paths)
-        digest = io.config_digest(settings | sha256)
-        alpha = settings.pop("alpha", stats.DEFAULT_ALPHA)
-        reports = STAGES[stage](Run(inputs, RunConfig(paths, **settings), alpha))
-    return write_reports(out_dir, digest, reports)
+        config = RunConfig(paths, **{k: v for k, v in settings.items() if v is not None})
+        reports = STAGES[stage](Run(inputs, config))
+    return write_reports(out_dir, config.digest(sha256), reports)
 
 
 def scale_targets(y: np.ndarray) -> np.ndarray:

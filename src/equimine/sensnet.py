@@ -335,8 +335,9 @@ def sensitivity_sweep(inputs, targets, config: TrainConfig, indicator_names) -> 
     gradient of the output with respect to that standardized input. Also runs the
     weight perturbation sweep on the trained network."""
     x = np.asarray(inputs, dtype=float)
-    if x.ndim != 2 or x.shape[0] < MIN_SAMPLES:
-        raise ValidationError(f"need a 2-D indicator table with at least {MIN_SAMPLES} samples")
+    if (records := len(x) if x.ndim == 2 else 0) < MIN_SAMPLES:  # a table's rows are records
+        raise ValidationError(f"the indicator table has {records} records; the sensitivity "
+                              f"network needs at least {MIN_SAMPLES}")
     x_std = standardize_columns(x, indicator_names)
     params, losses = train(x_std, targets, config)
     sens = input_sensitivities(x_std, params)

@@ -88,11 +88,11 @@ def t_upper_critical(df: float, tail: float) -> float:
                         "iterations)")
 
 
-def t_test(r: float, n: int, alpha: float = DEFAULT_ALPHA) -> CorrelationResult:
+def t_test(r: float, n: int) -> CorrelationResult:
     """Two-sided significance test of a correlation coefficient.
 
     t = |r| / sqrt((1 - r^2) / (n - 2)) with n - 2 degrees of freedom,
-    compared against the numerically computed critical value at `alpha`.
+    compared against the numerically computed critical value at `DEFAULT_ALPHA`.
     A coefficient of exactly +/-1 yields an infinite statistic, flagged
     significant.
     """
@@ -100,7 +100,7 @@ def t_test(r: float, n: int, alpha: float = DEFAULT_ALPHA) -> CorrelationResult:
         raise ValidationError("need n >= 3 for the t test")
     strength = classify_strength(r)  # also the |r| <= 1 check
     df = n - 2
-    critical = t_upper_critical(df, alpha / 2)
+    critical = t_upper_critical(df, DEFAULT_ALPHA / 2)
     if abs(r) >= 1:
         t_stat = math.inf
     else:

@@ -358,25 +358,26 @@ def test_subcommand_writes_the_report_payload(tmp_path, sample_report, args, fil
 
 
 def test_income_mode_precedence(tmp_path):
-    """The --income-mode flag, then the run config's income_mode, then the scenario's mode."""
+    """The --income-mode flag, else the run config's income_mode, else cumulative."""
     scenario = json.loads(sample_path("scenario.json").read_text())
     # up to the peak, so the paper-literal rate difference gives a positive profit
-    scenario.update(t2=15.0, cost=0.0, mode="paper-literal")
+    scenario.update(t2=15.0, cost=0.0)
     scenario_path = tmp_path / "scenario.json"
     scenario_path.write_text(json.dumps(scenario))
-    scenario_mode = json.loads(sample_config(scenario=str(scenario_path)))
-    del scenario_mode["income_mode"]
-    (tmp_path / "no-mode.json").write_text(json.dumps(scenario_mode))
-    (tmp_path / "cumulative.json").write_text(json.dumps({**scenario_mode,
-                                                          "income_mode": "cumulative"}))
+    no_mode = json.loads(sample_config(scenario=str(scenario_path)))
+    del no_mode["income_mode"]
+    (tmp_path / "no-mode.json").write_text(json.dumps(no_mode))
+    (tmp_path / "literal.json").write_text(json.dumps({**no_mode,
+                                                       "income_mode": "paper-literal"}))
+    allocate = ["allocate", "--indicators", INDICATORS, "--gdp", str(sample_path("gdp.csv")),
+                "--scenario", str(scenario_path), "--pairwise", PAIRWISE, "--bottom-count", "2"]
     runs = {
-        "scenario": ["report", "--config", str(tmp_path / "no-mode.json")],
-        "config": ["report", "--config", str(tmp_path / "cumulative.json")],
-        "flag": ["report", "--config", str(tmp_path / "cumulative.json"),
-                 "--income-mode", "paper-literal"],
-        "allocate": ["allocate", "--indicators", INDICATORS, "--gdp", str(sample_path("gdp.csv")),
-                     "--scenario", str(scenario_path), "--pairwise", PAIRWISE,
-                     "--bottom-count", "2"],
+        "default": ["report", "--config", str(tmp_path / "no-mode.json")],
+        "config": ["report", "--config", str(tmp_path / "literal.json")],
+        "flag": ["report", "--config", str(tmp_path / "literal.json"),
+                 "--income-mode", "cumulative"],
+        "allocate": allocate,
+        "allocate-flag": allocate + ["--income-mode", "paper-literal"],
     }
     profits = {}
     for name, args in runs.items():
@@ -384,12 +385,44 @@ def test_income_mode_precedence(tmp_path):
         assert code == 0, output
         allocation_report = json.loads((tmp_path / name / "allocation.json").read_text())
         profits[name] = allocation_report["total_profit"]
-    mining_report = json.loads((tmp_path / "scenario" / "mining.json").read_text())
+    mining_report = json.loads((tmp_path / "config" / "mining.json").read_text())
     assert mining_report["selected_mode"] == "paper-literal"
     literal, cumulative = (mining_report["profit"][m] for m in ("paper-literal", "cumulative"))
     assert literal != cumulative
-    assert profits == {"scenario": literal, "config": cumulative, "flag": literal,
-                       "allocate": literal}
+    assert profits == {"default": cumulative, "config": literal, "flag": cumulative,
+                       "allocate": cumulative, "allocate-flag": literal}
+
+
+@pytest.mark.parametrize("command, stage, name, field", [
+    ("report", "config", "scenario", "mode"), ("simulate", "mining", "scenario", "mode"),
+    ("report", "config", "run config", "seed")])
+def test_scenario_mode_and_run_config_seed_are_unknown_fields(tmp_path, command, stage, name,
+                                                              field):
+    # the income mode has one home, the run config (or --income-mode), and the seed one,
+    # the train config (or --seed)
+    scenario = json.loads(sample_path("scenario.json").read_text())
+    (tmp_path / "scenario.json").write_text(json.dumps({**scenario, "mode": "cumulative"}))
+    fields = {"scenario": str(tmp_path / "scenario.json")} if name == "scenario" else {"seed": 0}
+    (tmp_path / "config.json").write_text(sample_config(**fields))
+    args = (["report", "--config", str(tmp_path / "config.json")] if command == "report" else
+            ["simulate", "--scenario", str(tmp_path / "scenario.json")])
+    code, output = run_cli(args + ["--out", str(tmp_path / "out")])
+    assert code == 1
+    assert json.loads(output)["error"] == {
+        "stage": stage, "message": f"{name} has an unknown field {field!r}"}
+    assert not (tmp_path / "out").exists()
+
+
+def test_setting_flag_given_at_its_default_leaves_the_digest_as_it_is(tmp_path):
+    # an absent flag means RunConfig's default, so naming that default changes no byte
+    allocate = ["allocate", "--indicators", INDICATORS, "--gdp", str(sample_path("gdp.csv")),
+                "--scenario", SCENARIO, "--bottom-count", "2"]
+    defaults = ["--income-mode", "cumulative", "--alloc-mode", "conserve", "--multiplier", "1.2"]
+    for name, args in [("absent", allocate), ("given", allocate + defaults)]:
+        code, output = run_cli(args + ["--out", str(tmp_path / name)])
+        assert code == 0, output
+    assert ((tmp_path / "absent" / "allocation.json").read_bytes()
+            == (tmp_path / "given" / "allocation.json").read_bytes())
 
 
 @pytest.mark.parametrize("alloc_basis", ["equity", "topsis"])
@@ -552,15 +585,12 @@ def test_missing_input_file_prints_error_json(tmp_path, command, flag):
 @pytest.mark.parametrize("fields, flags, field", [
     ({"poverty": {"bottom_count": 0, "multiplier": 1.2}}, [], "bottom_count"),
     ({"poverty": {"bottom_count": 2, "multiplier": 0.5}}, [], "multiplier"),
-    ({"seed": -1}, [], "seed"),
     ({}, ["--seed", "-1"], "seed"),
     ({"poverty": {"bottom_count": 99, "multiplier": 1.2}}, [], "bottom_count"),
-    ({"sed": 3}, [], "unknown field 'sed'; did you mean 'seed'?"),
     ({"poverty": {"bottom": 3}}, [], "unknown field 'bottom'; did you mean 'bottom_count'?"),
     ({"gdp": "gd\u0000p.csv"}, [], "p.csv: embedded null byte"),
-], ids=["zero-bottom-count", "multiplier-below-one", "negative-seed", "negative-seed-flag",
-        "bottom-count-past-the-gdp-table", "misspelled-seed", "misspelled-bottom-count",
-        "nul-byte-in-a-path"])
+], ids=["zero-bottom-count", "multiplier-below-one", "negative-seed-flag",
+        "bottom-count-past-the-gdp-table", "misspelled-bottom-count", "nul-byte-in-a-path"])
 def test_bad_run_setting_stops_report_in_config(tmp_path, caplog, monkeypatch, fields,
                                                 flags, field):
     monkeypatch.setenv("EQUIMINE_LOG", "INFO")
@@ -673,10 +703,9 @@ def test_panel_too_small_to_train_on_stops_report_in_config(tmp_path, caplog):
     with caplog.at_level(logging.INFO, logger="equimine.pipeline"):
         code, output = run_cli(["report", "--config", str(tmp_path / "config.json"),
                                 "--out", str(tmp_path / "out")])
+    message = "the indicator table has 3 records; the sensitivity network needs at least 10"
     assert code == 1
-    error = json.loads(output)["error"]
-    assert error["stage"] == "config" and "3 records" in error["message"]
-    assert "at least 10" in error["message"]
+    assert json.loads(output)["error"] == {"stage": "config", "message": message}
     started = [r.getMessage() for r in caplog.records if r.getMessage().endswith(" started")]
     assert started == ["stage config started"]
     assert not (tmp_path / "out").exists()
@@ -684,7 +713,7 @@ def test_panel_too_small_to_train_on_stops_report_in_config(tmp_path, caplog):
                             "--train", str(sample_path("train.json")),
                             "--out", str(tmp_path / "out")])
     assert code == 1
-    assert json.loads(output)["error"]["stage"] == "sensitivity"
+    assert json.loads(output)["error"] == {"stage": "sensitivity", "message": message}
 
 
 def test_run_pipeline_reads_its_inputs_in_config(tmp_path):
@@ -762,18 +791,20 @@ def _sha256(path) -> str:
 def test_run_config_digest_hashes_the_settings_and_input_bytes(tmp_path):
     # the flat settings, each input's path replaced by the sha256 of the file's bytes
     (tmp_path / "config.json").write_text(
-        sample_config(poverty={"bottom_count": 3, "multiplier": 1.5}, seed=7))
+        sample_config(poverty={"bottom_count": 3, "multiplier": 1.5}))
     config = pipeline.load_run_config(tmp_path / "config.json")
     _, sha256 = pipeline.load_inputs(config.paths)
     flat = {name: _sha256(sample_path(f"{name}.csv")) for name in ("indicators", "pairwise", "gdp")}
     flat |= {"scenario": _sha256(sample_path("scenario.json")),
              "train": _sha256(sample_path("train.json")),
              "decision": None, "income_mode": "cumulative", "alloc_mode": "conserve",
-             "alloc_basis": "equity", "bottom_count": 3, "multiplier": 1.5, "seed": 7}
+             "alloc_basis": "equity", "bottom_count": 3, "multiplier": 1.5, "seed": None}
     assert sha256 == {name: flat[name] for name in pipeline.INPUT_FILES}
     assert config.digest(sha256) == io.config_digest(flat)
     # RunConfig keeps the policy's integer bottom_count, so 3.0 hashes as 3
     assert replace(config, bottom_count=3.0).digest(sha256) == io.config_digest(flat)
+    # the seed comes from --seed or run_pipeline(..., seed=), not the run config
+    assert replace(config, seed=7).digest(sha256) == io.config_digest(flat | {"seed": 7})
 
 
 # The file of each input in `run_inputs`, and the inputs each subcommand reads.

@@ -149,20 +149,19 @@ class TestGdpCsv:
 
 class TestScenario:
     def test_loads_sample(self):
-        params, window, mode, name = io.load_scenario(sample_path("scenario.json"))
+        params, window, name = io.load_scenario(sample_path("scenario.json"))
         assert params.total_value == 70e12
         assert window.t2 == 30.0
         assert window.cost == 5e12
-        assert mode == "cumulative"
         assert name == "baseline-70T"
 
     def test_defaults_and_inf(self, tmp_path):
         path = tmp_path / "s.json"
         path.write_text("{}")
-        params, window, mode, _ = io.load_scenario(path)
+        params, window, name = io.load_scenario(path)
         assert params.dof == 5.0 and params.location == 15.0 and params.scale == 5.0
         assert window.t1 == 0.0 and math.isinf(window.t2) and window.cost == 0.0
-        assert mode == "cumulative"
+        assert name is None
 
     def test_null_t2_is_a_parse_error_naming_it(self, tmp_path):
         # t2 is a number or "inf"; null is not a spelling of an open window
@@ -179,11 +178,11 @@ class TestScenario:
         with pytest.raises(ParseError, match="field 'name' has a bad value"):
             io.load_scenario(path)
         path.write_text('{"name": null}')
-        assert io.load_scenario(path)[3] is None
+        assert io.load_scenario(path)[2] is None
 
     def test_asteroid_valuation_scenario(self):
         # sample built from the bundled asteroid valuations
-        params, window, mode, name = io.load_scenario(sample_path("anteros.json"))
+        params, window, name = io.load_scenario(sample_path("anteros.json"))
         assert params.total_value == 5.57e12
         assert window.cost == 4.32e12
         assert math.isinf(window.t2)
@@ -212,7 +211,7 @@ PATHS = '"indicators": "a", "pairwise": "a", "gdp": "a", "scenario": "a", "train
 @pytest.mark.parametrize("loader, text", [
     (io.load_scenario, '{"t2": "soon"}'),
     (io.load_scenario, '{"dof": [5]}'),
-    (io.load_scenario, '{"mode": "fast"}'),
+    (io.load_scenario, '{"cost": "high"}'),
     (io.load_scenario, '[1, 2]'),
     (io.load_train_config, '{"layer_sizes": [7, "x", 1]}'),
     (io.load_train_config, '{"epochs": "many"}'),
@@ -228,8 +227,8 @@ PATHS = '"indicators": "a", "pairwise": "a", "gdp": "a", "scenario": "a", "train
     (pipeline.load_run_config, '{' + PATHS + ', "poverty": {"bottom_count": "two"}}'),
     (pipeline.load_run_config, '{' + PATHS + ', "poverty": [2]}'),
     (pipeline.load_run_config, '{' + PATHS + ', "poverty": {"bottom_count": 2.7}}'),
-    (pipeline.load_run_config, '{' + PATHS + ', "seed": 2.5}'),
-    (pipeline.load_run_config, '{' + PATHS + ', "seed": "3"}'),
+    (pipeline.load_run_config, '{' + PATHS + ', "poverty": {"multiplier": "1.5"}}'),
+    (pipeline.load_run_config, '{' + PATHS + ', "decision": 7}'),
     (pipeline.load_run_config, '{' + PATHS.replace('"a"', '7', 1) + '}'),
 ])
 def test_malformed_json_input_is_parse_error(tmp_path, loader, text):
@@ -244,13 +243,16 @@ def test_malformed_json_input_is_parse_error(tmp_path, loader, text):
     (io.load_train_config, '{"epoch": 10}',
      "train config has an unknown field 'epoch'; did you mean 'epochs'?"),
     (io.load_train_config, '{"zzz": 1}', "train config has an unknown field 'zzz'"),
-    (pipeline.load_run_config, '{' + PATHS + ', "sed": 3}',
-     "run config has an unknown field 'sed'; did you mean 'seed'?"),
+    (io.load_scenario, '{"mode": "cumulative"}', "scenario has an unknown field 'mode'"),
+    (pipeline.load_run_config, '{' + PATHS + ', "income_mod": "cumulative"}',
+     "run config has an unknown field 'income_mod'; did you mean 'income_mode'?"),
+    (pipeline.load_run_config, '{' + PATHS + ', "seed": 3}',
+     "run config has an unknown field 'seed'"),
     (pipeline.load_run_config, '{' + PATHS + ', "poverty": {"bottom": 3}}',
      "run config poverty has an unknown field 'bottom'; did you mean 'bottom_count'?"),
     (pipeline.load_run_config, '{"indicators": "a"}', "run config is missing 'pairwise'"),
-], ids=["scenario", "train-config", "no-close-key", "run-config", "run-config-poverty",
-        "missing-path"])
+], ids=["scenario", "train-config", "no-close-key", "scenario-mode", "run-config",
+        "run-config-seed", "run-config-poverty", "missing-path"])
 def test_unknown_or_missing_json_field_is_a_parse_error(tmp_path, loader, text, message):
     # each JSON input has one field table: an unknown key names its closest known key, and
     # a required field (a run-config input path) has no default
@@ -264,7 +266,8 @@ def test_unknown_or_missing_json_field_is_a_parse_error(tmp_path, loader, text, 
 @pytest.mark.parametrize("loader, text, key", [
     (io.load_scenario, '{"dof": 5, "dof": 3}', "dof"),
     (io.load_train_config, '{"epochs": 5, "epochs": 5000}', "epochs"),
-    (pipeline.load_run_config, '{' + PATHS + ', "seed": 1, "seed": 2}', "seed"),
+    (pipeline.load_run_config, '{' + PATHS + ', "alloc_basis": "equity", "alloc_basis": "topsis"}',
+     "alloc_basis"),
     (pipeline.load_run_config,
      '{' + PATHS + ', "poverty": {"multiplier": 2, "multiplier": 1.5}}', "multiplier"),
 ], ids=["scenario", "train-config", "run-config", "run-config-poverty"])

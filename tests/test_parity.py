@@ -4,8 +4,9 @@ Each example writes a small input set: a 3-12 country x 1-4 year indicator
 panel with at least the 10 records sensitivity training needs (rows shuffled),
 a near-consistent 7x7 comparison matrix (CR < 0.1), a GDP table, a decision
 matrix with one row per country, a scenario, a train config of a few epochs and
-a run config naming them all. `report` and every subcommand, given flags that
-match the run config, write equal payloads, `config_digest` aside; a second
+a run config naming them all, which may leave out the income mode. `report`
+and every subcommand, given flags that match the run config (and the same
+`--seed`, if any), write equal payloads, `config_digest` aside; a second
 `report` into a fresh directory is byte-identical. On 12 of the sets, over
 every combination of income mode, allocation mode and allocation basis, a run
 writes its reports or raises PipelineError, and `allocate` and `simulate` match
@@ -36,8 +37,9 @@ def _csv(path, rows):
 
 
 def write_input_set(root: Path, seed: int, countries: int, years: int) -> dict:
-    """Write a generated input set and its run config under root; returns the
-    subcommand flags that match the run config, the mode flags aside (_mode_flags)."""
+    """Write a generated input set and its run config under root; returns each command's
+    flags that match the run config, the mode flags aside (_mode_flags): `report`'s and
+    `sensitivity`'s include the same --seed, if any."""
     rng = np.random.default_rng(seed)
     names = [f"K{i}" for i in rng.permutation(countries)]
     first = int(rng.integers(1990, 2030))
@@ -68,28 +70,29 @@ def write_input_set(root: Path, seed: int, countries: int, years: int) -> dict:
         "location": float(rng.uniform(0.0, 30.0)), "scale": float(rng.uniform(1.0, 10.0)),
         "total_value": float(rng.uniform(1e12, 1e14)), "cost": float(rng.uniform(0.0, 1e13)),
         "t1": t1, "t2": "inf" if rng.random() < 0.3 else t1 + float(rng.uniform(1.0, 50.0)),
-        "mode": ["cumulative", "paper-literal"][int(rng.integers(2))],
     }))
     (root / "train.json").write_text(json.dumps({
         "learning_rate": float(rng.uniform(0.05, 0.5)), "epochs": int(rng.integers(1, 21)),
         "seed": int(rng.integers(0, 1000)), "layer_sizes": [7, int(rng.integers(2, 9)), 1],
     }))
 
-    income_mode = [None, "cumulative", "paper-literal"][int(rng.integers(3))]
+    income_mode = [None, *mining.INCOME_MODES][int(rng.integers(3))]  # None: left out
     alloc_mode = ["conserve", "paper-literal"][int(rng.integers(2))]
     bottom_count, multiplier = int(rng.integers(1, countries + 1)), float(rng.uniform(1.0, 2.0))
-    run_seed = None if rng.random() < 0.5 else int(rng.integers(0, 1000))
+    seed_flag = [] if rng.random() < 0.5 else ["--seed", str(int(rng.integers(0, 1000)))]
     (root / "config.json").write_text(json.dumps({
         "indicators": "indicators.csv", "pairwise": "pairwise.csv", "gdp": "gdp.csv",
         "scenario": "scenario.json", "train": "train.json", "decision": "decision.csv",
-        "income_mode": income_mode, "alloc_mode": alloc_mode, "alloc_basis": "equity",
-        "poverty": {"bottom_count": bottom_count, "multiplier": multiplier}, "seed": run_seed,
+        **({} if income_mode is None else {"income_mode": income_mode}),
+        "alloc_mode": alloc_mode, "alloc_basis": "equity",
+        "poverty": {"bottom_count": bottom_count, "multiplier": multiplier},
     }))
 
     indicators, pairwise = ["--indicators", str(root / "indicators.csv")], [
         "--pairwise", str(root / "pairwise.csv")]
     scenario = ["--scenario", str(root / "scenario.json")]
     return {
+        "report": ["--config", str(root / "config.json")] + seed_flag,
         "weights": pairwise,
         "consistency": pairwise,
         "topsis": ["--decision", str(root / "decision.csv")],
@@ -99,13 +102,12 @@ def write_input_set(root: Path, seed: int, countries: int, years: int) -> dict:
             "--gdp", str(root / "gdp.csv"),
             "--bottom-count", str(bottom_count), "--multiplier", repr(multiplier)],
         "correlate": indicators + pairwise,
-        "sensitivity": indicators + pairwise + ["--train", str(root / "train.json")] + (
-            [] if run_seed is None else ["--seed", str(run_seed)]),
+        "sensitivity": indicators + pairwise + ["--train", str(root / "train.json")] + seed_flag,
     }
 
 
 def _mode_flags(command, income_mode, alloc_mode) -> list:
-    """The mode flags of `command` that match these modes (income_mode None: the scenario's)."""
+    """The mode flags of `command` that match these modes (income_mode None: none given)."""
     income = [] if income_mode is None else ["--income-mode", income_mode]
     return {"simulate": income, "allocate": income + ["--alloc-mode", alloc_mode]}.get(command, [])
 
@@ -136,15 +138,16 @@ def test_report_and_subcommands_write_equal_payloads(seed, shape):
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         subcommands = write_input_set(root, seed, countries, years)
+        report_flags = subcommands.pop("report")
         for out in ("report", "again"):
-            _invoke(["report", "--config", str(root / "config.json"), "--out", str(root / out)])
+            _invoke(["report", *report_flags, "--out", str(root / out)])
         report = {p.name: p.read_bytes() for p in (root / "report").iterdir()}
         assert report == {p.name: p.read_bytes() for p in (root / "again").iterdir()}
         config = json.loads((root / "config.json").read_text())
         covered = set()
         for command, flags in subcommands.items():
             out = root / command
-            _invoke([command, *flags, *_mode_flags(command, config["income_mode"],
+            _invoke([command, *flags, *_mode_flags(command, config.get("income_mode"),
                                                    config["alloc_mode"]), "--out", str(out)])
             for path in out.iterdir():
                 assert _payload(path) == _payload(root / "report" / path.name), path.name
@@ -152,10 +155,9 @@ def test_report_and_subcommands_write_equal_payloads(seed, shape):
         assert covered == set(report)
 
 
-# Income mode (None: the scenario's) x allocation mode x allocation basis: 12 full runs
-# per set, so the grid takes fewer sets than PARITY to keep the suite's time in bounds.
-GRID = list(itertools.product([None, *mining.INCOME_MODES], allocation.ALLOC_MODES,
-                              pipeline.ALLOC_BASES))
+# Income mode x allocation mode x allocation basis: 8 full runs per set, so the grid
+# takes fewer sets than PARITY to keep the suite's time in bounds.
+GRID = list(itertools.product(mining.INCOME_MODES, allocation.ALLOC_MODES, pipeline.ALLOC_BASES))
 GRID_SETS = settings(PARITY, max_examples=12)
 
 
