@@ -4,7 +4,6 @@ line endings, full precision in CSV). JSON reports round every float to 6
 significant digits; only listed keys may hold an infinity, written as null."""
 
 import csv
-import difflib
 import hashlib
 import json
 import math
@@ -142,6 +141,8 @@ def read_fields(raw, what: str, schema: dict) -> dict:
     if not isinstance(raw, dict):
         raise ParseError(f"{what} must be a JSON object, not {type(raw).__name__}")
     if unknown := [key for key in raw if key not in schema]:
+        import difflib  # here, so a run that succeeds never loads it
+
         close = difflib.get_close_matches(unknown[0], schema, n=1)
         raise ParseError(f"{what} has an unknown field {unknown[0]!r}"
                          + (f"; did you mean {close[0]!r}?" if close else ""))

@@ -1,8 +1,9 @@
+import contextlib
+import io
 import re
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 from hypothesis import settings
 from hypothesis import strategies as st
 
@@ -48,17 +49,21 @@ def log_uniform(lo, hi):
 
 
 def run_cli(args) -> tuple:
-    """Run `equimine args` in this process: (exit code, printed output). An exception the
-    CLI raised, other than SystemExit, is raised again, so a traceback fails the test."""
-    result = CliRunner().invoke(main, args)
-    if result.exception is not None and not isinstance(result.exception, SystemExit):
-        raise result.exception
-    return result.exit_code, result.output
+    """Run `equimine args` in this process: (exit code, what it printed to stdout and stderr).
+    An exception the CLI raised, other than SystemExit, propagates, so a traceback fails the
+    test."""
+    output = io.StringIO()
+    with contextlib.redirect_stdout(output), contextlib.redirect_stderr(output):
+        try:
+            code = main(list(args))
+        except SystemExit as exc:
+            code = 0 if exc.code is None else exc.code
+    return code, output.getvalue()
 
 
 def cli_flags(command) -> dict:
     """{flag: the rest of its entry} for each flag `equimine COMMAND --help` lists, --help
-    aside; the rest holds the metavar, the description and any default or required mark."""
+    aside; the rest holds the metavar (or the choices) and the description."""
     code, output = run_cli([command, "--help"])
     assert code == 0, output
     options = re.split(r"^options:\n", output, flags=re.IGNORECASE | re.MULTILINE)[1]

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from equimine import io, pipeline
-from equimine.cli import SUBCOMMANDS
+from equimine.cli import SUBCOMMANDS, main
 from equimine.data import sample_dir, sample_path
 from equimine.errors import PipelineError
 
@@ -110,11 +110,13 @@ def test_simulate_large_dof_reaches_the_normal_limit(tmp_path, dof):
 
 
 def test_cli_import_loads_no_scipy():
+    # nor click, which the CLI does not use, nor difflib, which only an unknown JSON
+    # field's error message needs
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
-    probe = ("import sys, equimine.cli; "
-             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    probe = ("import sys, equimine.cli; print(sorted(m for m in sys.modules "
+             "if m.split('.')[0] in ('scipy', 'click', 'difflib')))")
     result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
                             check=True)
     assert result.stdout.strip() == "[]"
@@ -185,6 +187,22 @@ def test_report_full_pipeline(tmp_path):
     for name in expected - {"sensitivity.csv"}:
         digests.add(json.loads((out / name).read_text())["config_digest"])
     assert len(digests) == 1
+
+
+def test_main_takes_the_benchmark_workers_call_form(tmp_path, capsys):
+    # perfbench/worker.py runs `report` as main(args=..., prog_name=..., standalone_mode=False)
+    config, out = str(sample_path("config.json")), tmp_path / "out"
+    args = ["report", "--config", config, "--out", str(out)]
+    assert main(args=args, prog_name="equimine", standalone_mode=False) == 0
+    assert capsys.readouterr().out == f"wrote {len(REPORT_FILES)} artifacts to {out}\n"
+    assert sorted(p.name for p in out.iterdir()) == sorted(REPORT_FILES)
+    missing = str(tmp_path / "missing.json")
+    with pytest.raises(SystemExit) as stop:
+        main(args=["report", "--config", missing, "--out", str(tmp_path / "again")],
+             prog_name="equimine", standalone_mode=False)
+    assert stop.value.code == 1
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["stage"] == "config" and missing in error["message"]
 
 
 def test_report_seed_override_changes_sensitivity_only(tmp_path):
@@ -417,7 +435,8 @@ def test_setting_flag_given_at_its_default_leaves_the_digest_as_it_is(tmp_path):
     # an absent flag means RunConfig's default, so naming that default changes no byte
     allocate = ["allocate", "--indicators", INDICATORS, "--gdp", str(sample_path("gdp.csv")),
                 "--scenario", SCENARIO, "--bottom-count", "2"]
-    defaults = ["--income-mode", "cumulative", "--alloc-mode", "conserve", "--multiplier", "1.2"]
+    defaults = ["--income-mode", "cumulative", "--alloc-mode", "conserve", "--alloc-basis",
+                "equity", "--multiplier", "1.2"]
     for name, args in [("absent", allocate), ("given", allocate + defaults)]:
         code, output = run_cli(args + ["--out", str(tmp_path / name)])
         assert code == 0, output
@@ -539,7 +558,8 @@ INPUT_FLAGS = {
     "equity": ("equity", {"--indicators": INDICATORS, "--pairwise": PAIRWISE}),
     "simulate": ("mining", {"--scenario": SCENARIO}),
     "allocate": ("allocation", {"--indicators": INDICATORS, "--gdp": str(sample_path("gdp.csv")),
-                                "--scenario": SCENARIO, "--pairwise": PAIRWISE}),
+                                "--scenario": SCENARIO, "--pairwise": PAIRWISE,
+                                "--decision": str(sample_path("asteroids.csv"))}),
     "correlate": ("correlation", {"--indicators": INDICATORS, "--pairwise": PAIRWISE}),
     "sensitivity": ("sensitivity", {"--indicators": INDICATORS,
                                     "--train": str(sample_path("train.json")),
@@ -557,9 +577,9 @@ def test_every_input_flag_has_a_missing_input_case():
     assert flags == set(MISSING_INPUTS)
 
 
-# What a flag's --help entry holds besides its description: the metavar (PATH, FLOAT or a
-# choice list), the default and the required mark.
-HELP_MARKS = re.compile(r"^(?:[A-Z]+|\[[^]]*\|[^]]*\])(?= |$)|\[default: [^]]*\]|\[required\]")
+# What a flag's --help entry holds besides its description: the metavar (PATH, N or M) or
+# the choice list.
+HELP_MARKS = re.compile(r"^(?:[A-Z]+|\{[^}]*\})(?= |$)")
 
 
 @pytest.mark.parametrize("command", [*SUBCOMMANDS, "report"])

@@ -10,7 +10,7 @@ and every subcommand, given flags that match the run config (and the same
 `report` into a fresh directory is byte-identical. On 12 of the sets, over
 every combination of income mode, allocation mode and allocation basis, a run
 writes its reports or raises PipelineError, and `allocate` and `simulate` match
-its equity-basis runs.
+its runs.
 Runs are derandomized, so every run tries the same inputs.
 """
 
@@ -99,17 +99,18 @@ def write_input_set(root: Path, seed: int, countries: int, years: int) -> dict:
         "equity": indicators + pairwise,
         "simulate": scenario,
         "allocate": indicators + pairwise + scenario + [
-            "--gdp", str(root / "gdp.csv"),
+            "--gdp", str(root / "gdp.csv"), "--decision", str(root / "decision.csv"),
             "--bottom-count", str(bottom_count), "--multiplier", repr(multiplier)],
         "correlate": indicators + pairwise,
         "sensitivity": indicators + pairwise + ["--train", str(root / "train.json")] + seed_flag,
     }
 
 
-def _mode_flags(command, income_mode, alloc_mode) -> list:
+def _mode_flags(command, income_mode, alloc_mode, alloc_basis) -> list:
     """The mode flags of `command` that match these modes (income_mode None: none given)."""
     income = [] if income_mode is None else ["--income-mode", income_mode]
-    return {"simulate": income, "allocate": income + ["--alloc-mode", alloc_mode]}.get(command, [])
+    return {"simulate": income, "allocate": income + ["--alloc-mode", alloc_mode,
+                                                      "--alloc-basis", alloc_basis]}.get(command, [])
 
 
 def _payload(path: Path):
@@ -148,7 +149,8 @@ def test_report_and_subcommands_write_equal_payloads(seed, shape):
         for command, flags in subcommands.items():
             out = root / command
             _invoke([command, *flags, *_mode_flags(command, config.get("income_mode"),
-                                                   config["alloc_mode"]), "--out", str(out)])
+                                                   config["alloc_mode"], config["alloc_basis"]),
+                     "--out", str(out)])
             for path in out.iterdir():
                 assert _payload(path) == _payload(root / "report" / path.name), path.name
                 covered.add(path.name)
@@ -165,7 +167,7 @@ GRID_SETS = settings(PARITY, max_examples=12)
 @given(seed=st.integers(0, 2 ** 32 - 1), shape=SHAPES)
 def test_every_mode_combination_runs_or_fails_in_a_stage(seed, shape):
     # each combination over the run config; allocate and simulate given the same modes
-    # write each equity-basis run's payloads
+    # write each run's payloads
     countries, years = shape
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
@@ -178,10 +180,8 @@ def test_every_mode_combination_runs_or_fails_in_a_stage(seed, shape):
                                               alloc_mode=alloc_mode, alloc_basis=basis), run)
             except PipelineError:  # any other exception fails the test
                 continue
-            if basis == "topsis":  # allocate has no --alloc-basis flag
-                continue
             for command, name in [("allocate", "allocation.json"), ("simulate", "mining.json")]:
                 out = run / command
                 _invoke([command, *subcommands[command],
-                         *_mode_flags(command, income_mode, alloc_mode), "--out", str(out)])
+                         *_mode_flags(command, income_mode, alloc_mode, basis), "--out", str(out)])
                 assert _payload(out / name) == _payload(run / name), (command, i)
