@@ -8,7 +8,6 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -21,11 +20,20 @@ from .topsis import DecisionMatrix, IndicatorKind
 
 
 def parse_ratio(text: str) -> float:
-    """Parse a comparison ratio; fractions like '1/3' are taken exactly."""
+    """Parse a comparison ratio to the float that Fraction(text) rounds it to: 'a/b',
+    integers with a sign on a alone, is int(a) / int(b), which Python rounds correctly;
+    any other form is read by float, less the infinities and NaN that Fraction rejects."""
+    num, slash, den = text.strip().partition("/")
+    integers = num.lstrip("+-").replace("_", "").isdigit() and den.replace("_", "").isdigit()
     try:
-        return float(Fraction(text.strip()))
+        value = (int(num) / int(den) if integers else math.nan) if slash else float(num)
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise ParseError(f"bad ratio {text!r}: {exc}") from None
+    if not math.isfinite(value):
+        raise ParseError(f"bad ratio {text!r}: expected a finite number or a/b of integers")
+    if value == 0 and not slash:  # Fraction's exact zero has no sign; an underflow keeps it
+        return -0.0 if float(num.lower().partition("e")[0]) < 0 else 0.0
+    return value
 
 
 def load_pairwise_csv(path, hasher=None) -> PairwiseMatrix:
@@ -219,7 +227,7 @@ def _rows(path, hasher=None):
 
 def _converted(line, convert, cells) -> list:
     """[convert(c) for c in cells]; a ValueError is a ParseError naming `line`. So is
-    a cell holding what float, int and Fraction accept beyond ASCII digits: the
+    a cell holding what float, int and parse_ratio accept beyond ASCII digits: the
     digit-group separator '_', and non-ASCII digits such as '١٠٠'."""
     if bad := [c for c in cells if "_" in c or not c.isascii()]:
         raise ParseError(f"bad number {bad[0]!r}: '_' and non-ASCII are not allowed", line=line)

@@ -111,12 +111,13 @@ def test_simulate_large_dof_reaches_the_normal_limit(tmp_path, dof):
 
 def test_cli_import_loads_no_scipy():
     # nor click, which the CLI does not use, nor difflib, which only an unknown JSON
-    # field's error message needs
+    # field's error message needs, nor fractions (and the decimal it loads), which
+    # parse_ratio does without
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
     probe = ("import sys, equimine.cli; print(sorted(m for m in sys.modules "
-             "if m.split('.')[0] in ('scipy', 'click', 'difflib')))")
+             "if m.split('.')[0] in ('scipy', 'click', 'difflib', 'fractions', 'decimal')))")
     result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
                             check=True)
     assert result.stdout.strip() == "[]"

@@ -1,14 +1,41 @@
 import hashlib
 import json
 import math
+import re
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from equimine import equity, io, pipeline
 from equimine.data import sample_dir, sample_path
 from equimine.errors import ParseError, ValidationError
+
+
+# what Fraction reads, and what it rejects: signs, digits with '_' between them, a
+# decimal point, an exponent, a slash, whitespace and other letters, mixed at random
+RATIO_TEXTS = st.one_of(
+    st.from_regex(r"\s?[-+]?[0-9]{0,25}(\.[0-9]{0,25})?([eE][-+]?[0-9]{1,3})?\s?", fullmatch=True),
+    st.from_regex(r"\s?[-+]?[0-9]{1,25}(_[0-9]+)? ?/ ?[-+]?[0-9]{1,25}(\.0)?\s?", fullmatch=True),
+    st.text(alphabet="0123456789+-./eE_ \tinfatyINF\u0661\u0662\u00b2", max_size=12),
+    # integers past 2**53, whose floats would round once more before the division
+    st.builds("{}/{}".format, st.integers(-10**30, 10**30), st.integers(0, 10**30)),
+)
+
+
+def assert_parse_ratio_is_float_of_fraction(text):
+    """parse_ratio(text) is float(Fraction(text)), bit for bit and with the sign of a
+    zero; where Fraction refuses the text, or its float overflows, a ParseError."""
+    try:
+        want = repr(float(Fraction(text)))
+    except (ValueError, ZeroDivisionError, OverflowError):
+        with pytest.raises(ParseError, match=f"^bad ratio {re.escape(repr(text))}: "):
+            io.parse_ratio(text)
+    else:
+        assert repr(io.parse_ratio(text)) == want
 
 
 class TestParseRatio:
@@ -23,6 +50,20 @@ class TestParseRatio:
             io.parse_ratio("three")
         with pytest.raises(ParseError):
             io.parse_ratio("1/0")
+
+    # parse_ratio reads ratios without importing fractions
+    @pytest.mark.parametrize("text", [
+        "inf", "nan", "1 / 2", "1/+2", "1/2.0", "1/0", "1e400", "+-1/2", "/2", "-0", "-0.0e5",
+        "-1e-400", "-1/" + "1" * 400, "316065425454851373/924442866899933439", "1_0/3",
+        "\u0661/\u0662", "\u00b2/2", " -.5E-3 ",
+    ])
+    def test_edge_cases_are_float_of_fraction(self, text):
+        assert_parse_ratio_is_float_of_fraction(text)
+
+    @settings(max_examples=400, derandomize=True, database=None, deadline=None)
+    @given(RATIO_TEXTS)
+    def test_generated_texts_are_float_of_fraction(self, text):
+        assert_parse_ratio_is_float_of_fraction(text)
 
 
 class TestPairwiseCsv:

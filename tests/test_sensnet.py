@@ -1,6 +1,10 @@
 import copy
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +25,8 @@ from equimine.sensnet import (
 )
 
 NAMES = [f"x{j + 1}" for j in range(7)]
+CPU_INFO = Path("/proc/cpuinfo")
+CPU_HAS_AVX2 = CPU_INFO.exists() and "avx2" in CPU_INFO.read_text()
 
 
 def forward_oracle(x, params):
@@ -469,7 +475,11 @@ class TestOutReuse:
     # the sweep takes all grid points of a unit from one product where it can, and
     # recomputes only the layers after it; its outputs must still carry the bits of
     # full passes. (7, 4, 2) writes the grid into the output layer; a layer of 16
-    # inputs or more, as in (7, 32, 3, 1), and a one-row input take a pass per grid point
+    # inputs or more, as in (7, 32, 3, 1), and a one-row input take a pass per grid
+    # point. Below two bias tiles (1,024 rows) the later layers run once on a stack of
+    # the grid points: 40 rows is the sample's shape, and at 40 rows (7, 4, 2) stacks
+    # the output layer itself, so no later layer runs; 1,023 and 1,024 rows sit on
+    # either side of the rule
     @pytest.mark.parametrize("sizes, rows", [
         pytest.param((7, 16, 1), 1200, id="7-16-1"),
         pytest.param((7, 1), 1200, id="7-1"),
@@ -478,6 +488,11 @@ class TestOutReuse:
         pytest.param((7, 32, 3, 1), 300, id="7-32-3-1"),
         pytest.param((7, 16, 1), 1, id="7-16-1-one-row"),
         pytest.param((7, 4, 2), 1, id="7-4-2-one-row"),
+        pytest.param((7, 16, 1), 40, id="7-16-1-40-rows"),
+        pytest.param((7, 4, 2), 40, id="7-4-2-40-rows"),
+        pytest.param((7, 4, 1, 3, 1), 500, id="7-4-1-3-1-500-rows"),
+        pytest.param((7, 16, 1), 1023, id="7-16-1-1023-rows"),
+        pytest.param((7, 16, 1), 1024, id="7-16-1-1024-rows"),
     ])
     def test_sweep_is_bit_equal_to_full_forward_passes(self, sizes, rows):
         rng = np.random.default_rng(21)
@@ -490,6 +505,20 @@ class TestOutReuse:
         assert (rows, variations) == full_pass_sweep(copy.deepcopy(trained), x)
         for got, want in zip(params.weights + params.biases, trained.weights + trained.biases):
             assert np.array_equal(got, want)
+
+    # BLAS gemm and numpy's exp give other last bits on other kernels (README's CLI
+    # section). The stacked sweep must still match full passes there: rerun the oracle
+    # test with the kernels an AVX2-only CPU gets, on a CPU that can run them
+    @pytest.mark.skipif(not CPU_HAS_AVX2, reason="the CPU has no AVX2")
+    def test_sweep_is_bit_equal_to_full_forward_passes_on_avx2_kernels(self):
+        env = {**os.environ, "OPENBLAS_CORETYPE": "Haswell",
+               "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
+        oracle = "::".join([str(Path(__file__).resolve()), "TestOutReuse",
+                            "test_sweep_is_bit_equal_to_full_forward_passes"])
+        result = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                                 oracle], env=env, capture_output=True, text=True)
+        assert result.returncode == 0, result.stdout + result.stderr
+        assert re.search(r"\b\d+ passed", result.stdout) and "skipped" not in result.stdout
 
     def test_train_allocates_nothing_per_epoch(self):
         rng = np.random.default_rng(3)
