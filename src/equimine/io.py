@@ -20,19 +20,17 @@ from .topsis import DecisionMatrix, IndicatorKind
 
 
 def parse_ratio(text: str) -> float:
-    """Parse a comparison ratio to the float that Fraction(text) rounds it to: 'a/b',
-    integers with a sign on a alone, is int(a) / int(b), which Python rounds correctly;
-    any other form is read by float, less the infinities and NaN that Fraction rejects."""
+    """Parse a comparison ratio: 'a/b' of digits, with a sign on a alone and no
+    space around '/', is int(a) / int(b), which Python rounds correctly; any other form
+    is read by float, less its infinities and NaN."""
     num, slash, den = text.strip().partition("/")
-    integers = num.lstrip("+-").replace("_", "").isdigit() and den.replace("_", "").isdigit()
     try:
-        value = (int(num) / int(den) if integers else math.nan) if slash else float(num)
+        value = (int(num) / int(den) if num.lstrip("+-").isdigit() and den.isdigit()
+                 else math.nan) if slash else float(num)
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise ParseError(f"bad ratio {text!r}: {exc}") from None
     if not math.isfinite(value):
         raise ParseError(f"bad ratio {text!r}: expected a finite number or a/b of integers")
-    if value == 0 and not slash:  # Fraction's exact zero has no sign; an underflow keeps it
-        return -0.0 if float(num.lower().partition("e")[0]) < 0 else 0.0
     return value
 
 

@@ -13,7 +13,8 @@ from .errors import EquimineError, ValidationError, as_integer, as_real
 INIT_HALF_RANGE = 0.5  # weights and biases start uniform in [-0.5, 0.5]
 SWEEP_SPAN = 0.1  # the weight sweep moves each weight across +/- 10% of its value
 SWEEP_POINTS = 11  # on 11 evenly spaced points
-TILE_ROWS = 512  # from two tiles of rows on, 2+ units add biases by tiles; the sweep stacks below
+TILE_ROWS = 512  # from two tiles of rows on, a layer of 2+ units adds biases by tiles
+STACK_ROWS = 1024  # the sweep stacks all grid points up to here; from ~1,400 that is slower
 CONTIGUOUS_INPUTS = 16  # a product of 2+ rows into fewer inputs takes a contiguous W.T
 MIN_SAMPLES = 10  # the fewest indicator records sensitivity_sweep trains on
 
@@ -291,16 +292,17 @@ def perturbation_sweep(params: NetworkParams, inputs):
 
     Moving w[j, k] of layer l changes only unit j. Where _forward takes a contiguous
     product into several units, one product by SWEEP_POINTS copies of W[j], w[j, k] set
-    to each grid value, gives unit j's column at every point with a full pass's bits.
-    Below two bias tiles of rows the later layers then run once, on a (SWEEP_POINTS, rows,
-    width) stack of layer l's activations; matmul calls BLAS per slice, which keeps each
-    point's bits. From two tiles on they run per point, and elsewhere each point runs
-    from layer l; a pass per unit then resets the trace."""
+    to each grid value, gives unit j's column at every point with a full pass's bits;
+    the later layers then run on a (depth, rows, width) stack of layer l's activations,
+    and matmul calls BLAS per slice, which keeps each point's bits. Up to STACK_ROWS rows
+    the stack holds all SWEEP_POINTS points; above, one. Elsewhere each point runs from
+    layer l, and a pass per layer then resets the trace."""
     x = _batch(inputs, params)
+    depth = SWEEP_POINTS if len(x) <= STACK_ROWS else 1
     trace, rows, variations = _trace(x, params), [], {}
-    stacked = len(x) < 2 * TILE_ROWS and _trace(np.stack([x] * SWEEP_POINTS), params)
+    stacked = _trace(np.broadcast_to(x, (depth,) + x.shape), params)
     with np.errstate(over="ignore"):
-        [baseline] = _means(_forward(params, trace).activations[-1])
+        baseline = float(_forward(params, trace).activations[-1].mean())
         if baseline == 0:
             raise EquimineError("trained network output is saturated at 0; relative weight "
                                 "variation is undefined")
@@ -310,39 +312,31 @@ def perturbation_sweep(params: NetworkParams, inputs):
                 units = NetworkParams([np.zeros((SWEEP_POINTS, w.shape[1]))],
                                       [np.zeros(SWEEP_POINTS)])
                 units_trace = _trace(a_in, units)
-                if stacked:
-                    np.copyto(stack := stacked.activations[l + 1], a_next)
+                np.copyto(stack := stacked.activations[l + 1], a_next)
             for (j, k), center in np.ndenumerate(w):
                 weight_id = f"w{l + 1}[{j},{k}]"
                 half = abs(center) * SWEEP_SPAN if center != 0 else SWEEP_SPAN
                 values = np.linspace(center - half, center + half, SWEEP_POINTS)
-                if grid:
+                if grid:  # the stack's later layers do not read w[j, k]
                     units.weights[0][:], units.biases[0][:] = w[j], params.biases[l][j]
                     units.weights[0][:, k] = values
-                    columns = _forward(units, units_trace).activations[1]
-                if grid and stacked:  # the stack's later layers do not read w[j, k]
-                    stack[:, :, j] = columns.T
-                    outputs = _means(_forward(params, stacked, l + 1).activations[-1], SWEEP_POINTS)
+                    columns, outputs = _forward(units, units_trace).activations[1].T, []
+                    for i in range(0, SWEEP_POINTS, depth):
+                        stack[:, :, j] = columns[i:i + depth]
+                        out = _forward(params, stacked, l + 1).activations[-1]
+                        outputs += out.reshape(depth, -1).mean(axis=1).tolist()
                     stack[:, :, j] = a_next[:, j]
                 else:
                     outputs = []
-                    for i, value in enumerate(values):
-                        w[j, k] = value  # a grid pass, from layer l + 1, does not read it
-                        if grid:
-                            a_next[:, j] = columns[:, i]
-                        outputs += _means(_forward(params, trace, l + grid).activations[-1])
+                    for value in values:
+                        w[j, k] = value
+                        outputs.append(float(_forward(params, trace, l).activations[-1].mean()))
                     w[j, k] = center
-                    if k == w.shape[1] - 1:
-                        _forward(params, trace, l)
                 rows += [(weight_id, value, out) for value, out in zip(values.tolist(), outputs)]
                 variations[weight_id] = (max(outputs) - min(outputs)) / abs(baseline)
+            if not grid:  # the last point's pass left its outputs after layer l
+                _forward(params, trace, l)
     return rows, variations
-
-
-def _means(a, blocks=1) -> list:
-    """The mean of each of `blocks` equal runs of a's entries, as ndarray.mean takes it
-    (a sum, then a division by the count) but without its Python wrapper."""
-    return (np.add.reduce(a.reshape(blocks, -1), axis=1) / (a.size // blocks)).tolist()
 
 
 def sensitivity_sweep(inputs, targets, config: TrainConfig, indicator_names) -> SweepResult:

@@ -92,7 +92,7 @@ def test_every_json_object_goes_through_read_fields():
 
 
 def test_sensnet_stays_within_its_line_budget():
-    assert len((SRC / "sensnet.py").read_text(encoding="utf-8").splitlines()) <= 366
+    assert len((SRC / "sensnet.py").read_text(encoding="utf-8").splitlines()) <= 360
 
 
 # The one network path: only these functions of sensnet.py run a sigmoid or a
@@ -331,7 +331,7 @@ def test_every_raise_names_one_of_the_four_exception_types():
 
 
 # ROADMAP aim 2 tracks the size of src/; raise this budget only on purpose.
-SRC_LINE_BUDGET = 2108
+SRC_LINE_BUDGET = 2100
 
 
 def test_src_stays_within_its_line_budget():

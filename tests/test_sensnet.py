@@ -476,10 +476,10 @@ class TestOutReuse:
     # recomputes only the layers after it; its outputs must still carry the bits of
     # full passes. (7, 4, 2) writes the grid into the output layer; a layer of 16
     # inputs or more, as in (7, 32, 3, 1), and a one-row input take a pass per grid
-    # point. Below two bias tiles (1,024 rows) the later layers run once on a stack of
-    # the grid points: 40 rows is the sample's shape, and at 40 rows (7, 4, 2) stacks
-    # the output layer itself, so no later layer runs; 1,023 and 1,024 rows sit on
-    # either side of the rule
+    # point. Up to STACK_ROWS (1,024) rows the later layers run once on a stack of all
+    # grid points, above it on a stack of one: 40 rows is the sample's shape, and at 40
+    # rows (7, 4, 2) stacks the output layer itself, so no later layer runs; 1,024 and
+    # 1,025 rows sit on either side of the rule
     @pytest.mark.parametrize("sizes, rows", [
         pytest.param((7, 16, 1), 1200, id="7-16-1"),
         pytest.param((7, 1), 1200, id="7-1"),
@@ -491,8 +491,8 @@ class TestOutReuse:
         pytest.param((7, 16, 1), 40, id="7-16-1-40-rows"),
         pytest.param((7, 4, 2), 40, id="7-4-2-40-rows"),
         pytest.param((7, 4, 1, 3, 1), 500, id="7-4-1-3-1-500-rows"),
-        pytest.param((7, 16, 1), 1023, id="7-16-1-1023-rows"),
         pytest.param((7, 16, 1), 1024, id="7-16-1-1024-rows"),
+        pytest.param((7, 16, 1), 1025, id="7-16-1-1025-rows"),
     ])
     def test_sweep_is_bit_equal_to_full_forward_passes(self, sizes, rows):
         rng = np.random.default_rng(21)
@@ -505,6 +505,13 @@ class TestOutReuse:
         assert (rows, variations) == full_pass_sweep(copy.deepcopy(trained), x)
         for got, want in zip(params.weights + params.biases, trained.weights + trained.biases):
             assert np.array_equal(got, want)
+
+    # STACK_ROWS is a rule of speed and memory, not of bits: a stack of all grid points
+    # matches full passes at 5,000 rows too, where the unstacked trace adds biases by tiles
+    @pytest.mark.parametrize("sizes", [(7, 16, 1), (7, 4, 1, 3, 1)], ids=["7-16-1", "7-4-1-3-1"])
+    def test_full_stack_above_stack_rows_is_bit_equal(self, sizes, monkeypatch):
+        monkeypatch.setattr(sensnet, "STACK_ROWS", 5000)
+        self.test_sweep_is_bit_equal_to_full_forward_passes(sizes, 5000)
 
     # BLAS gemm and numpy's exp give other last bits on other kernels (README's CLI
     # section). The stacked sweep must still match full passes there: rerun the oracle
