@@ -292,11 +292,11 @@ def perturbation_sweep(params: NetworkParams, inputs):
 
     Moving w[j, k] of layer l changes only unit j. Where _forward takes a contiguous
     product into several units, one product by SWEEP_POINTS copies of W[j], w[j, k] set
-    to each grid value, gives unit j's column at every point with a full pass's bits;
-    the later layers then run on a (depth, rows, width) stack of layer l's activations,
-    and matmul calls BLAS per slice, which keeps each point's bits. Up to STACK_ROWS rows
-    the stack holds all SWEEP_POINTS points; above, one. Elsewhere each point runs from
-    layer l, and a pass per layer then resets the trace."""
+    to each grid value, gives unit j's column at every point with a full pass's bits for
+    a pass from layer l + 1; other layers pass from l with a (depth, units, inputs) stack
+    of W, w[j, k] set per slice. Either way the points run as a (depth, rows, width) stack,
+    and matmul calls BLAS per slice, which keeps each point's bits: all SWEEP_POINTS up to
+    STACK_ROWS rows, above that one. The trained parameters are only read."""
     x = _batch(inputs, params)
     depth = SWEEP_POINTS if len(x) <= STACK_ROWS else 1
     trace, rows, variations = _trace(x, params), [], {}
@@ -308,34 +308,33 @@ def perturbation_sweep(params: NetworkParams, inputs):
                                 "variation is undefined")
         for l, w in enumerate(params.weights):
             a_in, a_next = trace.activations[l], trace.activations[l + 1]
+            np.copyto(stack := stacked.activations[l + 1], a_next)
             if grid := len(w) > 1 and _contiguous(a_in, w):
-                units = NetworkParams([np.zeros((SWEEP_POINTS, w.shape[1]))],
-                                      [np.zeros(SWEEP_POINTS)])
+                units = NetworkParams([np.zeros((SWEEP_POINTS, w.shape[1]))], [np.zeros(SWEEP_POINTS)])
                 units_trace = _trace(a_in, units)
-                np.copyto(stack := stacked.activations[l + 1], a_next)
+                moved, sweep, start = stack, params, l + 1
+            else:  # .copy() keeps each slice C-contiguous, as a one-row product needs
+                moved = np.broadcast_to(w, (depth,) + w.shape).copy()
+                sweep, start = NetworkParams(list(params.weights), params.biases), l
+                sweep.weights[l] = moved.transpose(1, 2, 0)  # its .T is each slice's W.T
             for (j, k), center in np.ndenumerate(w):
                 weight_id = f"w{l + 1}[{j},{k}]"
                 half = abs(center) * SWEEP_SPAN if center != 0 else SWEEP_SPAN
-                values = np.linspace(center - half, center + half, SWEEP_POINTS)
+                points = values = np.linspace(center - half, center + half, SWEEP_POINTS)
                 if grid:  # the stack's later layers do not read w[j, k]
                     units.weights[0][:], units.biases[0][:] = w[j], params.biases[l][j]
                     units.weights[0][:, k] = values
-                    columns, outputs = _forward(units, units_trace).activations[1].T, []
-                    for i in range(0, SWEEP_POINTS, depth):
-                        stack[:, :, j] = columns[i:i + depth]
-                        out = _forward(params, stacked, l + 1).activations[-1]
-                        outputs += out.reshape(depth, -1).mean(axis=1).tolist()
-                    stack[:, :, j] = a_next[:, j]
-                else:
-                    outputs = []
-                    for value in values:
-                        w[j, k] = value
-                        outputs.append(float(_forward(params, trace, l).activations[-1].mean()))
-                    w[j, k] = center
+                    points = _forward(units, units_trace).activations[1].T
+                at, rest = (np.s_[:, :, j], a_next[:, j]) if grid else (np.s_[:, j, k], center)
+                outputs = []
+                for i in range(0, SWEEP_POINTS, depth):
+                    moved[at] = points[i:i + depth]
+                    out = _forward(sweep, stacked, start).activations[-1]
+                    outputs += out.reshape(depth, -1).mean(axis=1).tolist()
+                moved[at] = rest
                 rows += [(weight_id, value, out) for value, out in zip(values.tolist(), outputs)]
                 variations[weight_id] = (max(outputs) - min(outputs)) / abs(baseline)
-            if not grid:  # the last point's pass left its outputs after layer l
-                _forward(params, trace, l)
+            np.copyto(stack, a_next)  # the next layer's stacked pass may read it
     return rows, variations
 
 

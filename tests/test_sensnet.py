@@ -472,14 +472,15 @@ class TestOutReuse:
                              want_params.weights + want_params.biases):
             assert np.array_equal(got, want)
 
-    # the sweep takes all grid points of a unit from one product where it can, and
-    # recomputes only the layers after it; its outputs must still carry the bits of
-    # full passes. (7, 4, 2) writes the grid into the output layer; a layer of 16
-    # inputs or more, as in (7, 32, 3, 1), and a one-row input take a pass per grid
-    # point. Up to STACK_ROWS (1,024) rows the later layers run once on a stack of all
-    # grid points, above it on a stack of one: 40 rows is the sample's shape, and at 40
-    # rows (7, 4, 2) stacks the output layer itself, so no later layer runs; 1,024 and
-    # 1,025 rows sit on either side of the rule
+    # the sweep takes all grid points of a unit from one product where _forward takes a
+    # contiguous product into several units, and a stack of copies of W elsewhere; its
+    # outputs must still carry the bits of full passes. (7, 4, 2) writes the grid into
+    # the output layer. A one-unit layer, a layer of 16 inputs or more, as in
+    # (7, 32, 3, 1) and (20, 8, 1), and a one-row batch take the weight stack; in
+    # (7, 1) on one row the first layer is the output layer. Up to STACK_ROWS (1,024)
+    # rows every weight's grid points run as one stack, above it as stacks of one: 40
+    # rows is the sample's shape, and at 40 rows (7, 4, 2) stacks the output layer
+    # itself, so no later layer runs; 1,024 and 1,025 rows sit on either side of the rule
     @pytest.mark.parametrize("sizes, rows", [
         pytest.param((7, 16, 1), 1200, id="7-16-1"),
         pytest.param((7, 1), 1200, id="7-1"),
@@ -493,10 +494,12 @@ class TestOutReuse:
         pytest.param((7, 4, 1, 3, 1), 500, id="7-4-1-3-1-500-rows"),
         pytest.param((7, 16, 1), 1024, id="7-16-1-1024-rows"),
         pytest.param((7, 16, 1), 1025, id="7-16-1-1025-rows"),
+        pytest.param((20, 8, 1), 60, id="20-8-1-60-rows"),
+        pytest.param((7, 1), 1, id="7-1-one-row"),
     ])
     def test_sweep_is_bit_equal_to_full_forward_passes(self, sizes, rows):
         rng = np.random.default_rng(21)
-        x = rng.uniform(-2, 2, (rows, 7))
+        x = rng.uniform(-2, 2, (rows, sizes[0]))
         y = rng.uniform(0.1, 0.9, (rows, sizes[-1]))
         params, _ = train(x, y, TrainConfig(sizes, learning_rate=0.5, epochs=20))
         params.weights[-1][0, 0] = 0.0  # a zero weight sweeps the absolute band
@@ -505,6 +508,37 @@ class TestOutReuse:
         assert (rows, variations) == full_pass_sweep(copy.deepcopy(trained), x)
         for got, want in zip(params.weights + params.biases, trained.weights + trained.biases):
             assert np.array_equal(got, want)
+
+    # the sweep moves copies of the weights, never the trained arrays themselves
+    @pytest.mark.parametrize("sizes, rows", [
+        pytest.param((7, 16, 1), 40, id="7-16-1-40-rows"),
+        pytest.param((7, 16, 1), 1, id="7-16-1-one-row"),
+        pytest.param((7, 4, 1, 3, 1), 1025, id="7-4-1-3-1-1025-rows"),
+    ])
+    def test_sweep_only_reads_the_trained_parameters(self, sizes, rows):
+        rng = np.random.default_rng(5)
+        x = rng.uniform(-2, 2, (rows, sizes[0]))
+        params = NetworkParams.initialize(TrainConfig(sizes, seed=2))
+        want = full_pass_sweep(copy.deepcopy(params), x)
+        for a in params.weights + params.biases:
+            a.setflags(write=False)
+        assert perturbation_sweep(params, x) == want
+
+    # one baseline pass; a grid weight takes one pass for its unit's columns and one for
+    # the later layers, any other weight one pass from its layer, as one stack of points
+    def test_sweep_runs_one_stacked_pass_per_weight(self, monkeypatch):
+        calls, forward_pass = [], sensnet._forward
+
+        def counted(*args):  # records the layer each pass starts from
+            calls.append(args[2] if len(args) > 2 else 0)
+            return forward_pass(*args)
+
+        monkeypatch.setattr(sensnet, "_forward", counted)
+        params = NetworkParams.initialize(TrainConfig((7, 16, 1), seed=1))
+        perturbation_sweep(params, np.random.default_rng(8).uniform(-2, 2, (40, 7)))
+        assert len(calls) == 1 + 2 * 16 * 7 + 16 == 241
+        # from layer 0: the baseline and the grid's columns; from layer 1: the rest
+        assert calls.count(0) == 1 + 16 * 7 and calls.count(1) == 16 * 7 + 16
 
     # STACK_ROWS is a rule of speed and memory, not of bits: a stack of all grid points
     # matches full passes at 5,000 rows too, where the unstacked trace adds biases by tiles
