@@ -13,6 +13,7 @@ import sys
 from . import pipeline
 from .allocation import ALLOC_MODES
 from .errors import PipelineError
+from .mcda import CR_LIMIT
 from .mining import INCOME_MODES
 
 
@@ -64,7 +65,7 @@ SEED = _option("--seed", type=int, metavar="N",
 # Each subcommand's stage (a key of pipeline.STAGES), help text and flags besides --out.
 SUBCOMMANDS = {
     "weights": ("weights", "Derive criterion weights by all three methods.", MATRIX),
-    "consistency": ("consistency", "Check a comparison matrix for consistency (CR < 0.1).",
+    "consistency": ("consistency", f"Check a comparison matrix for consistency (CR < {CR_LIMIT}).",
                     MATRIX),
     "topsis": ("topsis", "Rank alternatives by closeness to the ideal solution.", DECISION),
     "equity": ("equity", "Per-country development scores and the global equity index.",

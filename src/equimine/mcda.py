@@ -10,6 +10,7 @@ METHODS = ("arithmetic-mean", "geometric-mean", "eigenvalue")
 
 # Saaty's random consistency index by matrix order n = 1..10.
 RI_TABLE = (0.00, 0.00, 0.58, 0.90, 1.12, 1.24, 1.32, 1.41, 1.45, 1.49)
+CR_LIMIT = 0.1  # a matrix passes the consistency check when its CR is below this
 
 _RECIPROCITY_RTOL = 1e-9
 _ENTRY_MAX = 1e100  # past Saaty's 9, and no AHP sum can overflow nor weight reach 0
@@ -80,7 +81,7 @@ class ConsistencyReport:
     passes: bool
 
 
-def derive_weights(matrix: PairwiseMatrix, method: str = "eigenvalue") -> WeightVector:
+def derive_weights(matrix: PairwiseMatrix, method: str) -> WeightVector:
     """Derive a normalized weight vector from a pairwise comparison matrix.
 
     Parameters
@@ -123,13 +124,6 @@ def _power_iteration(a: np.ndarray) -> np.ndarray:
     raise EquimineError(f"power iteration did not converge (after {_POWER_MAX_ITER} iterations)")
 
 
-def lambda_max(matrix: PairwiseMatrix) -> float:
-    """Dominant eigenvalue estimate: mean of (A w)_i / w_i over the rows, w the
-    eigenvalue-method weights."""
-    w = derive_weights(matrix, "eigenvalue").weights
-    return float(np.mean((matrix.entries @ w) / w))
-
-
 def consistency_from_lambda(lam: float, n: int) -> ConsistencyReport:
     """Build a consistency report from a known dominant eigenvalue.
 
@@ -146,9 +140,11 @@ def consistency_from_lambda(lam: float, n: int) -> ConsistencyReport:
     ri = float(RI_TABLE[n - 1])
     ci = 0.0 if n == 1 else max((lam - n) / (n - 1), 0.0)
     cr = ci / ri if ri > 0 else 0.0
-    return ConsistencyReport(lambda_max=lam, ci=ci, ri=ri, cr=cr, passes=cr < 0.1)
+    return ConsistencyReport(lambda_max=lam, ci=ci, ri=ri, cr=cr, passes=cr < CR_LIMIT)
 
 
 def consistency(matrix: PairwiseMatrix) -> ConsistencyReport:
-    """Check a comparison matrix for acceptable consistency (CR < 0.1)."""
-    return consistency_from_lambda(lambda_max(matrix), len(matrix.entries))
+    """Check a comparison matrix for acceptable consistency (CR < CR_LIMIT). lambda_max is
+    the mean of (A w)_i / w_i over the rows, w the eigenvalue-method weights."""
+    w = derive_weights(matrix, "eigenvalue").weights
+    return consistency_from_lambda(float(np.mean((matrix.entries @ w) / w)), len(w))

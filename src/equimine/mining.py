@@ -11,8 +11,6 @@ tail probability, `t_sf`.
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import EquimineError, ValidationError
 
 # The lower end of the dof range in README's Scenario JSON line; t_sf itself needs no bound.
@@ -50,11 +48,9 @@ def _log_norm(dof: float) -> float:
     return math.lgamma((dof + 1) / 2) - math.lgamma(dof / 2) - 0.5 * math.log(dof * math.pi)
 
 
-def t_density(y, dof: float):
+def t_density(y: float, dof: float) -> float:
     """Standard Student-t probability density with `dof` degrees of freedom."""
-    y = np.asarray(y, dtype=float)
-    out = np.exp(_log_norm(dof) - ((dof + 1) / 2) * np.log1p(y * y / dof))
-    return out if out.ndim else float(out)
+    return math.exp(_log_norm(dof) - ((dof + 1) / 2) * math.log1p(y * y / dof))
 
 
 def _beta_cf(a: float, b: float, x: float) -> float:
@@ -157,21 +153,18 @@ class RevenueWindow:
             raise ValidationError("cost must be finite and >= 0")
 
 
-def extraction_rate(t, params: MiningCurveParams):
+def extraction_rate(t: float, params: MiningCurveParams) -> float:
     """Fraction of total value extracted per year at time t >= 0.
 
     This is the located/scaled t density divided by its positive-half mass,
-    so it integrates to 1 over [0, inf). Accepts scalars or arrays; the rate
-    at t = +inf is 0.
+    so it integrates to 1 over [0, inf). The rate at t = +inf is 0.
     """
-    t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr < 0):
+    if t < 0:
         raise ValidationError("extraction rate is defined for t >= 0 only")
-    with np.errstate(invalid="ignore"):
-        y = (t_arr - params.location) / params.scale
-        rate = t_density(y, params.dof) / (params.scale * params.positive_mass)
-    rate = np.where(np.isinf(t_arr), 0.0, rate)
-    return rate if rate.ndim else float(rate)
+    if t == math.inf:
+        return 0.0
+    y = (t - params.location) / params.scale
+    return t_density(y, params.dof) / (params.scale * params.positive_mass)
 
 
 def income(window: RevenueWindow, params: MiningCurveParams,

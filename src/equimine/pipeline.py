@@ -379,7 +379,7 @@ def run_pipeline(config, out_dir, **overrides) -> dict:
             reports |= stage(run)
             if name == "consistency" and not run.consistency.passes:
                 raise PipelineError("consistency", "comparison matrix failed the consistency "
-                                    f"check (CR = {run.consistency.cr:.4f} >= 0.1)",
+                                    f"check (CR = {run.consistency.cr:.4f} >= {mcda.CR_LIMIT})",
                                     {"cr": run.consistency.cr})
     return write_reports(out_dir, config.digest(sha256), reports)
 

@@ -271,6 +271,7 @@ def test_missing_input_fails_cleanly(tmp_path):
 
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "sample"
+SAMPLE_TOPSIS_CSV = Path(__file__).resolve().parent / "fixtures" / "sample_topsis.csv"
 PAIRWISE = str(sample_path("pairwise.csv"))
 INDICATORS = str(sample_path("indicators.csv"))
 SCENARIO = str(sample_path("scenario.json"))
@@ -309,6 +310,11 @@ def test_report_matches_seed_reference(sample_report):
     assert len(names) == 10
     for name in names:
         assert _same_report(sample_report / name, REFERENCE / name), name
+
+
+def test_report_topsis_csv_matches_its_fixture(sample_report):
+    # the seed reference set holds no topsis.csv, so the sample's is pinned here
+    assert (sample_report / "topsis.csv").read_bytes() == SAMPLE_TOPSIS_CSV.read_bytes()
 
 
 STAGES = ["consistency", "weights", "equity", "topsis", "mining", "allocation", "correlation",

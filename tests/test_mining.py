@@ -5,6 +5,7 @@ import pytest
 from conftest import ORACLE, log_uniform
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy import stats
 from scipy.special import stdtr
 
 from equimine import mining
@@ -21,9 +22,11 @@ from equimine.mining import (
 
 
 def trapezoid_rate_integral(params, t1, t2, points=200_001):
-    """Independent oracle: dense trapezoid rule on the rate."""
+    """Independent oracle: dense trapezoid rule on scipy's located/scaled t density,
+    renormalized by scipy's mass on t >= 0."""
     grid = np.linspace(t1, t2, points)
-    return float(np.trapezoid(extraction_rate(grid, params), grid))
+    curve = stats.t(params.dof, params.location, params.scale)
+    return float(np.trapezoid(curve.pdf(grid), grid) / curve.sf(0.0))
 
 
 class TestCurveParams:
@@ -85,14 +88,21 @@ class TestExtractionRate:
     def test_maximized_at_location(self):
         p = MiningCurveParams()
         grid = np.linspace(0.0, 60.0, 6001)
-        rates = extraction_rate(grid, p)
+        rates = [extraction_rate(t, p) for t in grid]
         assert grid[np.argmax(rates)] == pytest.approx(p.location, abs=0.011)
 
     def test_nonnegative_and_integrates_to_one(self):
         p = MiningCurveParams(dof=3.0, location=12.0, scale=4.0)
-        assert np.all(extraction_rate(np.linspace(0, 100, 1001), p) >= 0)
+        assert all(extraction_rate(t, p) >= 0 for t in np.linspace(0, 100, 1001))
         assert income(RevenueWindow(0.0, math.inf), MiningCurveParams(
             dof=3.0, location=12.0, scale=4.0, total_value=1.0)) == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("dof", [mining.MIN_DOF, 1.0, 4.0, 30.0, 1e4])
+    def test_matches_scipy_density(self, dof):
+        p = MiningCurveParams(dof=dof, location=18.0, scale=6.0)
+        curve = stats.t(dof, p.location, p.scale)
+        for t in (0.0, 5.0, 18.0, 40.0, 300.0):
+            assert extraction_rate(t, p) == pytest.approx(curve.pdf(t) / curve.sf(0.0), rel=1e-11)
 
     def test_rejects_negative_time(self):
         with pytest.raises(ValidationError):
