@@ -11,7 +11,6 @@ import os
 import sys
 
 from . import pipeline
-from .allocation import ALLOC_MODES
 from .errors import PipelineError
 from .mcda import CR_LIMIT
 from .mining import INCOME_MODES
@@ -45,11 +44,6 @@ CONFIG = _input("--config", help="Run config JSON naming every input file.")
 INCOME_MODE = _option("--income-mode", choices=INCOME_MODES, help="Integrated income or the "
                       f"literal rate difference (default: {pipeline.RunConfig.income_mode}, or "
                       "the run config's under report).")
-ALLOC_MODE = _option("--alloc-mode", choices=ALLOC_MODES,
-                     help="The share column named the allocation: conserve (sums to the "
-                     "profit) or paper-literal. Both are reported; no number changes "
-                     f"(default: {pipeline.RunConfig.alloc_mode}, or the run config's under "
-                     "report).")
 ALLOC_BASIS = _option("--alloc-basis", choices=pipeline.ALLOC_BASES, help="The scores the "
                       "profit is split by: development or TOPSIS closeness (default: "
                       f"{pipeline.RunConfig.alloc_basis}, or the run config's under report).")
@@ -71,10 +65,10 @@ SUBCOMMANDS = {
     "equity": ("equity", "Per-country development scores and the global equity index.",
                INDICATORS, PAIRWISE),
     "simulate": ("mining", "Income and profit for a mining scenario, both income modes side "
-                 "by side.", SCENARIO, INCOME_MODE),
+                 "by side.", SCENARIO),
     "allocate": ("allocation", "Split scenario profit across countries by development score.",
-                 INDICATORS, GDP, SCENARIO, PAIRWISE, RANKED, ALLOC_MODE, ALLOC_BASIS,
-                 INCOME_MODE, BOTTOM_COUNT, MULTIPLIER),
+                 INDICATORS, GDP, SCENARIO, PAIRWISE, RANKED, ALLOC_BASIS, INCOME_MODE,
+                 BOTTOM_COUNT, MULTIPLIER),
     "correlate": ("correlation", "Correlate each indicator with the development score across "
                   "all records.", INDICATORS, PAIRWISE),
     "sensitivity": ("sensitivity", "Train the sensitivity network and sweep trained weights.",
@@ -82,7 +76,7 @@ SUBCOMMANDS = {
 }
 # `report` runs every stage through run_pipeline; its help text and flags besides --out.
 REPORT = ("Run the full pipeline and write every report artifact.", CONFIG, INCOME_MODE,
-          ALLOC_MODE, ALLOC_BASIS, SEED)
+          ALLOC_BASIS, SEED)
 
 
 def main(args=None, prog_name="equimine", standalone_mode=True):

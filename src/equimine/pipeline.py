@@ -188,9 +188,20 @@ class Run:
         return np.mean(list(self.weights_by_method.values()), axis=0)
 
     @cached_property
+    def indicator_weights(self):
+        """`weights`, which fall on the seven indicators by position: a 7-criterion matrix's
+        labels, lowercased, must be INDICATOR_COLUMNS in order."""
+        matrix, columns = self.inputs["pairwise"], list(equity.INDICATOR_COLUMNS)
+        labels = [] if matrix is None else matrix.labels
+        if len(labels) == len(columns) and [str(x).lower() for x in labels] != columns:
+            raise ValidationError(f"the comparison matrix's criteria {labels} must be the "
+                                  f"indicators {columns}, in that order")
+        return self.weights
+
+    @cached_property
     def scores(self) -> np.ndarray:
         """scores[c, t]: the development score of the panel's countries[c] in years[t]."""
-        return equity.development_scores(self.inputs["indicators"].values, self.weights)
+        return equity.development_scores(self.inputs["indicators"].values, self.indicator_weights)
 
     @property
     def records(self) -> tuple:
@@ -204,7 +215,7 @@ class Run:
         else the countries' latest-year indicators under the AHP weights."""
         decision, weights = self.inputs["decision"], None  # None: equal weights
         if decision is None:
-            table, weights = self.inputs["indicators"], self.weights
+            table, weights = self.inputs["indicators"], self.indicator_weights
             decision = topsis.DecisionMatrix(
                 values=table.values[:, -1],
                 alternative_labels=table.countries,

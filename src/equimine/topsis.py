@@ -80,9 +80,11 @@ def forward(matrix: DecisionMatrix) -> np.ndarray:
     """The matrix's values with every column in benefit orientation.
 
     Benefit columns pass through, cost columns become max(x) - x, and
-    intermediate columns become 1 - |x - x_best| / max|x - x_best|. When every
-    entry already equals x_best the column is all ones (equally ideal). A
-    column whose forwarded values overflow the float range is rejected.
+    intermediate columns become 1 - |x - x_best| / max|x - x_best|. A column
+    whose forwarded entries are all equal then becomes all ones, whatever its
+    kind: it is equally ideal for every alternative and adds nothing to any
+    distance. A column whose forwarded values overflow the float range is
+    rejected.
     """
     x = matrix.values.copy()
     with np.errstate(over="ignore", invalid="ignore"):
@@ -94,6 +96,7 @@ def forward(matrix: DecisionMatrix) -> np.ndarray:
                 dev = np.abs(column - kind.x_best)
                 m = dev.max()
                 x[:, j] = 1.0 if m == 0 else 1.0 - dev / m
+    x[:, (x == x[0]).all(axis=0)] = 1.0  # else a constant cost column would be all zeros
     overflowed = ~np.isfinite(x).all(axis=0)
     if overflowed.any():
         label = matrix.indicator_labels[overflowed.argmax()]

@@ -1,3 +1,4 @@
+import csv
 import errno
 import hashlib
 import json
@@ -8,14 +9,14 @@ import re
 import shutil
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from equimine import io, pipeline
-from equimine.cli import SUBCOMMANDS, main
+from equimine.cli import REPORT, SUBCOMMANDS, main
 from equimine.data import sample_dir, sample_path
 from equimine.errors import PipelineError
 
@@ -442,8 +443,7 @@ def test_setting_flag_given_at_its_default_leaves_the_digest_as_it_is(tmp_path):
     # an absent flag means RunConfig's default, so naming that default changes no byte
     allocate = ["allocate", "--indicators", INDICATORS, "--gdp", str(sample_path("gdp.csv")),
                 "--scenario", SCENARIO, "--bottom-count", "2"]
-    defaults = ["--income-mode", "cumulative", "--alloc-mode", "conserve", "--alloc-basis",
-                "equity", "--multiplier", "1.2"]
+    defaults = ["--income-mode", "cumulative", "--alloc-basis", "equity", "--multiplier", "1.2"]
     for name, args in [("absent", allocate), ("given", allocate + defaults)]:
         code, output = run_cli(args + ["--out", str(tmp_path / name)])
         assert code == 0, output
@@ -458,17 +458,151 @@ def test_every_mode_combination_reports_on_the_sample(tmp_path, income_mode, all
                                                       alloc_basis):
     # the sample window [0, 30] is symmetric about the curve's peak, so the
     # paper-literal income is 0 and its profit is minus the cost: a loss
-    # allocates nothing, while mining.json keeps the negative profit
-    code, output = run_cli(["report", "--config", str(sample_path("config.json")),
-                            "--out", str(tmp_path), "--income-mode", income_mode,
-                            "--alloc-mode", alloc_mode, "--alloc-basis", alloc_basis])
+    # allocates nothing, while mining.json keeps the negative profit. The
+    # allocation mode has no flag: only a run config sets it.
+    config, out = tmp_path / "config.json", tmp_path / "out"
+    config.write_text(sample_config(alloc_mode=alloc_mode))
+    code, output = run_cli(["report", "--config", str(config), "--out", str(out),
+                            "--income-mode", income_mode, "--alloc-basis", alloc_basis])
     assert code == 0, output
-    profit = json.loads((tmp_path / "mining.json").read_text())["profit"][income_mode]
+    profit = json.loads((out / "mining.json").read_text())["profit"][income_mode]
     assert (profit < 0) == (income_mode == "paper-literal")
-    allocation_report = json.loads((tmp_path / "allocation.json").read_text())
+    allocation_report = json.loads((out / "allocation.json").read_text())
+    assert allocation_report["mode"] == alloc_mode
     assert allocation_report["total_profit"] == max(profit, 0.0)
     shares = [s[k] for s in allocation_report["shares"] for k in ("raw_share", "conserved_share")]
     assert all(v == 0 for v in shares) == (profit < 0)
+
+
+@pytest.mark.parametrize("args", [
+    ["report", "--config", str(sample_path("config.json")), "--alloc-mode", "conserve"],
+    ["allocate", "--indicators", INDICATORS, "--gdp", str(sample_path("gdp.csv")), "--scenario",
+     SCENARIO, "--bottom-count", "2", "--alloc-mode", "paper-literal"],
+    ["simulate", "--scenario", SCENARIO, "--income-mode", "cumulative"],
+], ids=["report-alloc-mode", "allocate-alloc-mode", "simulate-income-mode"])
+def test_mode_flag_of_a_command_whose_numbers_it_leaves_alone_is_a_usage_error(tmp_path, args):
+    # both share columns, and both income readings, are reported side by side
+    code, output = run_cli(args + ["--out", str(tmp_path / "out")])
+    assert code == 2 and "unrecognized arguments" in output
+    assert not (tmp_path / "out").exists()
+
+
+# Two values of each setting flag without choices; a flag with choices takes its first two.
+SETTING_VALUES = {"--bottom-count": ("2", "3"), "--multiplier": ("1.2", "1.5"),
+                  "--seed": ("0", "1")}
+# Each command's setting flags as the CLI declares them: the flags that set a RunConfig field.
+COMMAND_SETTINGS = [
+    (command, flag, kwargs.get("choices"))
+    for command, (_, _, *options) in {**SUBCOMMANDS, "report": (None, *REPORT)}.items()
+    for flag, kwargs in options
+    if flag[2:].replace("-", "_") in {f.name for f in fields(pipeline.RunConfig)}]
+
+
+def _numbers(value) -> list:
+    """Every number a parsed JSON value holds, depth first; strings (labels, modes,
+    config_digest) and booleans are left out."""
+    if isinstance(value, (dict, list)):
+        return [n for v in (value.values() if isinstance(value, dict) else value)
+                for n in _numbers(v)]
+    return [value] if isinstance(value, (int, float)) and not isinstance(value, bool) else []
+
+
+def _report_numbers(out: Path) -> dict:
+    """{report name: its numbers}: a JSON report's, and a CSV report's number cells."""
+    return {path.name: _numbers(json.loads(path.read_text())) if path.suffix == ".json" else
+            [float(cell) for row in csv.reader(path.read_text().splitlines()) for cell in row
+             if re.match(r"-?\d", cell)] for path in out.iterdir()}
+
+
+@pytest.mark.parametrize("command, flag, choices", COMMAND_SETTINGS,
+                         ids=[f"{command}{flag}" for command, flag, _ in COMMAND_SETTINGS])
+def test_every_setting_flag_changes_a_number(tmp_path, command, flag, choices):
+    # a flag that only relabelled a report would be a setting to learn for nothing. The
+    # sample's inputs, but not the asteroid decision matrix, whose alternatives are no
+    # countries to split by; `allocate` takes the sample run config's bottom_count
+    inputs = {k: v for k, v in INPUT_FLAGS[command][1].items() if k != "--decision"}
+    numbers = []
+    for value in choices[:2] if choices else SETTING_VALUES[flag]:
+        args = {**inputs, **({"--bottom-count": "2"} if command == "allocate" else {}), flag: value}
+        code, output = run_cli([command, *(x for item in args.items() for x in item),
+                                "--out", str(tmp_path / value)])
+        assert code == 0, output
+        numbers.append(_report_numbers(tmp_path / value))
+    assert numbers[0] != numbers[1]
+
+
+def _decision(path: Path, columns: list) -> Path:
+    """A decision matrix of alternatives x, y and z: columns are (header, 3 values)."""
+    rows = [["alt", *(header for header, _ in columns)]] + [
+        [alt, *(str(values[i]) for _, values in columns)] for i, alt in enumerate("xyz")]
+    path.write_text("".join(",".join(row) + "\n" for row in rows))
+    return path
+
+
+@pytest.mark.parametrize("column", [("b:cost", (3, 3, 3)), ("b:benefit", (0, 0, 0)),
+                                    ("b:mid=3", (5, 5, 5))], ids=["cost", "zero-benefit", "mid"])
+def test_topsis_constant_column_of_any_kind_changes_no_score(tmp_path, column):
+    # forwarding would turn each into an all-zero column, which normalize refuses
+    base = [("a:benefit", (1, 2, 4)), ("c:cost", (7, 1, 5))]
+    for name, columns in [("base", base), ("constant", base + [column])]:
+        code, output = run_cli(["topsis", "--decision", str(_decision(tmp_path / name, columns)),
+                                "--out", str(tmp_path / f"{name}-out")])
+        assert code == 0, output
+    assert ((tmp_path / "constant-out" / "topsis.csv").read_bytes()
+            == (tmp_path / "base-out" / "topsis.csv").read_bytes())
+
+
+def test_report_ranks_countries_whose_latest_indicator_is_zero_everywhere(tmp_path):
+    # the sample config has no decision, so report ranks the latest-year indicators
+    header, *rows = sample_path("indicators.csv").read_text().splitlines()
+    latest, ma = max(row.split(",")[1] for row in rows), header.split(",").index("ma")
+    cells = [row.split(",") for row in rows]
+    for row in cells:
+        row[ma] = "0" if row[1] == latest else row[ma]
+    (tmp_path / "indicators.csv").write_text("\n".join([header, *map(",".join, cells)]) + "\n")
+    (tmp_path / "config.json").write_text(sample_config(indicators=str(tmp_path
+                                                                      / "indicators.csv")))
+    code, output = run_cli(["report", "--config", str(tmp_path / "config.json"),
+                            "--out", str(tmp_path / "out")])
+    assert code == 0, output
+    assert len(json.loads((tmp_path / "out" / "topsis.json").read_text())["ranking"]) == 8
+
+
+def _pairwise(path: Path, order, labels=str) -> Path:
+    """The sample comparison matrix with its criteria in `order` (rows and columns moved
+    together) and each label passed through `labels`."""
+    rows = [line.split(",") for line in sample_path("pairwise.csv").read_text().splitlines()]
+    index = [0, *(i + 1 for i in order)]
+    path.write_text("".join(",".join(labels(rows[i][j]) if 0 in (i, j) else rows[i][j]
+                                     for j in index) + "\n" for i in index))
+    return path
+
+
+def test_pairwise_criteria_must_name_the_indicators_in_order(tmp_path, sample_report):
+    # weights fall on the indicators by position: IDG listed before EI would weigh ei as idg
+    swapped = str(_pairwise(tmp_path / "swapped.csv", [1, 0, 2, 3, 4, 5, 6]))
+    message = ("the comparison matrix's criteria ['IDG', 'EI', 'CEA', 'MA', 'HR', 'ER', 'SA'] "
+               "must be the indicators ['ei', 'idg', 'cea', 'ma', 'hr', 'er', 'sa'], in that order")
+    (tmp_path / "config.json").write_text(sample_config(pairwise=swapped))
+    for args, stage in [(["report", "--config", str(tmp_path / "config.json")], "equity"),
+                        (["correlate", "--indicators", INDICATORS, "--pairwise", swapped],
+                         "correlation"),
+                        (["allocate", "--indicators", INDICATORS, "--gdp",
+                          str(sample_path("gdp.csv")), "--scenario", SCENARIO, "--pairwise",
+                          swapped, "--bottom-count", "2", "--alloc-basis", "topsis"],
+                         "allocation")]:
+        code, output = run_cli(args + ["--out", str(tmp_path / "out")])
+        assert (code, json.loads(output)["error"]) == (1, {"stage": stage, "message": message})
+        assert not (tmp_path / "out").exists()
+    for command in ("weights", "consistency"):  # any labels: these weigh no indicator
+        code, output = run_cli([command, "--pairwise", swapped, "--out", str(tmp_path / command)])
+        assert code == 0, output
+    # lowercase labels in indicator order weigh the indicators as the sample's do
+    lower = str(_pairwise(tmp_path / "lower.csv", range(7), labels=str.lower))
+    code, output = run_cli(["equity", "--indicators", INDICATORS, "--pairwise", lower,
+                            "--out", str(tmp_path / "lower")])
+    assert code == 0, output
+    assert _same_report(tmp_path / "lower" / "equity.json", sample_report / "equity.json")
 
 
 def test_topsis_subcommand_matches_report_with_decision(tmp_path):
@@ -529,7 +663,7 @@ def test_malformed_json_input_prints_error_json(tmp_path, args, text, stage):
      sample_path("indicators.csv").read_bytes().replace(b"0.6961", b"1e308", 1), "correlation"),
     (["sensitivity", "--train", str(sample_path("train.json")), "--indicators"],
      sample_path("indicators.csv").read_bytes().replace(b"0.6961", b"1e308", 1), "sensitivity"),
-    (["topsis", "--decision"], b"alt,a:benefit,b:benefit\nx,1e200,1\ny,1e200,2\n", "topsis"),
+    (["topsis", "--decision"], b"alt,a:benefit,b:benefit\nx,1e200,1\ny,2e200,2\n", "topsis"),
     (["weights", "--pairwise"], b",a,a\na,1,1\na,1,1\n", "weights"),
     (["topsis", "--decision"], b"alt,a:benefit\nx,1\ny,2\nx,3\n", "topsis"),
 ], ids=["pairwise-row-count", "not-utf8", "oversized-cell", "bad-mid-optimum",

@@ -311,8 +311,7 @@ def test_cli_leaves_unreadable_inputs_to_io():
 
 # The setting flags: each is one _option declaration with no default=, so an absent flag
 # is None, which leaves the setting to the run config, else to RunConfig's default.
-SETTING_FLAGS = ("--income-mode", "--alloc-mode", "--alloc-basis", "--bottom-count",
-                 "--multiplier", "--seed")
+SETTING_FLAGS = ("--income-mode", "--alloc-basis", "--bottom-count", "--multiplier", "--seed")
 
 
 def test_each_setting_flag_is_declared_once_without_a_default():
@@ -341,7 +340,7 @@ def test_every_raise_names_one_of_the_four_exception_types():
 
 
 # ROADMAP aim 2 tracks the size of src/; raise this budget only on purpose.
-SRC_LINE_BUDGET = 2089
+SRC_LINE_BUDGET = 2097
 
 
 def test_src_stays_within_its_line_budget():

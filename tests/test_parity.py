@@ -7,10 +7,11 @@ matrix with one row per country, a scenario, a train config of a few epochs and
 a run config naming them all, which may leave out the income mode. `report`
 and every subcommand, given flags that match the run config (and the same
 `--seed`, if any), write equal payloads, `config_digest` aside; a second
-`report` into a fresh directory is byte-identical. On 12 of the sets, over
-every combination of income mode, allocation mode and allocation basis, a run
-writes its reports or raises PipelineError, and `allocate` and `simulate` match
-its runs.
+`report` into a fresh directory is byte-identical. A subcommand without a flag
+for the allocation or income mode writes RunConfig's default label for it
+(LABELS), so that key is compared with the default. On 12 of the sets, over
+every combination of income mode and allocation basis, a run writes its
+reports or raises PipelineError, and `allocate` and `simulate` match its runs.
 Runs are derandomized, so every run tries the same inputs.
 """
 
@@ -24,7 +25,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equimine import allocation, equity, io, mcda, mining, pipeline
+from equimine import equity, io, mcda, mining, pipeline
 from equimine.errors import PipelineError
 
 from conftest import run_cli
@@ -106,11 +107,10 @@ def write_input_set(root: Path, seed: int, countries: int, years: int) -> dict:
     }
 
 
-def _mode_flags(command, income_mode, alloc_mode, alloc_basis) -> list:
+def _mode_flags(command, income_mode, alloc_basis) -> list:
     """The mode flags of `command` that match these modes (income_mode None: none given)."""
     income = [] if income_mode is None else ["--income-mode", income_mode]
-    return {"simulate": income, "allocate": income + ["--alloc-mode", alloc_mode,
-                                                      "--alloc-basis", alloc_basis]}.get(command, [])
+    return {"allocate": income + ["--alloc-basis", alloc_basis]}.get(command, [])
 
 
 def _payload(path: Path):
@@ -120,6 +120,23 @@ def _payload(path: Path):
         payload.pop("config_digest")
         return payload
     return path.read_bytes()
+
+
+# The report key that holds a mode's label, and its RunConfig field, for each mode that
+# only `report` sets: `simulate` has no --income-mode, and no subcommand an --alloc-mode.
+LABELS = {"allocation.json": ("mode", "alloc_mode"),
+          "mining.json": ("selected_mode", "income_mode")}
+
+
+def _assert_same_payload(subcommand: Path, report: Path, config: pipeline.RunConfig):
+    """The subcommand's report equals `report`'s, config_digest aside, but for a LABELS key:
+    there the subcommand wrote RunConfig's default label, and `report` the config's."""
+    written, expected = _payload(subcommand), _payload(report)
+    if report.name in LABELS:
+        key, field = LABELS[report.name]
+        assert (written.pop(key), expected.pop(key)) == (
+            getattr(pipeline.RunConfig, field), getattr(config, field)), report.name
+    assert written == expected, report.name
 
 
 def _invoke(args):
@@ -145,43 +162,44 @@ def test_report_and_subcommands_write_equal_payloads(seed, shape):
         report = {p.name: p.read_bytes() for p in (root / "report").iterdir()}
         assert report == {p.name: p.read_bytes() for p in (root / "again").iterdir()}
         config = json.loads((root / "config.json").read_text())
+        run_config = pipeline.load_run_config(root / "config.json")
         covered = set()
         for command, flags in subcommands.items():
             out = root / command
             _invoke([command, *flags, *_mode_flags(command, config.get("income_mode"),
-                                                   config["alloc_mode"], config["alloc_basis"]),
-                     "--out", str(out)])
+                                                   config["alloc_basis"]), "--out", str(out)])
             for path in out.iterdir():
-                assert _payload(path) == _payload(root / "report" / path.name), path.name
+                _assert_same_payload(path, root / "report" / path.name, run_config)
                 covered.add(path.name)
         assert covered == set(report)
 
 
-# Income mode x allocation mode x allocation basis: 8 full runs per set, so the grid
-# takes fewer sets than PARITY to keep the suite's time in bounds.
-GRID = list(itertools.product(mining.INCOME_MODES, allocation.ALLOC_MODES, pipeline.ALLOC_BASES))
+# Income mode x allocation basis: 4 full runs per set, so the grid takes fewer sets than
+# PARITY to keep the suite's time in bounds. The run config's alloc_mode, drawn per set,
+# stays as it is.
+GRID = list(itertools.product(mining.INCOME_MODES, pipeline.ALLOC_BASES))
 GRID_SETS = settings(PARITY, max_examples=12)
 
 
 @GRID_SETS
 @given(seed=st.integers(0, 2 ** 32 - 1), shape=SHAPES)
 def test_every_mode_combination_runs_or_fails_in_a_stage(seed, shape):
-    # each combination over the run config; allocate and simulate given the same modes
+    # each combination over the run config; allocate given the same modes, and simulate,
     # write each run's payloads
     countries, years = shape
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         subcommands = write_input_set(root, seed, countries, years)
         config = pipeline.load_run_config(root / "config.json")
-        for i, (income_mode, alloc_mode, basis) in enumerate(GRID):
-            run = root / f"run{i}"
+        for i, (income_mode, basis) in enumerate(GRID):
+            run, run_config = root / f"run{i}", replace(config, income_mode=income_mode,
+                                                        alloc_basis=basis)
             try:
-                pipeline.run_pipeline(replace(config, income_mode=income_mode,
-                                              alloc_mode=alloc_mode, alloc_basis=basis), run)
+                pipeline.run_pipeline(run_config, run)
             except PipelineError:  # any other exception fails the test
                 continue
             for command, name in [("allocate", "allocation.json"), ("simulate", "mining.json")]:
                 out = run / command
                 _invoke([command, *subcommands[command],
-                         *_mode_flags(command, income_mode, alloc_mode, basis), "--out", str(out)])
-                assert _payload(out / name) == _payload(run / name), (command, i)
+                         *_mode_flags(command, income_mode, basis), "--out", str(out)])
+                _assert_same_payload(out / name, run / name, run_config)

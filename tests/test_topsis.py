@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from equimine import topsis
 from equimine.errors import ValidationError
@@ -278,3 +281,36 @@ class TestProperties:
                                 indicator_kinds=matrix.indicator_kinds)
         assert np.allclose(topsis.rank_alternatives(matrix).s,
                            topsis.rank_alternatives(scaled).s, atol=1e-12)
+
+
+KIND_TEXTS = st.sampled_from(["benefit", "cost"]) | st.floats(0.0, 100.0).map(lambda x: f"mid={x}")
+
+
+def _outcome(values, kinds, weights):
+    """rank_alternatives' d_plus, d_minus, s and s_normalized bytes and its ranking, or the
+    message of the ValidationError it raised."""
+    matrix = DecisionMatrix(values, [f"A{i}" for i in range(len(values))],
+                            [IndicatorKind.parse(k) for k in kinds])
+    try:
+        ranked = topsis.rank_alternatives(matrix, weights=weights)
+    except ValidationError as exc:
+        return str(exc)
+    return [getattr(ranked, f).tobytes() for f in ("d_plus", "d_minus", "s", "s_normalized")
+            ] + [ranked.ranking]
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_appending_a_constant_column_of_any_kind_changes_no_output(data):
+    # the appended column forwards to all ones, so it adds exactly 0 to every distance. From
+    # 2 to 7 columns in all, numpy sums each row's terms, and each column's squares, in the
+    # same order either way; a lone column of 8 or more entries it sums pairwise. A matrix
+    # rank_alternatives refuses is refused for the same column either way.
+    kinds = data.draw(st.lists(KIND_TEXTS, min_size=2, max_size=6))
+    rows, m = data.draw(st.integers(1, 12)), len(kinds)
+    values = data.draw(arrays(np.float64, (rows, m), elements=st.floats(0.0, 100.0)))
+    weights = data.draw(st.none() | arrays(np.float64, m + 1, elements=st.floats(0.01, 1.0)))
+    constant, kind = data.draw(st.floats(0.0, 100.0)), data.draw(KIND_TEXTS)
+    extended = np.column_stack([values, np.full(rows, constant)])
+    assert (_outcome(extended, kinds + [kind], weights)
+            == _outcome(values, kinds, None if weights is None else weights[:m]))
